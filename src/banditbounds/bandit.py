@@ -24,7 +24,6 @@ from .divergences import SimplexVector, _check_unit
 
 __all__ = [
     "Environment",
-    "GameConfig",
     "GameTrace",
     "PolicyState",
     "ScheduleError",
@@ -34,7 +33,6 @@ __all__ = [
     "schedules",
     "smooth_policy",
     "update_estimates",
-    "warmup_policy",
     "write_trace_csv",
 ]
 
@@ -50,6 +48,16 @@ class ScheduleParams(NamedTuple):
     epsilon: float
 
 
+def _schedule_arrays(n_arms: int, ts) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_t = (K t)^(1/4) and epsilon_t = (K t)^(-1/4) for every t in ``ts``.
+
+    Each entry is one scalar libm ``pow``, the arithmetic the game plays;
+    numpy's vectorized ``pow`` differs from it in the last ulp on some rounds.
+    """
+    kts = [float(n_arms * t) for t in ts]
+    return np.array([kt**0.25 for kt in kts]), np.array([kt**-0.25 for kt in kts])
+
+
 def schedules(t: int, n_arms: int) -> ScheduleParams:
     """Learning-rate and exploration schedules gamma_t = (K t)^(1/4), epsilon_t = (K t)^(-1/4)."""
     t = int(t)
@@ -58,8 +66,8 @@ def schedules(t: int, n_arms: int) -> ScheduleParams:
         raise ValueError("t must be a positive integer")
     if n_arms < 2:
         raise ValueError("need at least two arms")
-    kt = float(n_arms * t)
-    return ScheduleParams(gamma=kt**0.25, epsilon=kt**-0.25)
+    gamma, epsilon = _schedule_arrays(n_arms, (t,))
+    return ScheduleParams(gamma=float(gamma[0]), epsilon=float(epsilon[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +194,19 @@ def update_estimates(
     )
 
 
-def _gibbs_weights(r_hat: np.ndarray, gamma: float) -> np.ndarray:
-    z = gamma * r_hat
-    z = z - z.max()
+# The two policy kernels take one row with a float parameter, or a (T, K)
+# matrix with a (T, 1) parameter column; every row of a matrix call equals
+# the 1-d call on that row bit for bit.
+
+
+def _gibbs_weights(r_hat: np.ndarray, gamma) -> np.ndarray:
+    # Working on the transpose lets the per-row max and sum broadcast back
+    # without keepdims, which would add about 1 us to every game round; on
+    # a single row .T is a no-op.
+    z = (gamma * r_hat).T
+    z = z - z.max(axis=0)
     w = np.exp(z)
-    return w / w.sum()
+    return (w / w.sum(axis=0)).T
 
 
 def gibbs_posterior(r_hat, gamma: float) -> SimplexVector:
@@ -206,8 +222,8 @@ def gibbs_posterior(r_hat, gamma: float) -> SimplexVector:
     return SimplexVector(_gibbs_weights(r_hat, gamma))
 
 
-def _smooth_weights(rho_w: np.ndarray, epsilon: float) -> np.ndarray:
-    return (1.0 - rho_w.size * epsilon) * rho_w + epsilon
+def _smooth_weights(rho_w: np.ndarray, epsilon) -> np.ndarray:
+    return (1.0 - rho_w.shape[-1] * epsilon) * rho_w + epsilon
 
 
 def smooth_policy(rho: SimplexVector, epsilon_next: float) -> SimplexVector:
@@ -223,30 +239,13 @@ def smooth_policy(rho: SimplexVector, epsilon_next: float) -> SimplexVector:
     return SimplexVector(_smooth_weights(rho.weights, epsilon_next))
 
 
-def warmup_policy(n_arms: int) -> SimplexVector:
-    return SimplexVector.uniform(n_arms)
-
-
-@dataclass(frozen=True)
-class GameConfig:
-    """Knobs for :func:`run_game` beyond the environment itself."""
-
-    warmup_length: int | None = None
-    store_samples: bool = False
-
-    def __post_init__(self) -> None:
-        if self.warmup_length is not None and int(self.warmup_length) < 1:
-            raise ValueError("warmup_length must be a positive integer")
-
-
 @dataclass(frozen=True, eq=False)
 class GameTrace:
     """Complete record of one trajectory.
 
     Row t (0-indexed as t-1) holds the policy played at round t, the arm
     and reward drawn, the estimate vector after the round, and the running
-    minimum sampling probability.  ``samples`` optionally stores the full
-    importance-weighted sample vectors R_t^a (nonzero only at the played arm).
+    minimum sampling probability.
     """
 
     n_arms: int
@@ -257,7 +256,6 @@ class GameTrace:
     rewards: np.ndarray
     rhat: np.ndarray
     pi_lmin: np.ndarray
-    samples: np.ndarray | None = None
 
     def pi_min_per_round(self) -> np.ndarray:
         return self.pi.min(axis=1)
@@ -277,29 +275,32 @@ def run_game(
     env: Environment,
     horizon: int,
     seed,
-    config: GameConfig | None = None,
+    *,
+    warmup_length: int | None = None,
 ) -> GameTrace:
     """Play the smoothed Gibbs strategy for ``horizon`` rounds.
 
-    Fully deterministic given ``seed`` (an int, SeedSequence, or Generator).
+    The uniform warmup lasts ``warmup_length`` rounds (default K^3).  Fully
+    deterministic given ``seed`` (an int, SeedSequence, or Generator).
     """
-    if config is None:
-        config = GameConfig()
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be a positive integer")
     k = env.n_arms
     if k < 2:
         raise ValueError("need at least two arms")
-    warmup = config.warmup_length if config.warmup_length is not None else k**3
+    if warmup_length is not None and int(warmup_length) < 1:
+        raise ValueError("warmup_length must be a positive integer")
+    warmup = int(warmup_length) if warmup_length is not None else k**3
     rng = np.random.default_rng(seed)
+    # Python lists keep numpy scalars out of the round loop.
+    gammas, epsilons = (a.tolist() for a in _schedule_arrays(k, range(1, horizon + 1)))
 
     pi_rows = np.empty((horizon, k))
     actions = np.empty(horizon, dtype=np.int64)
     rewards = np.empty(horizon)
     rhat_rows = np.empty((horizon, k))
     lmin_rows = np.empty(horizon)
-    samples = np.zeros((horizon, k)) if config.store_samples else None
 
     uniform_w = np.full(k, 1.0 / k)
     action_uniforms = rng.random(horizon)
@@ -320,11 +321,10 @@ def run_game(
             if t == 1:
                 rho_w = uniform_w
             else:
-                gamma_prev = schedules(t - 1, k).gamma
-                rho_w = _gibbs_weights(sums / t_seen, gamma_prev)
+                rho_w = _gibbs_weights(sums / t_seen, gammas[t - 2])
             # Capping at 1/K keeps K*epsilon <= 1 when a warmup shorter
             # than K^3 is configured; at or past K^3 the cap is inactive.
-            eps_t = min(schedules(t, k).epsilon, inv_k)
+            eps_t = min(epsilons[t - 1], inv_k)
             pi_w = _smooth_weights(rho_w, eps_t)
 
         arm = _sample_index(pi_w, action_uniforms[t - 1])
@@ -335,8 +335,7 @@ def run_game(
         else:
             reward = env.sample_reward(arm, rng)
 
-        weighted = reward / pi_w[arm]
-        sums[arm] += weighted
+        sums[arm] += reward / pi_w[arm]
         t_seen += 1
         m = float(pi_w.min())
         if m < lmin:
@@ -348,13 +347,9 @@ def run_game(
         rewards[row] = reward
         rhat_rows[row] = sums / t_seen
         lmin_rows[row] = lmin
-        if samples is not None:
-            samples[row, arm] = weighted
 
     for arr in (pi_rows, actions, rewards, rhat_rows, lmin_rows):
         arr.setflags(write=False)
-    if samples is not None:
-        samples.setflags(write=False)
     return GameTrace(
         n_arms=k,
         horizon=horizon,
@@ -364,7 +359,6 @@ def run_game(
         rewards=rewards,
         rhat=rhat_rows,
         pi_lmin=lmin_rows,
-        samples=samples,
     )
 
 

@@ -32,26 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import Environment, GameTrace, _gibbs_weights
+from .bandit import Environment, GameTrace, _gibbs_weights, _schedule_arrays, _smooth_weights
 from .concentration import CertificateResult
-from .divergences import (
-    SimplexVector,
-    _check_delta,
-    bernoulli_kl,
-    categorical_kl,
-    pinsker_gap,
-)
+from .divergences import _check_delta, bernoulli_kl, pinsker_gap
 
 __all__ = [
-    "BoundConfig",
     "GapDriverReport",
     "RegretDecomposition",
     "expsum_ratio",
     "gap_driver_report",
-    "gibbs_gap_bound",
-    "gibbs_kl_sandwich",
-    "gibbs_prior_from_means",
-    "gibbs_prior_kl_bound",
     "kl_budget",
     "kl_certificate",
     "lambda_opt",
@@ -63,6 +52,45 @@ __all__ = [
 ]
 
 _SCALE_TOL = 1e-9   # slack allowed when clipping scaled estimates into [0,1]
+
+
+# Array kernels over a float vector of rounds ``ts``.  The scalar functions
+# below evaluate them on a one-entry vector, so a scalar bound and the
+# matching entry of a campaign's sweep are the same float.
+
+
+def _log_term(ts: np.ndarray, delta: float) -> np.ndarray:
+    """3 ln(t+1) - ln delta."""
+    return 3.0 * np.log(ts + 1.0) - math.log(delta)
+
+
+def _big_l(ts: np.ndarray, delta: float) -> np.ndarray:
+    """L = 2 ln(t+1) + ln(2/delta)."""
+    return 2.0 * np.log(ts + 1.0) + math.log(2.0 / delta)
+
+
+def _kl_budget(prior_kl, ts: np.ndarray, delta: float) -> np.ndarray:
+    return (prior_kl + _log_term(ts, delta)) / ts
+
+
+def _weighted_opt(prior_kl, ts: np.ndarray, delta: float, cum_a: np.ndarray) -> np.ndarray:
+    """(KL + 2 L) sqrt(A / (2 L)) / t with A the running sum of pi_min^-2."""
+    big_l = _big_l(ts, delta)
+    return (prior_kl + 2.0 * big_l) * (np.sqrt(cum_a / (2.0 * big_l)) / ts)
+
+
+def _envelope(n_arms: int, ts: np.ndarray, delta: float) -> np.ndarray:
+    log_term = _log_term(ts, delta)
+    inner = (
+        2.5
+        + np.sqrt((math.log(n_arms) + log_term) / (2.0 * n_arms))
+        + np.sqrt(log_term / (2.0 * n_arms))
+    )
+    return n_arms**0.75 / (ts + 1.0) ** 0.25 * inner
+
+
+def _at(t: int) -> np.ndarray:
+    return np.array([float(t)])
 
 
 def _check_t(t: int) -> int:
@@ -84,7 +112,7 @@ def kl_budget(prior_kl: float, t: int, delta: float) -> float:
     prior_kl = _check_prior_kl(prior_kl)
     t = _check_t(t)
     delta = _check_delta(delta)
-    return (prior_kl + 3.0 * math.log(t + 1) - math.log(delta)) / t
+    return float(_kl_budget(prior_kl, _at(t), delta)[0])
 
 
 def reward_gap_radius(prior_kl: float, t: int, delta: float, pi_lmin: float) -> float:
@@ -152,7 +180,7 @@ def lambda_opt(t: int, delta: float, pi_min_seq) -> float:
     delta = _check_delta(delta)
     seq = _check_pi_min_seq(pi_min_seq, t)
     a = float(np.sum(seq**-2.0))
-    big_l = 2.0 * math.log(t + 1) + math.log(2.0 / delta)
+    big_l = float(_big_l(_at(t), delta)[0])
     return math.sqrt(2.0 * t * t * big_l / a)
 
 
@@ -176,13 +204,8 @@ def weighted_gap_bound(
         raise ValueError("weights must not all vanish")
     seq = _check_pi_min_seq(pi_min_seq, t)
     quad = float(np.sum((w / seq) ** 2))
-    numerator = (
-        prior_kl
-        + 0.5 * lam * lam * quad
-        + 2.0 * math.log(t + 1)
-        + math.log(2.0 / delta)
-    )
-    return numerator / (lam * total_w)
+    big_l = float(_big_l(_at(t), delta)[0])
+    return (prior_kl + 0.5 * lam * lam * quad + big_l) / (lam * total_w)
 
 
 def weighted_gap_bound_opt(prior_kl: float, t: int, delta: float, pi_min_seq) -> float:
@@ -195,9 +218,8 @@ def weighted_gap_bound_opt(prior_kl: float, t: int, delta: float, pi_min_seq) ->
     t = _check_t(t)
     delta = _check_delta(delta)
     seq = _check_pi_min_seq(pi_min_seq, t)
-    a = float(np.sum(seq**-2.0))
-    big_l = 2.0 * math.log(t + 1) + math.log(2.0 / delta)
-    return (prior_kl + 2.0 * big_l) * math.sqrt(a / (2.0 * big_l)) / t
+    cum_a = np.cumsum(seq**-2.0)[-1:]  # summed in the sweep's order
+    return float(_weighted_opt(prior_kl, _at(t), delta, cum_a)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,17 +244,12 @@ def gap_driver_report(trace: GameTrace, delta: float) -> GapDriverReport:
     lmin = trace.pi_lmin
     pi_min = trace.pi_min_per_round()
     cum_inv_sq = np.cumsum(pi_min**-2.0)
-    rms = np.sqrt(cum_inv_sq / ts)
-    budget = (3.0 * np.log(ts + 1) - math.log(delta)) / ts
-    kl_gap = np.sqrt(budget / 2.0) / lmin
-    big_l = 2.0 * np.log(ts + 1) + math.log(2.0 / delta)
-    weighted_gap = 2.0 * big_l * np.sqrt(cum_inv_sq / (2.0 * big_l)) / ts
     return GapDriverReport(
         rounds=np.arange(1, trace.horizon + 1),
         lmin_driver=1.0 / lmin,
-        rms_driver=rms,
-        kl_route_gap=kl_gap,
-        weighted_route_gap=weighted_gap,
+        rms_driver=np.sqrt(cum_inv_sq / ts),
+        kl_route_gap=np.sqrt(_kl_budget(0.0, ts, delta) / 2.0) / lmin,
+        weighted_route_gap=_weighted_opt(0.0, ts, delta, cum_inv_sq),
     )
 
 
@@ -249,13 +266,7 @@ def regret_envelope(n_arms: int, t: int, delta: float) -> float:
     if t < n_arms**3:
         raise ValueError(f"the envelope needs t >= K^3 = {n_arms**3}, got {t}")
     delta = _check_delta(delta)
-    log_term = 3.0 * math.log(t + 1) - math.log(delta)
-    inner = (
-        2.5
-        + math.sqrt((math.log(n_arms) + log_term) / (2.0 * n_arms))
-        + math.sqrt(log_term / (2.0 * n_arms))
-    )
-    return n_arms**0.75 / (t + 1) ** 0.25 * inner
+    return float(_envelope(n_arms, _at(t), delta)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,16 +312,11 @@ def regret_decomposition(trace: GameTrace, env: Environment) -> RegretDecomposit
             f"trace of length {trace.horizon} never reaches round K^3 = {start}"
         )
     ts = np.arange(start, trace.horizon + 1)
-    tf = ts.astype(float)
     rhat = trace.rhat[start - 1 :, :]
-    gamma = (k * tf) ** 0.25
-    eps_next = (k * (tf + 1.0)) ** -0.25
-
-    z = gamma[:, None] * rhat
-    z = z - z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    rho = w / w.sum(axis=1, keepdims=True)
-    rho_tilde = (1.0 - k * eps_next)[:, None] * rho + eps_next[:, None]
+    gamma, epsilon = _schedule_arrays(k, range(start, trace.horizon + 2))
+    gamma, eps_next = gamma[:-1], epsilon[1:]
+    rho = _gibbs_weights(rhat, gamma[:, None])
+    rho_tilde = _smooth_weights(rho, eps_next[:, None])
 
     means = env.means
     a_star = env.best_arm
@@ -335,8 +341,9 @@ def regret_decomposition(trace: GameTrace, env: Environment) -> RegretDecomposit
 def expsum_ratio(x, alpha: float) -> float:
     """sum x_i e^(-alpha x_i) / sum e^(-alpha x_i), requiring x[0] = 0.
 
-    Bounded above by n/alpha.  Exponents are max-shifted so large negative
-    entries cannot overflow.
+    Bounded above by n/alpha.  This is the mean of x under the Gibbs
+    weights at -alpha, whose max-shift keeps large negative entries from
+    overflowing.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -348,96 +355,4 @@ def expsum_ratio(x, alpha: float) -> float:
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    exponents = -alpha * x
-    exponents = exponents - exponents.max()
-    weights = np.exp(exponents)
-    return float(np.dot(x, weights) / weights.sum())
-
-
-def gibbs_prior_kl_bound(gamma: float, epsilon: float, t: int, delta: float) -> float:
-    """High-probability bound on KL(gibbs posterior || synthetic gibbs prior).
-
-    c^2 + 2 c sqrt(3 ln(t+1) - ln delta) with c = gamma/(epsilon sqrt(2t)).
-    Under the (K t)^(+-1/4) schedules c equals sqrt(K/2) for every t.
-    """
-    gamma = float(gamma)
-    epsilon = float(epsilon)
-    if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    t = _check_t(t)
-    delta = _check_delta(delta)
-    c = gamma / (epsilon * math.sqrt(2.0 * t))
-    return c * c + 2.0 * c * math.sqrt(3.0 * math.log(t + 1) - math.log(delta))
-
-
-def gibbs_gap_bound(gamma: float, epsilon: float, t: int, delta: float) -> float:
-    """Bound on |R_hat(rho) - R(rho)| for the Gibbs posterior at round t.
-
-    (1/(epsilon sqrt(2t))) * (gamma/(epsilon sqrt(2t))
-    + sqrt(3 ln(t+1) - ln delta)).
-    """
-    gamma = float(gamma)
-    epsilon = float(epsilon)
-    if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    t = _check_t(t)
-    delta = _check_delta(delta)
-    scale = 1.0 / (epsilon * math.sqrt(2.0 * t))
-    return scale * (gamma * scale + math.sqrt(3.0 * math.log(t + 1) - math.log(delta)))
-
-
-def gibbs_prior_from_means(means, gamma: float) -> SimplexVector:
-    """The Gibbs distribution over true means: a legal prior because it
-    depends only on the environment, never on observed data.  Computable in
-    synthetic diagnostics only, where the means are known."""
-    means = np.asarray(means, dtype=float)
-    if np.any(means < 0.0) or np.any(means > 1.0):
-        raise ValueError("means must lie in [0, 1]")
-    return SimplexVector(_gibbs_weights(means, float(gamma)))
-
-
-def gibbs_kl_sandwich(r_hat, means, gamma: float) -> tuple[float, float]:
-    """Deterministic inequality KL(rho||mu) <= gamma * (gap(rho) + gap(mu)).
-
-    rho is the Gibbs posterior on estimates, mu the Gibbs prior on true
-    means, gap(rho) = R_hat(rho) - R(rho) and gap(mu) = R(mu) - R_hat(mu).
-    Returns (lhs, rhs); lhs <= rhs holds by concavity of ln for any inputs.
-    """
-    r_hat = np.asarray(r_hat, dtype=float)
-    means = np.asarray(means, dtype=float)
-    if r_hat.shape != means.shape or r_hat.ndim != 1:
-        raise ValueError("r_hat and means must be matching 1-d vectors")
-    gamma = float(gamma)
-    if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative")
-    rho = SimplexVector(_gibbs_weights(r_hat, gamma))
-    mu = SimplexVector(_gibbs_weights(means, gamma))
-    lhs = categorical_kl(rho, mu)
-    rhs = gamma * (
-        (rho.expectation(r_hat) - rho.expectation(means))
-        + (mu.expectation(means) - mu.expectation(r_hat))
-    )
-    return lhs, rhs
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    """Choices shared by certificate sweeps: confidence level, prior over
-    arms (None means uniform), and the lambda rule for the weighted route
-    ("optimal" or an explicit positive number)."""
-
-    delta: float
-    prior: SimplexVector | None = None
-    lambda_rule: str | float = "optimal"
-
-    def __post_init__(self) -> None:
-        _check_delta(self.delta)
-        if isinstance(self.lambda_rule, str):
-            if self.lambda_rule != "optimal":
-                raise ValueError("lambda_rule must be 'optimal' or a positive number")
-        elif not float(self.lambda_rule) > 0.0:
-            raise ValueError("lambda_rule must be 'optimal' or a positive number")
+    return float(np.dot(x, _gibbs_weights(x, -alpha)))

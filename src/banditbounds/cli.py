@@ -126,8 +126,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             values[f.name] = flag_value
-    if values.get("means") is not None:
-        values["means"] = tuple(float(m) for m in values["means"])
+    if isinstance(values.get("means"), list):
+        values["means"] = tuple(values["means"])  # validate() checks the entries
     return ExperimentConfig(**values)
 
 

@@ -34,17 +34,14 @@ __all__ = [
     "MartingaleBatch",
     "MartingaleRange",
     "azuma_alt_bound",
-    "azuma_alt_kl_certificate",
     "bernoulli_convex_expectation",
     "bernoulli_kl_moment",
     "convex_domination_gap",
     "convex_test_functions",
     "dependent_convex_expectation",
     "hoeffding_azuma_bound",
-    "markov_bound",
     "midpoint_convexity_probe",
     "random_constant_mean_chain",
-    "simulate_importance_weighted",
     "simulate_profile_walks",
     "simulate_sign_walks",
 ]
@@ -56,7 +53,6 @@ _SIMPLEX_TOL = 1e-12
 _EXP_CAP = 700.0                 # beyond this math.exp overflows a double
 
 _WALK_STREAM = 101
-_IW_STREAM = 102
 _PROFILE_STREAM = 103
 
 
@@ -75,15 +71,6 @@ class CertificateResult:
     slack: float
     value: float
     bound: float
-
-
-def markov_bound(expectation: float, delta: float) -> float:
-    """Threshold that a nonnegative variable exceeds with probability < delta."""
-    expectation = float(expectation)
-    if math.isnan(expectation) or expectation < 0.0:
-        raise ValueError(f"expectation must be nonnegative, got {expectation!r}")
-    delta = _check_delta(delta)
-    return expectation / delta
 
 
 def bernoulli_kl_moment(length: int, p: float) -> float:
@@ -438,29 +425,6 @@ def _check_global_range(low: float, high: float) -> tuple[float, float]:
     return low, high
 
 
-def azuma_alt_kl_certificate(
-    z_bar: float, n_steps: int, low: float, high: float, delta: float
-) -> CertificateResult:
-    """Check kl(z_bar || -low/(high-low)) against ln((N+1)/delta)/N.
-
-    ``z_bar`` is the mean of the increments after the affine rescaling
-    (x - low)/(high - low) onto [0,1]; the reference point -low/(high-low)
-    is where the rescaled martingale mean sits.
-    """
-    z_bar = _check_unit(z_bar, "z_bar")
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be a positive integer")
-    low, high = _check_global_range(low, high)
-    delta = _check_delta(delta)
-    reference = -low / (high - low)
-    value = bernoulli_kl(z_bar, reference)
-    bound = math.log((n_steps + 1) / delta) / n_steps
-    return CertificateResult(
-        holds=value <= bound, slack=bound - value, value=value, bound=bound
-    )
-
-
 def azuma_alt_bound(n_steps: int, low: float, high: float, delta: float) -> float:
     """kl-form tail radius: (high-low) * sqrt(N * ln((N+1)/delta) / 2)."""
     n_steps = int(n_steps)
@@ -511,39 +475,6 @@ def simulate_sign_walks(
         signs = 2.0 * rng.integers(0, 2, size=n_steps) - 1.0
         sums[i] = step * float(signs.sum())
     return MartingaleBatch(sums=sums, low=-step, high=step, n_steps=n_steps)
-
-
-def simulate_importance_weighted(
-    n_steps: int, trials: int, seed: int, floor: float = 0.25
-) -> MartingaleBatch:
-    """Centered importance-weighted indicators with history-dependent rates.
-
-    Each increment is B_i/q_i - 1 with B_i ~ Bernoulli(q_i) and q_i a
-    function of the running sum, kept inside [floor, 1-floor]; the
-    conditional mean is 0 regardless of the history, which is exactly the
-    dependence structure produced by adaptive sampling.  Increments live in
-    [-1, 1/floor - 1].
-    """
-    if n_steps < 1 or trials < 1:
-        raise ValueError("n_steps and trials must be positive")
-    floor = float(floor)
-    if not 0.0 < floor < 0.5:
-        raise ValueError("floor must lie in (0, 0.5)")
-    span = 1.0 - 2.0 * floor
-    sums = np.empty(trials)
-    for i in range(trials):
-        rng = _stream(seed, _IW_STREAM, i)
-        uniforms = rng.random(n_steps)
-        s = 0.0
-        for t in range(n_steps):
-            scale = max(1.0, math.sqrt(t + 1.0))
-            q = floor + span / (1.0 + math.exp(-s / scale))
-            if uniforms[t] < q:
-                s += 1.0 / q - 1.0
-            else:
-                s -= 1.0
-        sums[i] = s
-    return MartingaleBatch(sums=sums, low=-1.0, high=1.0 / floor - 1.0, n_steps=n_steps)
 
 
 def simulate_profile_walks(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +31,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .bandit import Environment, GameConfig, GameTrace, run_game, write_trace_csv
-from .bounds import expsum_ratio, gap_driver_report, regret_envelope
+from .bandit import (
+    Environment,
+    GameTrace,
+    _gibbs_weights,
+    _schedule_arrays,
+    _smooth_weights,
+    run_game,
+    schedules,
+    write_trace_csv,
+)
+from .bounds import _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
     azuma_alt_bound,
@@ -68,6 +78,19 @@ _TRAJECTORY_STREAM = 0
 _CHAIN_STREAM = 3
 _PROBE_STREAM = 4
 
+_INT_FIELDS = (
+    "n_arms", "horizon", "trajectories", "seed", "warmup_length", "workers",
+    "chain_count", "probe_count", "walk_trials", "walk_steps",
+)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
 
 def trajectory_stream(seed: int, index: int) -> np.random.Generator:
     """The documented per-trajectory stream: SeedSequence(seed, spawn_key=(0, index))."""
@@ -100,12 +123,29 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name == "warmup_length")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not _is_real(self.delta):
+            raise ValueError(f"delta must be a number, got {self.delta!r}")
+        if self.means is not None and (
+            not isinstance(self.means, (tuple, list))
+            or not all(_is_real(m) for m in self.means)
+        ):
+            raise ValueError(f"means must be a sequence of numbers, got {self.means!r}")
+        if not isinstance(self.store_traces, bool):
+            raise ValueError(f"store_traces must be true or false, got {self.store_traces!r}")
+        if not isinstance(self.outdir, str):
+            raise ValueError(f"outdir must be a path string, got {self.outdir!r}")
         if self.n_arms < 2:
             raise ValueError("n_arms must be at least 2")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
         if self.trajectories < 1:
             raise ValueError("trajectories must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.means is not None and len(self.means) != self.n_arms:
@@ -129,9 +169,6 @@ class ExperimentConfig:
         return Environment(
             means=np.array(self.resolved_means()), reward_kind=self.reward_kind
         )
-
-    def game_config(self) -> GameConfig:
-        return GameConfig(warmup_length=self.warmup_length)
 
     def semantic_fields(self) -> dict:
         base = {"mode": self.mode, "seed": self.seed, "delta": self.delta}
@@ -201,9 +238,8 @@ def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
     phases regardless of the configured warmup length, and being
     data-independent it is a legal choice wherever the bounds require one.
     """
-    ts = np.arange(1, horizon + 1, dtype=float)
-    eps = (n_arms * ts) ** -0.25
-    return np.minimum(eps, 1.0 / n_arms)
+    _, epsilon = _schedule_arrays(n_arms, range(1, horizon + 1))
+    return np.minimum(epsilon, 1.0 / n_arms)
 
 
 # ---------------------------------------------------------------------------
@@ -212,37 +248,41 @@ def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
 
 
 def prediction_regret(trace: GameTrace, env: Environment) -> np.ndarray:
-    """Per-round regret of the policy formed after round t (played at t+1)."""
+    """Per-round regret of the policy formed after round t (played at t+1).
+
+    Rounds 2..T read the policy the game played; only the policy for round
+    T+1, which the game never reached, is formed here.
+    """
     k = trace.n_arms
-    warm = trace.warmup_length
-    ts = np.arange(1, trace.horizon + 1, dtype=float)
-    gamma = (k * ts) ** 0.25
-    z = gamma[:, None] * trace.rhat
-    z = z - z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    rho = w / w.sum(axis=1, keepdims=True)
-    eps_next = np.minimum((k * (ts + 1.0)) ** -0.25, 1.0 / k)
-    pi_next = (1.0 - k * eps_next)[:, None] * rho + eps_next[:, None]
-    still_warm = (ts + 1.0) < warm
-    pi_next[still_warm] = 1.0 / k
-    return env.best_mean - pi_next @ env.means
+    horizon = trace.horizon
+    if horizon + 1 < trace.warmup_length:
+        pi_last = np.full(k, 1.0 / k)
+    else:
+        rho = _gibbs_weights(trace.rhat[-1], schedules(horizon, k).gamma)
+        pi_last = _smooth_weights(rho, min(schedules(horizon + 1, k).epsilon, 1.0 / k))
+    # One (T, K) product, the shape the curve has always used: BLAS may
+    # round a row differently inside a matrix of another shape.
+    return env.best_mean - np.vstack((trace.pi[1:], pi_last)) @ env.means
 
 
 def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
     env = np.full(horizon, np.nan)
-    for t in range(n_arms**3, horizon + 1):
-        env[t - 1] = regret_envelope(n_arms, t, delta)
+    start = n_arms**3
+    env[start - 1 :] = _envelope(n_arms, np.arange(start, horizon + 1, dtype=float), delta)
     return env
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     cfg, indices = args
     env = cfg.environment()
-    game_cfg = cfg.game_config()
     rows = np.empty((len(indices), cfg.horizon))
     for j, i in enumerate(indices):
-        trace = run_game(env, cfg.horizon, trajectory_stream(cfg.seed, int(i)), game_cfg)
+        trace = run_game(
+            env, cfg.horizon, trajectory_stream(cfg.seed, int(i)), warmup_length=cfg.warmup_length
+        )
         rows[j] = prediction_regret(trace, env)
+        if cfg.store_traces:
+            write_trace_csv(trace, Path(cfg.outdir) / f"trace_{int(i):04d}.csv")
     return np.asarray(indices), rows
 
 
@@ -311,11 +351,6 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
             for t in ts
         ),
     )
-    if cfg.store_traces:
-        game_cfg = cfg.game_config()
-        for i in range(cfg.trajectories):
-            trace = run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i), game_cfg)
-            write_trace_csv(trace, outdir / f"trace_{i:04d}.csv")
     _write_manifest(outdir, cfg, summary)
     return SimulateResult(
         regret=regret,
@@ -365,11 +400,8 @@ def certificate_sweep(
     rhat = trace.rhat
     lmin = trace.pi_lmin
 
-    gamma = (k * ts) ** 0.25
-    z = gamma[:, None] * rhat
-    z = z - z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    rho = w / w.sum(axis=1, keepdims=True)
+    gamma, _ = _schedule_arrays(k, range(1, horizon + 1))
+    rho = _gibbs_weights(rhat, gamma[:, None])
 
     log_k = math.log(k)
     # Arms the softmax underflowed to 0 contribute 0 to sum rho ln rho.
@@ -381,10 +413,7 @@ def certificate_sweep(
         (rhat.mean(axis=1), np.full(horizon, float(means.mean())), np.zeros(horizon)),
     )
 
-    log_term = 3.0 * np.log(ts + 1.0) - math.log(delta)
-    big_l = 2.0 * np.log(ts + 1.0) + math.log(2.0 / delta)
     cum_a = np.cumsum(det_pi_min**-2.0)
-    weighted_base = np.sqrt(cum_a / (2.0 * big_l)) / ts
 
     kl_viol = np.zeros(horizon, dtype=bool)
     w_viol = np.zeros(horizon, dtype=bool)
@@ -397,11 +426,11 @@ def certificate_sweep(
         scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
         scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
         lhs = bernoulli_kl_vec(scaled_hat, scaled_true)
-        budget = (prior_kl + log_term) / ts
+        budget = _kl_budget(prior_kl, ts, delta)
         kl_viol |= lhs > budget
         kl_slack = min(kl_slack, float(np.min(budget - lhs)))
 
-        gap_bound = (prior_kl + 2.0 * big_l) * weighted_base
+        gap_bound = _weighted_opt(prior_kl, ts, delta, cum_a)
         gap = np.abs(r_hat_rho - r_rho)
         w_viol |= gap > gap_bound
         w_slack = min(w_slack, float(np.min(gap_bound - gap)))
@@ -437,10 +466,12 @@ class CoverageReport:
 
 
 def _verify_chunk(args):
+    """Sweep trajectories ``indices``; the chunk holding trajectory 0 also
+    returns that trajectory's gap-driver report, the others return None."""
     cfg, indices = args
     env = cfg.environment()
-    game_cfg = cfg.game_config()
     det = schedule_pi_min(cfg.n_arms, cfg.horizon)
+    drivers = None
     kl_any = np.zeros(len(indices), dtype=bool)
     w_any = np.zeros(len(indices), dtype=bool)
     kl_slack = np.empty(len(indices))
@@ -448,7 +479,11 @@ def _verify_chunk(args):
     kl_profile = np.zeros(cfg.horizon, dtype=np.int64)
     w_profile = np.zeros(cfg.horizon, dtype=np.int64)
     for j, i in enumerate(indices):
-        trace = run_game(env, cfg.horizon, trajectory_stream(cfg.seed, int(i)), game_cfg)
+        trace = run_game(
+            env, cfg.horizon, trajectory_stream(cfg.seed, int(i)), warmup_length=cfg.warmup_length
+        )
+        if i == 0:
+            drivers = gap_driver_report(trace, cfg.delta)
         sweep = certificate_sweep(trace, env, cfg.delta, det)
         kl_any[j] = sweep.kl_route_violations.any()
         w_any[j] = sweep.weighted_route_violations.any()
@@ -456,7 +491,7 @@ def _verify_chunk(args):
         w_slack[j] = sweep.weighted_route_slack
         kl_profile += sweep.kl_route_violations
         w_profile += sweep.weighted_route_violations
-    return np.asarray(indices), kl_any, w_any, kl_slack, w_slack, kl_profile, w_profile
+    return np.asarray(indices), kl_any, w_any, kl_slack, w_slack, kl_profile, w_profile, drivers
 
 
 def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:
@@ -470,7 +505,9 @@ def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:
     w_slack = np.empty(m)
     kl_profile = np.zeros(cfg.horizon, dtype=np.int64)
     w_profile = np.zeros(cfg.horizon, dtype=np.int64)
-    for idx, ka, wa, ks, ws, kp, wp in _run_chunked(cfg, _verify_chunk):
+    chunks = _run_chunked(cfg, _verify_chunk)
+    drivers = chunks[0][-1]  # the first chunk starts at trajectory 0
+    for idx, ka, wa, ks, ws, kp, wp, _ in chunks:
         kl_any[idx] = ka
         w_any[idx] = wa
         kl_slack[idx] = ks
@@ -515,9 +552,6 @@ def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:
         ),
     )
 
-    env = cfg.environment()
-    trace0 = run_game(env, cfg.horizon, trajectory_stream(cfg.seed, 0), cfg.game_config())
-    drivers = gap_driver_report(trace0, cfg.delta)
     _write_csv(
         outdir / "drivers.csv",
         ["t", "lmin_driver", "rms_driver", "kl_route_gap", "weighted_route_gap"],

@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 
 from banditbounds import (
-    BoundConfig,
     Environment,
     GameTrace,
-    SimplexVector,
     bernoulli_kl,
     expsum_ratio,
     gap_driver_report,
-    gibbs_gap_bound,
-    gibbs_kl_sandwich,
-    gibbs_prior_from_means,
-    gibbs_prior_kl_bound,
     kl_budget,
     kl_certificate,
     lambda_opt,
@@ -354,76 +348,3 @@ class TestExpsumRatio:
             expsum_ratio((0.0, np.inf), 1.0)
         with pytest.raises(ValueError):
             expsum_ratio((0.0, 1.0), 0.0)
-
-
-class TestGibbsBounds:
-    def test_prior_kl_bound_under_schedules(self):
-        # With the (K t)^(+-1/4) schedules the constant c equals sqrt(K/2)
-        # at every round, so the bound depends on t only through the log.
-        for k in (2, 3, 5):
-            c = math.sqrt(k / 2.0)
-            for t in (1, 10, 100, 10_000):
-                params = schedules(t, k)
-                got = gibbs_prior_kl_bound(params.gamma, params.epsilon, t, 0.05)
-                log_term = 3.0 * math.log(t + 1) - math.log(0.05)
-                expected = c * c + 2.0 * c * math.sqrt(log_term)
-                assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_gap_bound_composition(self):
-        gamma, epsilon, t, delta = 3.0, 0.1, 50, 0.05
-        scale = 1.0 / (epsilon * math.sqrt(2.0 * t))
-        expected = scale * (
-            gamma * scale + math.sqrt(3.0 * math.log(t + 1) - math.log(delta))
-        )
-        assert gibbs_gap_bound(gamma, epsilon, t, delta) == pytest.approx(
-            expected, rel=1e-14
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gibbs_prior_kl_bound(-1.0, 0.1, 10, 0.05)
-        with pytest.raises(ValueError):
-            gibbs_gap_bound(1.0, 0.0, 10, 0.05)
-
-    def test_prior_from_means(self):
-        mu = gibbs_prior_from_means(np.array([0.9, 0.5, 0.1]), 2.0)
-        assert mu.weights[0] > mu.weights[1] > mu.weights[2]
-        flat = gibbs_prior_from_means(np.array([0.9, 0.5, 0.1]), 0.0)
-        assert np.allclose(flat.weights, 1 / 3)
-        with pytest.raises(ValueError):
-            gibbs_prior_from_means(np.array([1.2, 0.5]), 1.0)
-
-    def test_kl_sandwich_equality_and_strict_case(self):
-        lhs, rhs = gibbs_kl_sandwich(np.array([0.7, 0.2]), np.array([0.7, 0.2]), 3.0)
-        assert lhs == pytest.approx(0.0, abs=1e-14)
-        assert rhs == pytest.approx(0.0, abs=1e-14)
-        # Opposite orderings give lhs = (e-1)/(e+1) and rhs exactly twice it.
-        lhs, rhs = gibbs_kl_sandwich(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
-        expected = (math.e - 1.0) / (math.e + 1.0)
-        assert lhs == pytest.approx(expected, rel=1e-12)
-        assert rhs == pytest.approx(2.0 * expected, rel=1e-12)
-
-    def test_kl_sandwich_holds_on_random_draws(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            k = int(rng.integers(2, 6))
-            r_hat = rng.uniform(0.0, 1.0, k)
-            means = rng.uniform(0.0, 1.0, k)
-            gamma = float(10.0 ** rng.uniform(-1, 1.5))
-            lhs, rhs = gibbs_kl_sandwich(r_hat, means, gamma)
-            assert lhs <= rhs + 1e-12
-
-
-class TestBoundConfig:
-    def test_accepts_rules(self):
-        BoundConfig(delta=0.05)
-        BoundConfig(delta=0.05, lambda_rule=2.5)
-        BoundConfig(delta=0.05, prior=SimplexVector(np.array([0.5, 0.5])))
-
-    def test_rejects_bad_rules(self):
-        with pytest.raises(ValueError):
-            BoundConfig(delta=0.05, lambda_rule="fastest")
-        with pytest.raises(ValueError):
-            BoundConfig(delta=0.05, lambda_rule=0.0)
-        with pytest.raises(ValueError):
-            BoundConfig(delta=1.5)

@@ -22,37 +22,18 @@ from banditbounds import (
     DependentChainSpec,
     MartingaleRange,
     azuma_alt_bound,
-    azuma_alt_kl_certificate,
     bernoulli_convex_expectation,
-    bernoulli_kl,
     bernoulli_kl_moment,
     convex_domination_gap,
     convex_test_functions,
     dependent_convex_expectation,
     hoeffding_azuma_bound,
-    markov_bound,
     midpoint_convexity_probe,
     pinsker_gap,
     random_constant_mean_chain,
-    simulate_importance_weighted,
     simulate_profile_walks,
     simulate_sign_walks,
 )
-
-
-class TestMarkovBound:
-    def test_values(self):
-        assert markov_bound(1.0, 0.5) == 2.0
-        assert markov_bound(0.0, 0.1) == 0.0
-        assert markov_bound(3.0, 0.05) == pytest.approx(60.0, rel=1e-15)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            markov_bound(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            markov_bound(1.0, 0.0)
-        with pytest.raises(ValueError):
-            markov_bound(1.0, 1.0)
 
 
 class TestKlMoment:
@@ -209,24 +190,6 @@ class TestDependentChains:
 
 
 class TestMartingaleBounds:
-    def test_certificate_examples(self):
-        held = azuma_alt_kl_certificate(0.6, 100, -1.0, 1.0, 0.05)
-        assert held.holds
-        assert held.value == pytest.approx(bernoulli_kl(0.6, 0.5), rel=1e-15)
-        assert held.bound == pytest.approx(math.log(101 / 0.05) / 100, rel=1e-15)
-        broken = azuma_alt_kl_certificate(0.75, 100, -1.0, 1.0, 0.05)
-        assert not broken.holds
-        assert broken.slack < 0.0
-        # At the reference point the kl vanishes and all slack remains.
-        ref = azuma_alt_kl_certificate(0.5, 100, -1.0, 1.0, 0.05)
-        assert ref.value == 0.0
-        assert ref.slack == ref.bound
-
-    def test_certificate_reference_respects_range(self):
-        # Range [-1, 3] rescales the mean to 1/4.
-        cert = azuma_alt_kl_certificate(0.25, 10, -1.0, 3.0, 0.1)
-        assert cert.value == 0.0
-
     def test_azuma_alt_frozen_value(self):
         assert azuma_alt_bound(100, -1.0, 1.0, 0.05) == pytest.approx(
             39.015004268602226, rel=1e-12
@@ -312,21 +275,6 @@ class TestSimulators:
         small = simulate_sign_walks(30, 5, seed=9)
         large = simulate_sign_walks(30, 12, seed=9)
         assert np.array_equal(small.sums, large.sums[:5])
-
-    def test_importance_weighted_ranges(self):
-        batch = simulate_importance_weighted(40, 30, seed=5, floor=0.25)
-        assert batch.low == -1.0
-        assert batch.high == pytest.approx(3.0)
-        assert np.all(batch.sums >= 40 * batch.low - 1e-9)
-        assert np.all(batch.sums <= 40 * batch.high + 1e-9)
-        again = simulate_importance_weighted(40, 30, seed=5, floor=0.25)
-        assert np.array_equal(batch.sums, again.sums)
-
-    def test_importance_weighted_validation(self):
-        with pytest.raises(ValueError):
-            simulate_importance_weighted(10, 5, seed=0, floor=0.5)
-        with pytest.raises(ValueError):
-            simulate_importance_weighted(0, 5, seed=0)
 
     def test_profile_walks(self):
         steps = np.array([1.0, 2.0, 5.0])

@@ -8,9 +8,12 @@ drift away from the library's own definitions.
 import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from banditbounds import (
     Environment,
@@ -21,15 +24,18 @@ from banditbounds import (
     gibbs_posterior,
     kl_certificate,
     prediction_regret,
+    regret_envelope,
     run_compare_concentration,
     run_game,
     run_oracles,
     run_simulate,
     run_verify_bounds,
     schedule_pi_min,
+    schedules,
     trajectory_stream,
     weighted_gap_bound_opt,
 )
+from banditbounds import harness
 from banditbounds.cli import main
 
 
@@ -67,6 +73,19 @@ class TestExperimentConfig:
             {"mode": "simulate", "reward_kind": "gaussian"},
             {"mode": "oracles", "chain_count": 0},
             {"mode": "compare-concentration", "walk_steps": 0},
+            {"mode": "simulate", "horizon": True},
+            {"mode": "simulate", "horizon": 10.5},
+            {"mode": "simulate", "trajectories": "6"},
+            {"mode": "simulate", "warmup_length": 2.0},
+            {"mode": "oracles", "probe_count": False},
+            {"mode": "simulate", "n_arms": 3, "means": "0.9"},
+            {"mode": "simulate", "means": "01"},  # would split into (0.0, 1.0)
+            {"mode": "simulate", "means": (0.5, "0.4")},
+            {"mode": "simulate", "means": (True, False)},
+            {"mode": "simulate", "delta": "0.05"},
+            {"mode": "simulate", "store_traces": "yes"},
+            {"mode": "simulate", "outdir": 5},
+            {"mode": "oracles", "seed": -1},
         ],
     )
     def test_rejections(self, kwargs):
@@ -95,6 +114,12 @@ class TestSchedulePiMin:
         assert np.all(floor <= 0.5)
         assert np.all(np.diff(floor) <= 0.0)
 
+    @given(k=st.integers(2, 8), horizon=st.integers(1, 500))
+    def test_equals_schedules_entry_by_entry(self, k, horizon):
+        floor = schedule_pi_min(k, horizon)
+        expected = [min(schedules(t, k).epsilon, 1.0 / k) for t in range(1, horizon + 1)]
+        assert np.array_equal(floor, expected)
+
     def test_lower_bounds_realized_minima(self):
         env = Environment(means=np.array([0.8, 0.4]))
         trace = run_game(env, horizon=150, seed=2)
@@ -111,7 +136,7 @@ class TestPredictionRegret:
         # The policy formed after round t is exactly the one the game plays
         # at round t+1, so the regret columns must coincide shifted by one.
         expected = env.best_mean - trace.pi[1:] @ env.means
-        assert pr[:-1] == pytest.approx(expected, abs=1e-12)
+        assert np.array_equal(pr[:-1], expected)
 
     def test_equal_means_give_zero_regret(self):
         env = Environment(means=np.array([0.5, 0.5]))
@@ -166,6 +191,19 @@ class TestCertificateSweep:
         assert sweep.kl_route_slack == pytest.approx(kl_slack, abs=1e-10)
         assert sweep.weighted_route_slack == pytest.approx(w_slack, abs=1e-10)
 
+    @given(k=st.integers(2, 8), horizon=st.integers(1, 500), seed=st.integers(0, 2**16))
+    def test_gibbs_comparator_uses_the_schedule(self, k, horizon, seed):
+        env = Environment(means=np.linspace(0.9, 0.1, k), reward_kind="point")
+        trace = run_game(env, horizon, seed=seed, warmup_length=1)
+        with mock.patch.object(
+            harness, "_gibbs_weights", wraps=harness._gibbs_weights
+        ) as spy:
+            certificate_sweep(trace, env, 0.05)
+        (rhat, gamma), _ = spy.call_args
+        assert rhat is trace.rhat
+        assert gamma.shape == (horizon, 1)
+        assert np.array_equal(gamma[:, 0], [schedules(t, k).gamma for t in range(1, horizon + 1)])
+
     def test_degenerate_environment_holds_everywhere(self):
         env = Environment(means=np.array([0.5, 0.5]))
         trace = run_game(env, horizon=50, seed=0)
@@ -174,6 +212,20 @@ class TestCertificateSweep:
         assert not sweep.weighted_route_violations.any()
         assert sweep.kl_route_slack > 0.0
         assert sweep.weighted_route_slack > 0.0
+
+
+class TestEnvelopeCurve:
+    @given(
+        k=st.integers(2, 8),
+        horizon=st.integers(1, 500),
+        delta=st.floats(1e-6, 0.5),
+    )
+    def test_entries_equal_scalar_envelope(self, k, horizon, delta):
+        curve = harness._envelope_curve(k, horizon, delta)
+        assert curve.shape == (horizon,)
+        assert np.all(np.isnan(curve[: k**3 - 1]))
+        for t in range(k**3, horizon + 1):
+            assert curve[t - 1] == regret_envelope(k, t, delta), t
 
 
 class TestRunSimulate:
@@ -234,6 +286,36 @@ class TestRunSimulate:
         for name in ("regret_curve.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
+            ).read_bytes(), name
+
+    def test_stored_traces_do_not_depend_on_workers(self, tmp_path):
+        for workers in (1, 3):
+            code = main(
+                [
+                    "simulate",
+                    "--n-arms",
+                    "3",
+                    "--reward-kind",
+                    "beta",
+                    "--horizon",
+                    "40",
+                    "--trajectories",
+                    "5",
+                    "--seed",
+                    "2",
+                    "--store-traces",
+                    "--workers",
+                    str(workers),
+                    "--outdir",
+                    str(tmp_path / f"w{workers}"),
+                ]
+            )
+            assert code == 0
+        names = ["regret_curve.csv", "manifest.json"] + [f"trace_{i:04d}.csv" for i in range(5)]
+        assert sorted(p.name for p in (tmp_path / "w3").iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (
+                tmp_path / "w3" / name
             ).read_bytes(), name
 
 
@@ -376,6 +458,12 @@ class TestCli:
         code = main(
             ["simulate", "--delta", "1.5", "--outdir", str(tmp_path / "nope")]
         )
+        assert code == 2
+        assert "invalid config" in capsys.readouterr().err
+
+        config = tmp_path / "fractional.json"
+        config.write_text(json.dumps({"horizon": 10.5}))
+        code = main(["simulate", "--config", str(config), "--outdir", str(tmp_path / "nope")])
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
 
