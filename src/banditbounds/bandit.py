@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 REWARD_KINDS = ("bernoulli", "point", "beta")
+BETA_CONCENTRATION = 4.0  # alpha + beta of the Beta reward distribution
+BETA_LEVELS = 21          # grid points the Beta draws are rounded onto
 
 
 class ScheduleError(ValueError):
@@ -81,8 +83,6 @@ class Environment:
 
     means: np.ndarray
     reward_kind: str = "bernoulli"
-    beta_concentration: float = 4.0
-    beta_levels: int = 21
 
     def __post_init__(self) -> None:
         means = np.array(self.means, dtype=float, copy=True)
@@ -94,11 +94,6 @@ class Environment:
         object.__setattr__(self, "means", means)
         if self.reward_kind not in REWARD_KINDS:
             raise ValueError(f"unknown reward_kind {self.reward_kind!r}")
-        if not self.beta_concentration > 0.0:
-            raise ValueError("beta_concentration must be positive")
-        if int(self.beta_levels) < 2:
-            raise ValueError("beta_levels must be at least 2")
-        object.__setattr__(self, "beta_levels", int(self.beta_levels))
 
     @property
     def n_arms(self) -> int:
@@ -113,21 +108,16 @@ class Environment:
     def best_mean(self) -> float:
         return float(self.means[self.best_arm])
 
-    def sample_reward(self, arm: int, rng: np.random.Generator) -> float:
-        m = float(self.means[arm])
-        if self.reward_kind == "point":
-            return m
-        if self.reward_kind == "bernoulli":
-            return 1.0 if rng.random() < m else 0.0
-        if m <= 0.0 or m >= 1.0:
-            return m
-        kappa = self.beta_concentration
-        x = float(rng.beta(kappa * m, kappa * (1.0 - m)))
-        step = 1.0 / (self.beta_levels - 1)
-        j = min(int(x / step), self.beta_levels - 2)
-        g = j * step
-        # Stochastic rounding keeps the conditional mean equal to x.
-        return g + step if rng.random() < (x - g) / step else g
+
+def _beta_reward(mean: float, rng: np.random.Generator) -> float:
+    """A Beta draw with mean ``mean``, stochastically rounded onto the
+    BETA_LEVELS-point grid of [0, 1]; the rounding keeps the mean exact."""
+    if mean <= 0.0 or mean >= 1.0:
+        return mean
+    x = float(rng.beta(BETA_CONCENTRATION * mean, BETA_CONCENTRATION * (1.0 - mean)))
+    step = 1.0 / (BETA_LEVELS - 1)
+    g = min(int(x / step), BETA_LEVELS - 2) * step
+    return g + step if rng.random() < (x - g) / step else g
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +323,7 @@ def run_game(
         elif env.reward_kind == "point":
             reward = float(means[arm])
         else:
-            reward = env.sample_reward(arm, rng)
+            reward = _beta_reward(float(means[arm]), rng)
 
         sums[arm] += reward / pi_w[arm]
         t_seen += 1

@@ -8,20 +8,20 @@ Three layers, all backed by exact finite computations where possible:
 * a moment bound for the exponentiated kl of a Bernoulli sample mean,
   evaluated exactly over the N+1 outcomes;
 * two martingale tail bounds — a kl-form bound driven by ln((N+1)/delta)
-  and the classical Hoeffding-Azuma bound driven by ln(2/delta) — plus
-  seeded simulators used to measure their empirical coverage.
+  and the classical Hoeffding-Azuma bound driven by ln(2/delta) — plus a
+  seeded walk simulator used to measure their empirical coverage.
 
-RNG discipline: every simulator derives one independent stream per
-trajectory from ``SeedSequence(seed, spawn_key=(STREAM_TAG, index))``, so
-results do not depend on execution order and can be reproduced trajectory
-by trajectory.
+RNG discipline: every seeded stream in the package comes from ``_stream``,
+``SeedSequence(seed, spawn_key=(STREAM_TAG, ...))``; the walk simulator
+takes one per trajectory, so results do not depend on execution order and
+can be reproduced trajectory by trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "BudgetError",
     "CertificateResult",
     "DependentChainSpec",
-    "MartingaleBatch",
     "MartingaleRange",
     "azuma_alt_bound",
     "bernoulli_convex_expectation",
@@ -43,7 +42,6 @@ __all__ = [
     "midpoint_convexity_probe",
     "random_constant_mean_chain",
     "simulate_profile_walks",
-    "simulate_sign_walks",
 ]
 
 PATH_BUDGET = 1_000_000          # hard cap on |support|**length enumerations
@@ -52,7 +50,6 @@ _MEAN_TOL = 1e-12
 _SIMPLEX_TOL = 1e-12
 _EXP_CAP = 700.0                 # beyond this math.exp overflows a double
 
-_WALK_STREAM = 101
 _PROFILE_STREAM = 103
 
 
@@ -447,34 +444,9 @@ def hoeffding_azuma_bound(ranges: MartingaleRange, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class MartingaleBatch(NamedTuple):
-    """Final sums of simulated martingales plus their global increment range."""
-
-    sums: np.ndarray
-    low: float
-    high: float
-    n_steps: int
-
-
-def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, index)))
-
-
-def simulate_sign_walks(
-    n_steps: int, trials: int, seed: int, step: float = 1.0
-) -> MartingaleBatch:
-    """Symmetric +-step random walks; one independent stream per trajectory."""
-    if n_steps < 1 or trials < 1:
-        raise ValueError("n_steps and trials must be positive")
-    step = float(step)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    sums = np.empty(trials)
-    for i in range(trials):
-        rng = _stream(seed, _WALK_STREAM, i)
-        signs = 2.0 * rng.integers(0, 2, size=n_steps) - 1.0
-        sums[i] = step * float(signs.sum())
-    return MartingaleBatch(sums=sums, low=-step, high=step, n_steps=n_steps)
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator seeded by ``SeedSequence(seed, spawn_key=key)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def simulate_profile_walks(

@@ -2,8 +2,11 @@
 
 * ``simulate`` — play the smoothed Gibbs strategy over many trajectories,
   emit per-round regret quantiles against the theoretical envelope.
-* ``verify-bounds`` — check both bound routes at every round of every
-  trajectory and report trajectory-level violation rates.
+* ``verify-bounds`` — check every bound route (``_ROUTES``) at every round
+  of every trajectory and report trajectory-level violation rates.  A
+  sweep, a worker's chunk and the whole campaign all return one
+  ``CoverageReport``; chunk and campaign records are sweeps combined by
+  ``_merge``.
 * ``oracles`` — run the exact enumeration and algebraic identity suites.
 * ``compare-concentration`` — tabulate the kl-form tail bound against the
   classical Hoeffding-Azuma bound across range profiles, with empirical
@@ -20,6 +23,7 @@ output directory or worker count, which cannot affect results).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -44,6 +48,7 @@ from .bandit import (
 from .bounds import _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
+    _stream,
     azuma_alt_bound,
     bernoulli_kl_moment,
     convex_domination_gap,
@@ -94,9 +99,7 @@ def _is_real(x) -> bool:
 
 def trajectory_stream(seed: int, index: int) -> np.random.Generator:
     """The documented per-trajectory stream: SeedSequence(seed, spawn_key=(0, index))."""
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_TRAJECTORY_STREAM, index))
-    )
+    return _stream(seed, _TRAJECTORY_STREAM, index)
 
 
 @dataclass(frozen=True)
@@ -272,7 +275,7 @@ def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
     return env
 
 
-def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+def _simulate_chunk(args) -> np.ndarray:
     cfg, indices = args
     env = cfg.environment()
     rows = np.empty((len(indices), cfg.horizon))
@@ -283,10 +286,11 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         rows[j] = prediction_regret(trace, env)
         if cfg.store_traces:
             write_trace_csv(trace, Path(cfg.outdir) / f"trace_{int(i):04d}.csv")
-    return np.asarray(indices), rows
+    return rows
 
 
 def _run_chunked(cfg: ExperimentConfig, worker) -> list:
+    """Run ``worker`` on contiguous index chunks; results come back in index order."""
     indices = np.arange(cfg.trajectories)
     if cfg.workers == 1:
         return [worker((cfg, indices))]
@@ -317,9 +321,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     env = cfg.environment()
     k = env.n_arms
 
-    regret = np.empty((cfg.trajectories, cfg.horizon))
-    for idx, rows in _run_chunked(cfg, _simulate_chunk):
-        regret[idx] = rows
+    regret = np.concatenate(_run_chunked(cfg, _simulate_chunk))
 
     envelope = _envelope_curve(k, cfg.horizon, cfg.delta)
     scoped = np.isfinite(envelope)
@@ -366,14 +368,46 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Per-round any-comparator violations and worst slack for one trajectory."""
+_ROUTES = ("kl_route", "weighted_route")
 
-    kl_route_violations: np.ndarray
-    weighted_route_violations: np.ndarray
-    kl_route_slack: float
-    weighted_route_slack: float
+
+@dataclass(frozen=True, eq=False)
+class BoundCoverage:
+    name: str
+    trials: int
+    violated: int
+    worst_slack: float
+    per_round_violations: np.ndarray
+
+    @property
+    def rate(self) -> float:
+        return self.violated / self.trials
+
+
+@dataclass(frozen=True, eq=False)
+class CoverageReport:
+    delta: float
+    entries: dict
+
+    def rate(self, name: str) -> float:
+        return self.entries[name].rate
+
+
+def _merge(a: CoverageReport, b: CoverageReport) -> CoverageReport:
+    """Pool two disjoint sets of trajectories: counts and per-round profiles
+    add, the worst slack is the smaller one.  Every operation is exact, so
+    the result does not depend on the merge order."""
+    entries = {}
+    for name, x in a.entries.items():
+        y = b.entries[name]
+        entries[name] = BoundCoverage(
+            name=name,
+            trials=x.trials + y.trials,
+            violated=x.violated + y.violated,
+            worst_slack=min(x.worst_slack, y.worst_slack),
+            per_round_violations=x.per_round_violations + y.per_round_violations,
+        )
+    return CoverageReport(delta=a.delta, entries=entries)
 
 
 def certificate_sweep(
@@ -381,14 +415,16 @@ def certificate_sweep(
     env: Environment,
     delta: float,
     det_pi_min: np.ndarray | None = None,
-) -> SweepResult:
-    """Evaluate both bound routes at every round of one trajectory.
+) -> CoverageReport:
+    """Evaluate every bound route at every round of one trajectory.
 
     Comparison distributions: the Gibbs posterior on current estimates, the
     point mass on the best arm, and uniform — all against the uniform prior.
     The kl route uses the realized running-minimum probability (the
     tightest legal pi_lmin); the weighted route uses the deterministic
-    schedule lower bounds so that lambda stays data-independent.
+    schedule lower bounds so that lambda stays data-independent.  Returns a
+    one-trajectory report: per route, whether any comparator broke its
+    bound at each round, and the smallest bound-minus-value slack.
     """
     k = trace.n_arms
     horizon = trace.horizon
@@ -415,141 +451,73 @@ def certificate_sweep(
 
     cum_a = np.cumsum(det_pi_min**-2.0)
 
-    kl_viol = np.zeros(horizon, dtype=bool)
-    w_viol = np.zeros(horizon, dtype=bool)
-    kl_slack = math.inf
-    w_slack = math.inf
+    violations = {name: np.zeros(horizon, dtype=bool) for name in _ROUTES}
+    slack = dict.fromkeys(_ROUTES, math.inf)
     for r_hat_rho, r_rho, prior_kl in comparators:
         scaled_hat = lmin * r_hat_rho
         if scaled_hat.max() > 1.0 + 1e-9:
             raise ValueError("pi_lmin scaling contract violated on the trace")
         scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
         scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
-        lhs = bernoulli_kl_vec(scaled_hat, scaled_true)
-        budget = _kl_budget(prior_kl, ts, delta)
-        kl_viol |= lhs > budget
-        kl_slack = min(kl_slack, float(np.min(budget - lhs)))
+        for name, value, bound in (
+            ("kl_route", bernoulli_kl_vec(scaled_hat, scaled_true), _kl_budget(prior_kl, ts, delta)),
+            ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a)),
+        ):
+            violations[name] |= value > bound
+            slack[name] = min(slack[name], float(np.min(bound - value)))
 
-        gap_bound = _weighted_opt(prior_kl, ts, delta, cum_a)
-        gap = np.abs(r_hat_rho - r_rho)
-        w_viol |= gap > gap_bound
-        w_slack = min(w_slack, float(np.min(gap_bound - gap)))
-
-    return SweepResult(
-        kl_route_violations=kl_viol,
-        weighted_route_violations=w_viol,
-        kl_route_slack=kl_slack,
-        weighted_route_slack=w_slack,
+    return CoverageReport(
+        delta=delta,
+        entries={
+            name: BoundCoverage(
+                name=name,
+                trials=1,
+                violated=int(violations[name].any()),
+                worst_slack=slack[name],
+                per_round_violations=violations[name].astype(np.int64),
+            )
+            for name in _ROUTES
+        },
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BoundCoverage:
-    name: str
-    trials: int
-    violated: int
-    worst_slack: float
-    per_round_violations: np.ndarray
-
-    @property
-    def rate(self) -> float:
-        return self.violated / self.trials
-
-
-@dataclass(frozen=True, eq=False)
-class CoverageReport:
-    delta: float
-    entries: dict
-
-    def rate(self, name: str) -> float:
-        return self.entries[name].rate
-
-
 def _verify_chunk(args):
-    """Sweep trajectories ``indices``; the chunk holding trajectory 0 also
-    returns that trajectory's gap-driver report, the others return None."""
+    """Sweep trajectories ``indices`` into one report; the chunk holding
+    trajectory 0 also returns that trajectory's gap-driver report, the
+    others return None."""
     cfg, indices = args
     env = cfg.environment()
     det = schedule_pi_min(cfg.n_arms, cfg.horizon)
-    drivers = None
-    kl_any = np.zeros(len(indices), dtype=bool)
-    w_any = np.zeros(len(indices), dtype=bool)
-    kl_slack = np.empty(len(indices))
-    w_slack = np.empty(len(indices))
-    kl_profile = np.zeros(cfg.horizon, dtype=np.int64)
-    w_profile = np.zeros(cfg.horizon, dtype=np.int64)
-    for j, i in enumerate(indices):
+    record = drivers = None
+    for i in indices:
         trace = run_game(
             env, cfg.horizon, trajectory_stream(cfg.seed, int(i)), warmup_length=cfg.warmup_length
         )
         if i == 0:
             drivers = gap_driver_report(trace, cfg.delta)
         sweep = certificate_sweep(trace, env, cfg.delta, det)
-        kl_any[j] = sweep.kl_route_violations.any()
-        w_any[j] = sweep.weighted_route_violations.any()
-        kl_slack[j] = sweep.kl_route_slack
-        w_slack[j] = sweep.weighted_route_slack
-        kl_profile += sweep.kl_route_violations
-        w_profile += sweep.weighted_route_violations
-    return np.asarray(indices), kl_any, w_any, kl_slack, w_slack, kl_profile, w_profile, drivers
+        record = sweep if record is None else _merge(record, sweep)
+    return record, drivers
 
 
 def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:
     cfg.validate()
     outdir = _ensure_outdir(cfg)
-    m = cfg.trajectories
 
-    kl_any = np.zeros(m, dtype=bool)
-    w_any = np.zeros(m, dtype=bool)
-    kl_slack = np.empty(m)
-    w_slack = np.empty(m)
-    kl_profile = np.zeros(cfg.horizon, dtype=np.int64)
-    w_profile = np.zeros(cfg.horizon, dtype=np.int64)
-    chunks = _run_chunked(cfg, _verify_chunk)
-    drivers = chunks[0][-1]  # the first chunk starts at trajectory 0
-    for idx, ka, wa, ks, ws, kp, wp, _ in chunks:
-        kl_any[idx] = ka
-        w_any[idx] = wa
-        kl_slack[idx] = ks
-        w_slack[idx] = ws
-        kl_profile += kp
-        w_profile += wp
-
-    report = CoverageReport(
-        delta=cfg.delta,
-        entries={
-            "kl_route": BoundCoverage(
-                name="kl_route",
-                trials=m,
-                violated=int(kl_any.sum()),
-                worst_slack=float(kl_slack.min()),
-                per_round_violations=kl_profile,
-            ),
-            "weighted_route": BoundCoverage(
-                name="weighted_route",
-                trials=m,
-                violated=int(w_any.sum()),
-                worst_slack=float(w_slack.min()),
-                per_round_violations=w_profile,
-            ),
-        },
-    )
+    records, driver_reports = zip(*_run_chunked(cfg, _verify_chunk))
+    report = functools.reduce(_merge, records)
+    drivers = driver_reports[0]  # the first chunk starts at trajectory 0
+    entries = report.entries.values()
 
     _write_csv(
         outdir / "coverage.csv",
         ["bound", "trajectories", "violated", "empirical_rate", "nominal_delta", "worst_slack"],
-        (
-            (e.name, e.trials, e.violated, e.rate, cfg.delta, e.worst_slack)
-            for e in report.entries.values()
-        ),
+        ((e.name, e.trials, e.violated, e.rate, cfg.delta, e.worst_slack) for e in entries),
     )
     _write_csv(
         outdir / "violation_profile.csv",
-        ["t", "kl_route", "weighted_route"],
-        (
-            (t, int(kl_profile[t - 1]), int(w_profile[t - 1]))
-            for t in range(1, cfg.horizon + 1)
-        ),
+        ["t", *_ROUTES],
+        zip(range(1, cfg.horizon + 1), *(report.entries[n].per_round_violations for n in _ROUTES)),
     )
 
     _write_csv(
@@ -563,16 +531,11 @@ def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:
             drivers.weighted_route_gap,
         ),
     )
-    _write_manifest(
-        outdir,
-        cfg,
-        {
-            "kl_route_rate": report.rate("kl_route"),
-            "weighted_route_rate": report.rate("weighted_route"),
-            "kl_route_worst_slack": report.entries["kl_route"].worst_slack,
-            "weighted_route_worst_slack": report.entries["weighted_route"].worst_slack,
-        },
-    )
+    summary = {}
+    for e in entries:
+        summary[f"{e.name}_rate"] = e.rate
+        summary[f"{e.name}_worst_slack"] = e.worst_slack
+    _write_manifest(outdir, cfg, summary)
     return report
 
 
@@ -631,9 +594,7 @@ def _moment_checks() -> list[OracleCheck]:
 
 
 def _domination_checks(cfg: ExperimentConfig) -> list[OracleCheck]:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(_CHAIN_STREAM,))
-    )
+    rng = _stream(cfg.seed, _CHAIN_STREAM)
     min_gap = math.inf
     count = 0
     try:
@@ -665,9 +626,7 @@ def _domination_checks(cfg: ExperimentConfig) -> list[OracleCheck]:
 
 
 def _expsum_checks(cfg: ExperimentConfig) -> list[OracleCheck]:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(_PROBE_STREAM,))
-    )
+    rng = _stream(cfg.seed, _PROBE_STREAM)
     sizes = (2, 3, 5, 8)
     per_size, remainder = divmod(cfg.probe_count, len(sizes))
     cap_violations = 0

@@ -13,7 +13,6 @@ import numpy as np
 
 from banditbounds import (
     ExperimentConfig,
-    MartingaleRange,
     azuma_alt_bound,
     bernoulli_kl_moment,
     convex_domination_gap,
@@ -27,7 +26,7 @@ from banditbounds import (
     run_simulate,
     run_verify_bounds,
     schedule_pi_min,
-    simulate_sign_walks,
+    simulate_profile_walks,
     weighted_gap_bound,
     weighted_gap_bound_opt,
 )
@@ -81,12 +80,11 @@ def test_criterion_02_dependent_chain_domination():
 def test_criterion_03_martingale_tail_coverage():
     t0 = time.perf_counter()
     n_steps, trials, delta = 100, 10_000, 0.05
-    batch = simulate_sign_walks(n_steps, trials, seed=11)
-    alt = azuma_alt_bound(n_steps, batch.low, batch.high, delta)
-    ranges = MartingaleRange(np.full(n_steps, batch.low), np.full(n_steps, batch.high))
+    sums, ranges = simulate_profile_walks(np.ones(n_steps), trials, seed=11)
+    alt = azuma_alt_bound(n_steps, -1.0, 1.0, delta)
     classical = hoeffding_azuma_bound(ranges, delta)
-    rate_alt = float(np.mean(np.abs(batch.sums) > alt))
-    rate_classical = float(np.mean(np.abs(batch.sums) > classical))
+    rate_alt = float(np.mean(np.abs(sums) > alt))
+    rate_classical = float(np.mean(np.abs(sums) > classical))
     elapsed = time.perf_counter() - t0
     ok = rate_alt <= delta and rate_classical <= delta and elapsed < 30.0
     _report(3, "martingale tail coverage", ok,

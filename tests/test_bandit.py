@@ -20,7 +20,13 @@ from banditbounds import (
     update_estimates,
     write_trace_csv,
 )
-from banditbounds.bandit import _gibbs_weights, _schedule_arrays, _smooth_weights
+from banditbounds.bandit import (
+    BETA_LEVELS,
+    _beta_reward,
+    _gibbs_weights,
+    _schedule_arrays,
+    _smooth_weights,
+)
 
 
 class TestSchedules:
@@ -222,20 +228,11 @@ class TestEnvironment:
             Environment(means=np.array([[0.5, 0.4]]))
         with pytest.raises(ValueError):
             Environment(means=np.array([0.5, 0.4]), reward_kind="gaussian")
-        with pytest.raises(ValueError):
-            Environment(means=np.array([0.5]), beta_levels=1)
-
-    def test_point_rewards(self):
-        env = Environment(means=np.array([0.3, 0.7]), reward_kind="point")
-        rng = np.random.default_rng(0)
-        assert env.sample_reward(0, rng) == 0.3
-        assert env.sample_reward(1, rng) == 0.7
 
     def test_beta_rewards_live_on_grid(self):
-        env = Environment(means=np.array([0.35, 0.6]), reward_kind="beta")
         rng = np.random.default_rng(1)
-        step = 1.0 / (env.beta_levels - 1)
-        draws = np.array([env.sample_reward(0, rng) for _ in range(500)])
+        step = 1.0 / (BETA_LEVELS - 1)
+        draws = np.array([_beta_reward(0.35, rng) for _ in range(500)])
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         assert np.allclose(draws / step, np.round(draws / step), atol=1e-9)
         # Stochastic rounding preserves the mean; 500 draws put the sample

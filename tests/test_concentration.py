@@ -32,7 +32,6 @@ from banditbounds import (
     pinsker_gap,
     random_constant_mean_chain,
     simulate_profile_walks,
-    simulate_sign_walks,
 )
 
 
@@ -253,28 +252,13 @@ class TestMartingaleBounds:
 
 
 class TestSimulators:
-    def test_sign_walks_deterministic(self):
-        a = simulate_sign_walks(50, 20, seed=42)
-        b = simulate_sign_walks(50, 20, seed=42)
-        assert np.array_equal(a.sums, b.sums)
-        assert (a.low, a.high, a.n_steps) == (-1.0, 1.0, 50)
-        c = simulate_sign_walks(50, 20, seed=43)
-        assert not np.array_equal(a.sums, c.sums)
-
-    def test_sign_walk_support(self):
-        batch = simulate_sign_walks(7, 40, seed=1, step=0.5)
-        assert np.all(np.abs(batch.sums) <= 7 * 0.5 + 1e-12)
-        # Each sum is 0.5 * (odd number of +-1 terms): half-integers only.
-        doubled = batch.sums / 0.5
-        assert np.allclose(doubled, np.round(doubled))
-        assert np.all(np.round(doubled).astype(int) % 2 == 1)
-
-    def test_sign_walk_prefix_stability(self):
+    def test_profile_walk_prefix_stability(self):
         # Trajectory i depends only on (seed, i): enlarging the batch keeps
         # the earlier trajectories bit-identical.
-        small = simulate_sign_walks(30, 5, seed=9)
-        large = simulate_sign_walks(30, 12, seed=9)
-        assert np.array_equal(small.sums, large.sums[:5])
+        steps = np.array([1.0, 2.0, 5.0])
+        small, _ = simulate_profile_walks(steps, trials=5, seed=9)
+        large, _ = simulate_profile_walks(steps, trials=12, seed=9)
+        assert np.array_equal(small, large[:5])
 
     def test_profile_walks(self):
         steps = np.array([1.0, 2.0, 5.0])

@@ -16,6 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from banditbounds import (
+    BoundCoverage,
+    CoverageReport,
     Environment,
     ExperimentConfig,
     OracleCheck,
@@ -186,10 +188,12 @@ class TestCertificateSweep:
                 w_viol[t - 1] |= w_gap > w_bound
                 w_slack = min(w_slack, w_bound - w_gap)
 
-        assert np.array_equal(sweep.kl_route_violations, kl_viol)
-        assert np.array_equal(sweep.weighted_route_violations, w_viol)
-        assert sweep.kl_route_slack == pytest.approx(kl_slack, abs=1e-10)
-        assert sweep.weighted_route_slack == pytest.approx(w_slack, abs=1e-10)
+        kl_route = sweep.entries["kl_route"]
+        weighted_route = sweep.entries["weighted_route"]
+        assert np.array_equal(kl_route.per_round_violations, kl_viol)
+        assert np.array_equal(weighted_route.per_round_violations, w_viol)
+        assert kl_route.worst_slack == pytest.approx(kl_slack, abs=1e-10)
+        assert weighted_route.worst_slack == pytest.approx(w_slack, abs=1e-10)
 
     @given(k=st.integers(2, 8), horizon=st.integers(1, 500), seed=st.integers(0, 2**16))
     def test_gibbs_comparator_uses_the_schedule(self, k, horizon, seed):
@@ -208,10 +212,45 @@ class TestCertificateSweep:
         env = Environment(means=np.array([0.5, 0.5]))
         trace = run_game(env, horizon=50, seed=0)
         sweep = certificate_sweep(trace, env, 0.05)
-        assert not sweep.kl_route_violations.any()
-        assert not sweep.weighted_route_violations.any()
-        assert sweep.kl_route_slack > 0.0
-        assert sweep.weighted_route_slack > 0.0
+        for entry in sweep.entries.values():
+            assert entry.trials == 1
+            assert entry.violated == 0
+            assert not entry.per_round_violations.any()
+            assert entry.worst_slack > 0.0
+
+
+class TestMerge:
+    @staticmethod
+    def _record(delta, **routes):
+        return CoverageReport(
+            delta=delta,
+            entries={
+                name: BoundCoverage(
+                    name=name,
+                    trials=trials,
+                    violated=violated,
+                    worst_slack=slack,
+                    per_round_violations=np.array(profile, dtype=np.int64),
+                )
+                for name, (trials, violated, slack, profile) in routes.items()
+            },
+        )
+
+    def test_counts_add_and_slack_is_the_minimum(self):
+        a = self._record(0.1, kl_route=(3, 2, -0.25, [1, 2, 1]), weighted_route=(3, 0, 0.5, [0, 0, 0]))
+        b = self._record(0.1, kl_route=(2, 1, 0.125, [1, 0, 1]), weighted_route=(2, 1, -1.5, [0, 1, 1]))
+        for merged in (harness._merge(a, b), harness._merge(b, a)):
+            kl_route = merged.entries["kl_route"]
+            weighted_route = merged.entries["weighted_route"]
+            assert (kl_route.trials, kl_route.violated, kl_route.worst_slack) == (5, 3, -0.25)
+            assert (weighted_route.trials, weighted_route.violated, weighted_route.worst_slack) == (
+                5, 1, -1.5
+            )
+            assert kl_route.per_round_violations.tolist() == [2, 2, 2]
+            assert weighted_route.per_round_violations.tolist() == [0, 1, 1]
+            assert kl_route.per_round_violations.dtype == np.int64
+            assert merged.rate("kl_route") == 0.6
+            assert merged.delta == 0.1
 
 
 class TestEnvelopeCurve:
