@@ -6,134 +6,17 @@ enumeration oracles plus a seeded Monte Carlo harness used to check every
 bound empirically.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .bandit import (
-    Environment,
-    GameTrace,
-    PolicyState,
-    ScheduleError,
-    ScheduleParams,
-    gibbs_posterior,
-    run_game,
-    schedules,
-    smooth_policy,
-    update_estimates,
-    write_trace_csv,
-)
-from .bounds import (
-    GapDriverReport,
-    RegretDecomposition,
-    expsum_ratio,
-    gap_driver_report,
-    kl_budget,
-    kl_certificate,
-    lambda_opt,
-    regret_decomposition,
-    regret_envelope,
-    reward_gap_radius,
-    weighted_gap_bound,
-    weighted_gap_bound_opt,
-)
-from .concentration import (
-    BudgetError,
-    CertificateResult,
-    DependentChainSpec,
-    MartingaleRange,
-    azuma_alt_bound,
-    bernoulli_convex_expectation,
-    bernoulli_kl_moment,
-    convex_domination_gap,
-    convex_test_functions,
-    dependent_convex_expectation,
-    hoeffding_azuma_bound,
-    midpoint_convexity_probe,
-    random_constant_mean_chain,
-    simulate_profile_walks,
-)
-from .divergences import (
-    SimplexVector,
-    bernoulli_kl,
-    bernoulli_kl_vec,
-    categorical_kl,
-    kl_lower_inverse,
-    kl_upper_inverse,
-    pinsker_gap,
-)
-from .harness import (
-    BoundCoverage,
-    CoverageReport,
-    ExperimentConfig,
-    OracleCheck,
-    OracleReport,
-    SimulateResult,
-    certificate_sweep,
-    prediction_regret,
-    run_compare_concentration,
-    run_oracles,
-    run_simulate,
-    run_verify_bounds,
-    schedule_pi_min,
-    trajectory_stream,
-)
+from . import bandit, bounds, concentration, divergences, harness
+from .bandit import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .concentration import *  # noqa: F403
+from .divergences import *  # noqa: F403
+from .harness import *  # noqa: F403
 
-__all__ = [
-    "BoundCoverage",
-    "BudgetError",
-    "CertificateResult",
-    "CoverageReport",
-    "DependentChainSpec",
-    "Environment",
-    "ExperimentConfig",
-    "GameTrace",
-    "GapDriverReport",
-    "MartingaleRange",
-    "OracleCheck",
-    "OracleReport",
-    "PolicyState",
-    "RegretDecomposition",
-    "ScheduleError",
-    "ScheduleParams",
-    "SimplexVector",
-    "SimulateResult",
-    "azuma_alt_bound",
-    "bernoulli_convex_expectation",
-    "bernoulli_kl",
-    "bernoulli_kl_moment",
-    "bernoulli_kl_vec",
-    "categorical_kl",
-    "certificate_sweep",
-    "convex_domination_gap",
-    "convex_test_functions",
-    "dependent_convex_expectation",
-    "expsum_ratio",
-    "gap_driver_report",
-    "gibbs_posterior",
-    "hoeffding_azuma_bound",
-    "kl_budget",
-    "kl_certificate",
-    "kl_lower_inverse",
-    "kl_upper_inverse",
-    "lambda_opt",
-    "midpoint_convexity_probe",
-    "pinsker_gap",
-    "prediction_regret",
-    "random_constant_mean_chain",
-    "regret_decomposition",
-    "regret_envelope",
-    "reward_gap_radius",
-    "run_compare_concentration",
-    "run_game",
-    "run_oracles",
-    "run_simulate",
-    "run_verify_bounds",
-    "schedule_pi_min",
-    "schedules",
-    "simulate_profile_walks",
-    "smooth_policy",
-    "trajectory_stream",
-    "update_estimates",
-    "weighted_gap_bound",
-    "weighted_gap_bound_opt",
-    "write_trace_csv",
-]
+__all__ = sorted(
+    name
+    for module in (bandit, bounds, concentration, divergences, harness)
+    for name in module.__all__
+)

@@ -13,7 +13,6 @@ explicitly either way).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,7 +32,6 @@ __all__ = [
     "schedules",
     "smooth_policy",
     "update_estimates",
-    "write_trace_csv",
 ]
 
 REWARD_KINDS = ("bernoulli", "point", "beta")
@@ -107,17 +105,6 @@ class Environment:
     @property
     def best_mean(self) -> float:
         return float(self.means[self.best_arm])
-
-
-def _beta_reward(mean: float, rng: np.random.Generator) -> float:
-    """A Beta draw with mean ``mean``, stochastically rounded onto the
-    BETA_LEVELS-point grid of [0, 1]; the rounding keeps the mean exact."""
-    if mean <= 0.0 or mean >= 1.0:
-        return mean
-    x = float(rng.beta(BETA_CONCENTRATION * mean, BETA_CONCENTRATION * (1.0 - mean)))
-    step = 1.0 / (BETA_LEVELS - 1)
-    g = min(int(x / step), BETA_LEVELS - 2) * step
-    return g + step if rng.random() < (x - g) / step else g
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +222,8 @@ class GameTrace:
 
     Row t (0-indexed as t-1) holds the policy played at round t, the arm
     and reward drawn, the estimate vector after the round, and the running
-    minimum sampling probability.
+    minimum sampling probability.  ``next_pi`` is the policy the game
+    forms for round T+1, which it never plays.
     """
 
     n_arms: int
@@ -246,9 +234,33 @@ class GameTrace:
     rewards: np.ndarray
     rhat: np.ndarray
     pi_lmin: np.ndarray
+    next_pi: np.ndarray
 
     def pi_min_per_round(self) -> np.ndarray:
         return self.pi.min(axis=1)
+
+
+def _payouts(env: Environment, horizon: int, rng: np.random.Generator) -> np.ndarray:
+    """(T, K) table whose entry [t, a] is what arm a pays if played in round t+1.
+
+    Bernoulli rewards compare one uniform per round with every mean; point
+    rewards are the means themselves (a read-only view).  Beta rewards take
+    one Beta draw per arm per round, then one uniform per arm per round that
+    rounds it stochastically onto the BETA_LEVELS-point grid of [0, 1],
+    which keeps the mean exact; an arm whose mean is 0 or 1 pays its mean.
+    """
+    means = env.means
+    if env.reward_kind == "bernoulli":
+        return (rng.random(horizon)[:, None] < means).astype(float)
+    if env.reward_kind == "point":
+        return np.broadcast_to(means, (horizon, means.size))
+    inner = (means > 0.0) & (means < 1.0)
+    m = np.where(inner, means, 0.5)  # any valid shape; those draws go unused
+    x = rng.beta(BETA_CONCENTRATION * m, BETA_CONCENTRATION * (1.0 - m), size=(horizon, m.size))
+    step = 1.0 / (BETA_LEVELS - 1)
+    g = np.minimum(np.floor(x / step), BETA_LEVELS - 2) * step
+    up = rng.random((horizon, m.size)) < (x - g) / step
+    return np.where(inner, g + step * up, means)
 
 
 def _sample_index(weights: np.ndarray, u: float) -> int:
@@ -271,7 +283,9 @@ def run_game(
     """Play the smoothed Gibbs strategy for ``horizon`` rounds.
 
     The uniform warmup lasts ``warmup_length`` rounds (default K^3).  Fully
-    deterministic given ``seed`` (an int, SeedSequence, or Generator).
+    deterministic given ``seed`` (an int, SeedSequence, or Generator): the
+    action uniforms and then the payout table are drawn before the first
+    round, so the round loop itself never touches the generator.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -283,62 +297,41 @@ def run_game(
         raise ValueError("warmup_length must be a positive integer")
     warmup = int(warmup_length) if warmup_length is not None else k**3
     rng = np.random.default_rng(seed)
+    action_uniforms = rng.random(horizon).tolist()
+    payouts = _payouts(env, horizon, rng)
     # Python lists keep numpy scalars out of the round loop.
-    gammas, epsilons = (a.tolist() for a in _schedule_arrays(k, range(1, horizon + 1)))
+    gammas, epsilons = (a.tolist() for a in _schedule_arrays(k, range(1, horizon + 2)))
 
     pi_rows = np.empty((horizon, k))
     actions = np.empty(horizon, dtype=np.int64)
-    rewards = np.empty(horizon)
     rhat_rows = np.empty((horizon, k))
-    lmin_rows = np.empty(horizon)
 
     uniform_w = np.full(k, 1.0 / k)
-    action_uniforms = rng.random(horizon)
-    bernoulli_uniforms = (
-        rng.random(horizon) if env.reward_kind == "bernoulli" else None
-    )
-    means = env.means
-
     sums = np.zeros(k)
-    t_seen = 0
-    lmin = 1.0 / k
     inv_k = 1.0 / k
 
-    for t in range(1, horizon + 1):
+    # Round T+1 only forms its policy, which the trace keeps as next_pi.
+    for t in range(1, horizon + 2):
+        row = t - 1
         if t < warmup:
             pi_w = uniform_w
         else:
-            if t == 1:
-                rho_w = uniform_w
-            else:
-                rho_w = _gibbs_weights(sums / t_seen, gammas[t - 2])
+            rho_w = uniform_w if t == 1 else _gibbs_weights(rhat_rows[row - 1], gammas[t - 2])
             # Capping at 1/K keeps K*epsilon <= 1 when a warmup shorter
             # than K^3 is configured; at or past K^3 the cap is inactive.
-            eps_t = min(epsilons[t - 1], inv_k)
-            pi_w = _smooth_weights(rho_w, eps_t)
-
-        arm = _sample_index(pi_w, action_uniforms[t - 1])
-        if env.reward_kind == "bernoulli":
-            reward = 1.0 if bernoulli_uniforms[t - 1] < means[arm] else 0.0
-        elif env.reward_kind == "point":
-            reward = float(means[arm])
-        else:
-            reward = _beta_reward(float(means[arm]), rng)
-
-        sums[arm] += reward / pi_w[arm]
-        t_seen += 1
-        m = float(pi_w.min())
-        if m < lmin:
-            lmin = m
-
-        row = t - 1
+            pi_w = _smooth_weights(rho_w, min(epsilons[row], inv_k))
+        if t > horizon:
+            break
+        arm = _sample_index(pi_w, action_uniforms[row])
+        sums[arm] += payouts[row, arm] / pi_w[arm]
         pi_rows[row] = pi_w
         actions[row] = arm
-        rewards[row] = reward
-        rhat_rows[row] = sums / t_seen
-        lmin_rows[row] = lmin
+        rhat_rows[row] = sums / t
 
-    for arr in (pi_rows, actions, rewards, rhat_rows, lmin_rows):
+    rewards = payouts[np.arange(horizon), actions]
+    lmin_rows = np.minimum.accumulate(np.minimum(pi_rows.min(axis=1), inv_k))
+    next_pi = np.array(pi_w)
+    for arr in (pi_rows, actions, rewards, rhat_rows, lmin_rows, next_pi):
         arr.setflags(write=False)
     return GameTrace(
         n_arms=k,
@@ -349,23 +342,5 @@ def run_game(
         rewards=rewards,
         rhat=rhat_rows,
         pi_lmin=lmin_rows,
+        next_pi=next_pi,
     )
-
-
-def write_trace_csv(trace: GameTrace, path) -> None:
-    """One row per round: t, action, reward, policy entries, estimate entries."""
-    k = trace.n_arms
-    header = (
-        ["t", "action", "reward"]
-        + [f"pi_{a}" for a in range(k)]
-        + [f"rhat_{a}" for a in range(k)]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in range(trace.horizon):
-            writer.writerow(
-                [row + 1, int(trace.actions[row]), repr(float(trace.rewards[row]))]
-                + [repr(float(x)) for x in trace.pi[row]]
-                + [repr(float(x)) for x in trace.rhat[row]]
-            )

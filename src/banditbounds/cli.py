@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per experiment mode.
 
 Flags mirror the config fields one to one; an optional JSON config file
-supplies defaults and explicit flags override it.  Exit status: 0 on
-success, 1 when the oracle suite reports a contractual failure, 2 on an
-invalid configuration.
+may set the fields of the chosen subcommand, and explicit flags override
+it.  Exit status: 0 on success, 1 when the oracle suite reports a
+contractual failure, 2 on an invalid configuration or an unusable output
+directory.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 
 from .harness import (
     ExperimentConfig,
+    _ensure_outdir,
     run_compare_concentration,
     run_oracles,
     run_simulate,
@@ -110,22 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {"mode": args.mode}
+    # The namespace holds exactly the subcommand's fields, each None unless
+    # given on the command line (the mode is always given).
+    flags = {name: value for name, value in vars(args).items() if name != "config"}
+    values: dict = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        known = {f.name for f in dataclass_fields(ExperimentConfig)}
-        unknown = set(loaded) - known
+        unknown = set(loaded) - set(flags)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        loaded.pop("mode", None)  # the subcommand owns the mode
+            raise ValueError(f"unknown config keys for {args.mode}: {sorted(unknown)}")
         values.update(loaded)
-    for f in dataclass_fields(ExperimentConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            values[f.name] = flag_value
+    values.update((name, value) for name, value in flags.items() if value is not None)
     if isinstance(values.get("means"), list):
         values["means"] = tuple(values["means"])  # validate() checks the entries
     return ExperimentConfig(**values)
@@ -136,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _build_config(args)
         cfg.validate()
+        _ensure_outdir(cfg)
     except (TypeError, ValueError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

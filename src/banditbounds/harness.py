@@ -35,16 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .bandit import (
-    Environment,
-    GameTrace,
-    _gibbs_weights,
-    _schedule_arrays,
-    _smooth_weights,
-    run_game,
-    schedules,
-    write_trace_csv,
-)
+from .bandit import Environment, GameTrace, _gibbs_weights, _schedule_arrays, run_game
 from .bounds import _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
@@ -75,6 +66,7 @@ __all__ = [
     "run_verify_bounds",
     "schedule_pi_min",
     "trajectory_stream",
+    "write_trace_csv",
 ]
 
 MODES = ("simulate", "verify-bounds", "oracles", "compare-concentration")
@@ -213,6 +205,17 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
             writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
 
 
+def write_trace_csv(trace: GameTrace, path) -> None:
+    """One row per round: t, action, reward, policy entries, estimate entries."""
+    k = trace.n_arms
+    rounds = zip(trace.actions.tolist(), trace.rewards.tolist(), trace.pi.tolist(), trace.rhat.tolist())
+    _write_csv(
+        path,
+        ["t", "action", "reward", *(f"pi_{a}" for a in range(k)), *(f"rhat_{a}" for a in range(k))],
+        ((t, a, r, *p, *h) for t, (a, r, p, h) in enumerate(rounds, 1)),
+    )
+
+
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, summary: dict) -> Path:
     payload = {
         "artifact": "banditbounds",
@@ -251,21 +254,10 @@ def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
 
 
 def prediction_regret(trace: GameTrace, env: Environment) -> np.ndarray:
-    """Per-round regret of the policy formed after round t (played at t+1).
-
-    Rounds 2..T read the policy the game played; only the policy for round
-    T+1, which the game never reached, is formed here.
-    """
-    k = trace.n_arms
-    horizon = trace.horizon
-    if horizon + 1 < trace.warmup_length:
-        pi_last = np.full(k, 1.0 / k)
-    else:
-        rho = _gibbs_weights(trace.rhat[-1], schedules(horizon, k).gamma)
-        pi_last = _smooth_weights(rho, min(schedules(horizon + 1, k).epsilon, 1.0 / k))
+    """Per-round regret of the policy formed after round t (played at t+1)."""
     # One (T, K) product, the shape the curve has always used: BLAS may
     # round a row differently inside a matrix of another shape.
-    return env.best_mean - np.vstack((trace.pi[1:], pi_last)) @ env.means
+    return env.best_mean - np.vstack((trace.pi[1:], trace.next_pi)) @ env.means
 
 
 def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
@@ -295,7 +287,8 @@ def _run_chunked(cfg: ExperimentConfig, worker) -> list:
     if cfg.workers == 1:
         return [worker((cfg, indices))]
     chunks = [c for c in np.array_split(indices, cfg.workers) if c.size]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # The pool starts all its workers at the first submit: one per chunk.
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return list(pool.map(worker, [(cfg, c) for c in chunks]))
 
 

@@ -22,8 +22,8 @@ from banditbounds import (
 )
 from banditbounds.bandit import (
     BETA_LEVELS,
-    _beta_reward,
     _gibbs_weights,
+    _payouts,
     _schedule_arrays,
     _smooth_weights,
 )
@@ -230,14 +230,18 @@ class TestEnvironment:
             Environment(means=np.array([0.5, 0.4]), reward_kind="gaussian")
 
     def test_beta_rewards_live_on_grid(self):
-        rng = np.random.default_rng(1)
+        env = Environment(means=np.array([0.35, 0.0, 1.0]), reward_kind="beta")
         step = 1.0 / (BETA_LEVELS - 1)
-        draws = np.array([_beta_reward(0.35, rng) for _ in range(500)])
+        table = _payouts(env, 500, np.random.default_rng(1))
+        assert table.shape == (500, 3)
+        draws = table[:, 0]
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         assert np.allclose(draws / step, np.round(draws / step), atol=1e-9)
         # Stochastic rounding preserves the mean; 500 draws put the sample
         # mean within a few standard errors (deterministic given the seed).
         assert abs(draws.mean() - 0.35) < 0.05
+        # An arm whose mean is 0 or 1 always pays its mean.
+        assert np.all(table[:, 1] == 0.0) and np.all(table[:, 2] == 1.0)
 
 
 class TestRunGame:
@@ -332,6 +336,40 @@ class TestRunGame:
         assert set(np.unique(bern.rewards)) <= {0.0, 1.0}
         beta = run_game(Environment(means=means, reward_kind="beta"), 20, seed=2)
         assert np.all((beta.rewards >= 0.0) & (beta.rewards <= 1.0))
+
+    @given(
+        k=st.integers(2, 8),
+        horizon=st.integers(1, 300),
+        kind=st.sampled_from(["bernoulli", "point", "beta"]),
+        warmup_length=st.none() | st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_api_replays_the_game(self, k, horizon, kind, warmup_length, seed):
+        # The step API is the engine's per-round reference: replaying the
+        # trace's arms and rewards through it must give every policy,
+        # estimate and running floor bit for bit, and the round-T+1 policy.
+        rng = np.random.default_rng(seed)
+        env = Environment(means=rng.uniform(0.0, 1.0, k), reward_kind=kind)
+        trace = run_game(env, horizon, seed, warmup_length=warmup_length)
+
+        def policy(t, state):
+            if t < trace.warmup_length:
+                return SimplexVector.uniform(k)
+            if t == 1:
+                rho = SimplexVector.uniform(k)
+            else:
+                rho = gibbs_posterior(state.rhat, schedules(t - 1, k).gamma)
+            return smooth_policy(rho, min(schedules(t, k).epsilon, 1.0 / k))
+
+        state = PolicyState.initial(k)
+        for t in range(1, horizon + 1):
+            pi = policy(t, state)
+            assert np.array_equal(pi.weights, trace.pi[t - 1]), t
+            arm, reward = int(trace.actions[t - 1]), float(trace.rewards[t - 1])
+            state = update_estimates(state, pi, arm, reward)
+            assert np.array_equal(state.rhat, trace.rhat[t - 1]), t
+            assert state.pi_lmin == trace.pi_lmin[t - 1], t
+        assert np.array_equal(policy(horizon + 1, state).weights, trace.next_pi)
 
     def test_trace_is_read_only(self):
         env = Environment(means=np.array([0.5, 0.4]))

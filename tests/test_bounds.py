@@ -39,6 +39,7 @@ def flat_trace(horizon: int, pi_rows: np.ndarray) -> GameTrace:
         rewards=np.zeros(horizon),
         rhat=np.zeros((horizon, k)),
         pi_lmin=lmin,
+        next_pi=pi_rows[-1],
     )
 
 

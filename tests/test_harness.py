@@ -8,6 +8,7 @@ drift away from the library's own definitions.
 import csv
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from banditbounds import (
     gibbs_posterior,
     kl_certificate,
     prediction_regret,
+    regret_decomposition,
     regret_envelope,
     run_compare_concentration,
     run_game,
@@ -37,6 +39,7 @@ from banditbounds import (
     trajectory_stream,
     weighted_gap_bound_opt,
 )
+import banditbounds
 from banditbounds import harness
 from banditbounds.cli import main
 
@@ -150,6 +153,16 @@ class TestPredictionRegret:
         env = Environment(means=np.array([0.9, 0.5, 0.1]))
         trace = run_game(env, horizon=60, seed=1)
         assert np.all(prediction_regret(trace, env) >= -1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_equals_decomposition_regret(self, k):
+        # The decomposition re-forms each smoothed Gibbs policy from the
+        # estimates; the curve reads the ones the game formed.
+        env = Environment(means=np.linspace(0.9, 0.1, k))
+        trace = run_game(env, horizon=700, seed=k)
+        assert np.array_equal(
+            regret_decomposition(trace, env).regret, prediction_regret(trace, env)[k**3 - 1 :]
+        )
 
 
 class TestCertificateSweep:
@@ -401,6 +414,21 @@ class TestRunVerifyBounds:
         ]
         assert len(drivers) == 31
 
+    def test_pool_has_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(
+            mode="verify-bounds", horizon=10, trajectories=2, workers=3, outdir=str(tmp_path)
+        )
+        run_verify_bounds(cfg)
+        assert sizes == [2]
+
 
 class TestRunOracles:
     def test_small_campaign_passes(self, tmp_path, capsys):
@@ -536,6 +564,23 @@ class TestCli:
         assert code == 2
         assert "horizont" in capsys.readouterr().err
 
+        # Fields of another subcommand are unknown to this one.
+        config.write_text(json.dumps({"store_traces": True, "walk_trials": 3}))
+        outdir = tmp_path / "other_mode"
+        code = main(["verify-bounds", "--config", str(config), "--outdir", str(outdir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "store_traces" in err and "walk_trials" in err
+        assert not outdir.exists()
+
+    def test_unusable_outdir_exits_two(self, tmp_path, capsys):
+        occupied = tmp_path / "a_file"
+        occupied.write_text("")
+        code = main(["oracles", "--chain-count", "1", "--probe-count", "4", "--outdir", str(occupied)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "Traceback" not in err
+
     def test_means_flag_parsing(self, tmp_path):
         outdir = tmp_path / "cli_means"
         code = main(
@@ -566,3 +611,10 @@ class TestCli:
         monkeypatch.setitem(cli_module._RUNNERS, "oracles", fake_runner)
         code = main(["oracles", "--outdir", str(tmp_path / "orc_fail")])
         assert code == 1
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == banditbounds.__version__
