@@ -6,9 +6,12 @@ round K^3 onward the policy is the Gibbs distribution over running
 importance-weighted estimates, smoothed so every arm keeps probability at
 least epsilon_t.  At the handoff round K*epsilon_t equals 1, which makes
 the first smoothed policy uniform regardless of the estimates, so the two
-phases join seamlessly.  A shorter configured warmup is honored by capping
-epsilon at 1/K (the smoothing precondition K*epsilon <= 1 is enforced
-explicitly either way).
+phases join seamlessly.  Every smoothed round uses the floor
+min(epsilon_t, 1/K), which keeps K*epsilon <= 1.  Before round K^3 that cap
+is active and smooths any estimates to exactly the uniform policy (for
+K < 49, where K*(1/K) rounds to 1), so a configured warmup shorter than K^3
+plays the default game bit for bit; only a longer warmup changes the game,
+by extending the uniform phase.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ def _schedule_arrays(n_arms: int, ts) -> tuple[np.ndarray, np.ndarray]:
     """
     kts = [float(n_arms * t) for t in ts]
     return np.array([kt**0.25 for kt in kts]), np.array([kt**-0.25 for kt in kts])
+
+
+def _pi_floor(n_arms: int, epsilon):
+    """min(epsilon_t, 1/K): the smoothing amount a policy uses and the
+    deterministic lower bound on its smallest entry, warmup included."""
+    return np.minimum(epsilon, 1.0 / n_arms)
 
 
 def schedules(t: int, n_arms: int) -> ScheduleParams:
@@ -299,8 +308,9 @@ def run_game(
     rng = np.random.default_rng(seed)
     action_uniforms = rng.random(horizon).tolist()
     payouts = _payouts(env, horizon, rng)
+    gamma, epsilon = _schedule_arrays(k, range(1, horizon + 2))
     # Python lists keep numpy scalars out of the round loop.
-    gammas, epsilons = (a.tolist() for a in _schedule_arrays(k, range(1, horizon + 2)))
+    gammas, floors = gamma.tolist(), _pi_floor(k, epsilon).tolist()
 
     pi_rows = np.empty((horizon, k))
     actions = np.empty(horizon, dtype=np.int64)
@@ -317,9 +327,9 @@ def run_game(
             pi_w = uniform_w
         else:
             rho_w = uniform_w if t == 1 else _gibbs_weights(rhat_rows[row - 1], gammas[t - 2])
-            # Capping at 1/K keeps K*epsilon <= 1 when a warmup shorter
-            # than K^3 is configured; at or past K^3 the cap is inactive.
-            pi_w = _smooth_weights(rho_w, min(epsilons[row], inv_k))
+            # Before K^3 the floor is 1/K and pi_w is uniform whatever rho_w
+            # is; from K^3 on it is epsilon_t.
+            pi_w = _smooth_weights(rho_w, floors[row])
         if t > horizon:
             break
         arm = _sample_index(pi_w, action_uniforms[row])

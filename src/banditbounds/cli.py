@@ -80,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--reward-kind", choices=("bernoulli", "point", "beta"))
         p.add_argument(
-            "--warmup-length", type=int, help="override the K^3 uniform warmup"
+            "--warmup-length",
+            type=int,
+            help="uniform warmup rounds (default K^3); any value up to K^3 "
+            "plays the default game, a longer one extends the warmup",
         )
     sim.add_argument(
         "--store-traces",

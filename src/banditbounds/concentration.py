@@ -107,17 +107,23 @@ def bernoulli_kl_moment(length: int, p: float) -> float:
 class DependentChainSpec:
     """Finite description of a dependent [0,1]-valued process.
 
-    ``transitions`` maps each reachable history prefix — a tuple of support
-    indices — to the conditional distribution (over ``support``) of the next
-    value.  Construction walks every reachable prefix and rejects the spec
-    unless each conditional is a probability vector whose mean equals
-    ``mean`` to within 1e-12: the constant-conditional-mean hypothesis is
-    validated up front, not trusted.
+    ``transitions`` gives, for each reachable history prefix — a tuple of
+    support indices — the conditional distribution (over ``support``) of
+    the next value.  It is either a mapping from prefixes or a function of
+    the prefix; after construction it is always a dict holding exactly the
+    reachable prefixes.  Construction checks the path budget, then walks
+    every reachable prefix depth first (a function is called once per
+    prefix, in that order) and rejects the spec unless each conditional is
+    a probability vector whose mean equals ``mean`` to within 1e-12: the
+    constant-conditional-mean hypothesis is validated up front, not trusted.
     """
 
     length: int
     support: tuple[float, ...]
-    transitions: Mapping[tuple[int, ...], Sequence[float]]
+    transitions: (
+        Mapping[tuple[int, ...], Sequence[float]]
+        | Callable[[tuple[int, ...]], Sequence[float]]
+    )
     mean: float
 
     def __post_init__(self) -> None:
@@ -137,13 +143,15 @@ class DependentChainSpec:
                 f"{len(support)}**{self.length} paths exceed the "
                 f"enumeration budget of {PATH_BUDGET}"
             )
+        source = self.transitions
+        conditional = source if callable(source) else source.__getitem__
         cleaned: dict[tuple[int, ...], tuple[float, ...]] = {}
         stack: list[tuple[int, ...]] = [()]
         values = np.asarray(support)
         while stack:
             prefix = stack.pop()
             try:
-                raw = self.transitions[prefix]
+                raw = conditional(prefix)
             except KeyError:
                 raise ValueError(
                     f"missing conditional distribution for reachable prefix {prefix}"
@@ -177,24 +185,12 @@ class DependentChainSpec:
     def iid_bernoulli(cls, length: int, p: float) -> "DependentChainSpec":
         p = _check_unit(p, "p")
         probs = (1.0 - p, p)
-        transitions: dict[tuple[int, ...], tuple[float, ...]] = {}
-        stack: list[tuple[int, ...]] = [()]
-        while stack:
-            prefix = stack.pop()
-            transitions[prefix] = probs
-            if len(prefix) + 1 < length:
-                for j, pr in enumerate(probs):
-                    if pr > 0.0:
-                        stack.append(prefix + (j,))
-        return cls(length=length, support=(0.0, 1.0), transitions=transitions, mean=p)
+        return cls(length=length, support=(0.0, 1.0), transitions=lambda _: probs, mean=p)
 
     @classmethod
     def constant(cls, length: int, value: float) -> "DependentChainSpec":
         value = _check_unit(value, "value")
-        transitions = {(): (1.0,)}
-        for depth in range(1, length):
-            transitions[(0,) * depth] = (1.0,)
-        return cls(length=length, support=(value,), transitions=transitions, mean=value)
+        return cls(length=length, support=(value,), transitions=lambda _: (1.0,), mean=value)
 
 
 def _conditional_vertices(support: Sequence[float], mean: float) -> list[np.ndarray]:
@@ -249,7 +245,7 @@ def random_constant_mean_chain(
     if not vertices:
         raise RuntimeError("no feasible conditional; unreachable by construction")
 
-    def draw() -> tuple[float, ...]:
+    def draw(_prefix: tuple[int, ...]) -> tuple[float, ...]:
         if len(vertices) == 1:
             q = vertices[0]
         else:
@@ -258,20 +254,10 @@ def random_constant_mean_chain(
             q = t * vertices[a] + (1.0 - t) * vertices[b]
         return tuple(float(x) for x in q)
 
-    transitions: dict[tuple[int, ...], tuple[float, ...]] = {}
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        probs = draw()
-        transitions[prefix] = probs
-        if len(prefix) + 1 < length:
-            for j, pr in enumerate(probs):
-                if pr > 0.0:
-                    stack.append(prefix + (j,))
     return DependentChainSpec(
         length=length,
         support=tuple(float(v) for v in support),
-        transitions=transitions,
+        transitions=draw,
         mean=mean,
     )
 
@@ -280,8 +266,6 @@ def dependent_convex_expectation(
     chain: DependentChainSpec, f: Callable[[tuple[float, ...]], float]
 ) -> float:
     """E[f(X_1..X_N)] under the chain, by exact enumeration of reachable paths."""
-    if len(chain.support) ** chain.length > PATH_BUDGET:
-        raise BudgetError("path count exceeds the enumeration budget")
     values = chain.support
     total = 0.0
     stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .bandit import Environment, GameTrace, _gibbs_weights, _schedule_arrays, run_game
+from .bandit import Environment, GameTrace, _gibbs_weights, _pi_floor, _schedule_arrays, run_game
 from .bounds import _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
@@ -217,15 +217,20 @@ def write_trace_csv(trace: GameTrace, path) -> None:
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, summary: dict) -> Path:
+    """Write manifest.json as strict JSON: a non-finite summary value, such
+    as a slope fitted to fewer than two rounds, is written as null."""
     payload = {
         "artifact": "banditbounds",
         "version": __version__,
         "config": cfg.semantic_fields(),
-        "summary": summary,
+        "summary": {
+            name: None if isinstance(v, float) and not math.isfinite(v) else v
+            for name, v in summary.items()
+        },
     }
     path = outdir / "manifest.json"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -245,7 +250,7 @@ def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
     data-independent it is a legal choice wherever the bounds require one.
     """
     _, epsilon = _schedule_arrays(n_arms, range(1, horizon + 1))
-    return np.minimum(epsilon, 1.0 / n_arms)
+    return _pi_floor(n_arms, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +323,12 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
 
     envelope = _envelope_curve(k, cfg.horizon, cfg.delta)
     scoped = np.isfinite(envelope)
-    if scoped.any():
-        covered = np.all(regret[:, scoped] <= envelope[scoped], axis=1)
-    else:
-        covered = np.ones(cfg.trajectories, dtype=bool)
+    inside = regret[:, scoped] <= envelope[scoped]
+    covered = inside.all(axis=1)
 
     q10, q50, q90 = np.quantile(regret, [0.1, 0.5, 0.9], axis=0)
     within = np.full(cfg.horizon, np.nan)
-    within[scoped] = np.mean(regret[:, scoped] <= envelope[scoped], axis=0)
+    within[scoped] = inside.mean(axis=0)
 
     ts = np.arange(1, cfg.horizon + 1)
     fit_lo = max(k**3, cfg.horizon // 10)
@@ -403,12 +406,7 @@ def _merge(a: CoverageReport, b: CoverageReport) -> CoverageReport:
     return CoverageReport(delta=a.delta, entries=entries)
 
 
-def certificate_sweep(
-    trace: GameTrace,
-    env: Environment,
-    delta: float,
-    det_pi_min: np.ndarray | None = None,
-) -> CoverageReport:
+def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> CoverageReport:
     """Evaluate every bound route at every round of one trajectory.
 
     Comparison distributions: the Gibbs posterior on current estimates, the
@@ -421,15 +419,13 @@ def certificate_sweep(
     """
     k = trace.n_arms
     horizon = trace.horizon
-    if det_pi_min is None:
-        det_pi_min = schedule_pi_min(k, horizon)
     ts = np.arange(1, horizon + 1, dtype=float)
     means = env.means
     a_star = env.best_arm
     rhat = trace.rhat
     lmin = trace.pi_lmin
 
-    gamma, _ = _schedule_arrays(k, range(1, horizon + 1))
+    gamma, epsilon = _schedule_arrays(k, range(1, horizon + 1))
     rho = _gibbs_weights(rhat, gamma[:, None])
 
     log_k = math.log(k)
@@ -442,7 +438,7 @@ def certificate_sweep(
         (rhat.mean(axis=1), np.full(horizon, float(means.mean())), np.zeros(horizon)),
     )
 
-    cum_a = np.cumsum(det_pi_min**-2.0)
+    cum_a = np.cumsum(_pi_floor(k, epsilon) ** -2.0)
 
     violations = {name: np.zeros(horizon, dtype=bool) for name in _ROUTES}
     slack = dict.fromkeys(_ROUTES, math.inf)
@@ -480,7 +476,6 @@ def _verify_chunk(args):
     others return None."""
     cfg, indices = args
     env = cfg.environment()
-    det = schedule_pi_min(cfg.n_arms, cfg.horizon)
     record = drivers = None
     for i in indices:
         trace = run_game(
@@ -488,7 +483,7 @@ def _verify_chunk(args):
         )
         if i == 0:
             drivers = gap_driver_report(trace, cfg.delta)
-        sweep = certificate_sweep(trace, env, cfg.delta, det)
+        sweep = certificate_sweep(trace, env, cfg.delta)
         record = sweep if record is None else _merge(record, sweep)
     return record, drivers
 

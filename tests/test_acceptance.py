@@ -22,10 +22,13 @@ from banditbounds import (
     pinsker_gap,
     random_constant_mean_chain,
     regret_decomposition,
+    regret_envelope,
+    reward_gap_radius,
     run_game,
     run_simulate,
     run_verify_bounds,
     schedule_pi_min,
+    schedules,
     simulate_profile_walks,
     weighted_gap_bound,
     weighted_gap_bound_opt,
@@ -275,3 +278,33 @@ def test_criterion_10_determinism_and_workers(tmp_path):
             f"1-worker vs 4-worker outputs byte-identical: {worker_same}")
     assert sim_same
     assert worker_same
+
+
+def test_criterion_11_envelope_dominates_its_term_bounds():
+    # The envelope's derivation, checked pointwise: it must dominate the two
+    # deterministic term bounds of the regret decomposition, the Gibbs shift
+    # K/gamma_t and the smoothing loss K*epsilon_{t+1}, plus one kl-route
+    # radius for each estimate gap (best arm and Gibbs), at the schedule
+    # floor min(epsilon_t, 1/K).  Criterion 07's coverage cannot tell the
+    # envelope from a faster-decaying one; this check can.
+    t0 = time.perf_counter()
+    worst_ratio, worst_at = math.inf, None
+    points = 0
+    for k in range(2, 17):
+        ts = np.rint(np.geomspace(k**3, 1e15, 400)).astype(np.int64).tolist()
+        for delta in (0.3, 0.05, 1e-4, 1e-12):
+            for t in ts:
+                now, after = schedules(t, k), schedules(t + 1, k)
+                radius = reward_gap_radius(math.log(k), t, delta, min(now.epsilon, 1.0 / k))
+                terms = k / now.gamma + k * after.epsilon + 2.0 * radius
+                ratio = regret_envelope(k, t, delta) / terms
+                if ratio < worst_ratio:
+                    worst_ratio, worst_at = ratio, (k, delta, t)
+                points += 1
+    elapsed = time.perf_counter() - t0
+    ok = worst_ratio >= 1.0
+    _report(11, "envelope dominates its term bounds", ok,
+            f"min envelope / (K/gamma_t + K eps_(t+1) + 2 radius) = "
+            f"{worst_ratio:.4f} >= 1 at (K, delta, t) = {worst_at} over "
+            f"{points} points, K in 2..16, t in [K^3, 1e15]; {elapsed:.1f}s")
+    assert worst_ratio >= 1.0

@@ -300,12 +300,27 @@ class TestRunGame:
         assert np.allclose(trace.pi.sum(axis=1), 1.0, atol=1e-12)
 
     def test_short_warmup_keeps_simplex(self):
-        # warmup_length=1 makes round 1 a Gibbs round where the raw epsilon
-        # exceeds 1/K; the cap must kick in instead of leaving the simplex.
+        # warmup_length=1 makes round 1 a smoothed round where the raw
+        # epsilon exceeds 1/K; the floor caps it at 1/K, which keeps the
+        # policy on the simplex and makes it exactly uniform.
         env = Environment(means=np.array([0.6, 0.3]))
         trace = run_game(env, horizon=10, seed=1, warmup_length=1)
         assert np.allclose(trace.pi.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(trace.pi[0], 0.5)  # capped eps = 1/K, uniform rho
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "point", "beta"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_warmup_up_to_k_cubed_plays_the_default_game(self, k, kind):
+        # Before round K^3 the floor is 1/K, and smoothing by 1/K turns any
+        # Gibbs policy into the uniform one the default warmup plays.
+        env = Environment(means=np.linspace(0.8, 0.2, k), reward_kind=kind)
+        horizon = k**3 + 30
+        default = run_game(env, horizon, seed=k)
+        for warmup in (1, k**3 - 1):
+            short = run_game(env, horizon, seed=k, warmup_length=warmup)
+            for field in ("pi", "actions", "rewards", "rhat", "pi_lmin", "next_pi"):
+                same = np.array_equal(getattr(short, field), getattr(default, field))
+                assert same, (warmup, field)
 
     def test_running_lmin(self):
         env = Environment(means=np.array([0.9, 0.5, 0.1]))

@@ -158,10 +158,38 @@ class TestDependentChains:
         assert (1,) not in chain.transitions
 
     def test_path_budget(self):
+        class CountingChain(DependentChainSpec):
+            # Counts the calls the construction walk makes to a function.
+            calls = 0
+
+            def __post_init__(self):
+                conditional = self.transitions
+
+                def counted(prefix):
+                    CountingChain.calls += 1
+                    return conditional(prefix)
+
+                object.__setattr__(self, "transitions", counted)
+                super().__post_init__()
+
+        CountingChain.iid_bernoulli(3, 0.5)
+        assert CountingChain.calls == 7  # the prefixes of length 0, 1 and 2
+        CountingChain.calls = 0
         with pytest.raises(BudgetError):
-            DependentChainSpec.iid_bernoulli(21, 0.5)  # 2^21 > 10^6
+            CountingChain.iid_bernoulli(21, 0.5)  # 2^21 > 10^6
+        assert CountingChain.calls == 0  # the budget is checked before the walk
         with pytest.raises(BudgetError):
             bernoulli_convex_expectation(21, 0.5, lambda xs: 0.0)
+
+    def test_function_and_mapping_build_the_same_chain(self):
+        def conditional(prefix):
+            # two_step_chain's rule: after a 0 the next value is surely 1/2.
+            return (0.0, 1.0, 0.0) if prefix == (0,) else (0.5, 0.0, 0.5)
+
+        from_function = DependentChainSpec(
+            length=2, support=(0.0, 0.5, 1.0), transitions=conditional, mean=0.5
+        )
+        assert from_function.transitions == two_step_chain().transitions
 
     def test_random_chains_are_valid_and_dominated(self):
         rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(900, 0)))

@@ -505,21 +505,37 @@ class TestRunCompareConcentration:
         assert one_spike_row[6] == ""
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN and the infinities, as RFC 8259 does."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCli:
     def test_simulate_exit_zero(self, tmp_path):
-        code = main(
-            [
-                "simulate",
-                "--horizon",
-                "20",
-                "--trajectories",
-                "3",
-                "--outdir",
-                str(tmp_path / "cli_sim"),
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "cli_sim" / "regret_curve.csv").exists()
+        for horizon in (20, 3):
+            outdir = tmp_path / f"cli_sim_{horizon}"
+            code = main(
+                [
+                    "simulate",
+                    "--horizon",
+                    str(horizon),
+                    "--trajectories",
+                    "3",
+                    "--outdir",
+                    str(outdir),
+                ]
+            )
+            assert code == 0
+            assert (outdir / "regret_curve.csv").exists()
+            summary = _strict_json((outdir / "manifest.json").read_text())["summary"]
+        # Horizon 3 ends before K^3 = 8: no round is fitted or scoped, so the
+        # slope is written as null and the coverage is vacuously 1.
+        assert summary["regret_loglog_slope"] is None
+        assert summary["trajectory_coverage"] == 1.0
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         code = main(
