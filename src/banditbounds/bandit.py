@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergences import SimplexVector, _check_unit
+from .divergences import SimplexVector, _check_pi_lmin, _check_unit
 
 __all__ = [
     "Environment",
@@ -136,11 +136,10 @@ class PolicyState:
             raise ValueError("weighted_sums must be a nonempty 1-d vector")
         if int(self.t) < 0:
             raise ValueError("t must be nonnegative")
-        if not 0.0 < self.pi_lmin <= 1.0:
-            raise ValueError("pi_lmin must lie in (0, 1]")
         sums.setflags(write=False)
         object.__setattr__(self, "weighted_sums", sums)
         object.__setattr__(self, "t", int(self.t))
+        object.__setattr__(self, "pi_lmin", _check_pi_lmin(self.pi_lmin))
 
     @classmethod
     def initial(cls, n_arms: int) -> "PolicyState":

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandit import Environment, GameTrace, _gibbs_weights, _schedule_arrays, _smooth_weights
-from .concentration import CertificateResult
-from .divergences import _check_delta, bernoulli_kl, pinsker_gap
+from .divergences import _check_delta, _check_pi_lmin, bernoulli_kl
 
 __all__ = [
+    "CertificateResult",
     "GapDriverReport",
     "RegretDecomposition",
     "expsum_ratio",
@@ -71,6 +71,11 @@ def _big_l(ts: np.ndarray, delta: float) -> np.ndarray:
 
 def _kl_budget(prior_kl, ts: np.ndarray, delta: float) -> np.ndarray:
     return (prior_kl + _log_term(ts, delta)) / ts
+
+
+def _gap_radius(prior_kl, ts: np.ndarray, delta: float, pi_lmin) -> np.ndarray:
+    """Pinsker radius of the kl budget over pi_lmin: the kl route's L1 radius."""
+    return np.sqrt(_kl_budget(prior_kl, ts, delta) / 2.0) / pi_lmin
 
 
 def _weighted_opt(prior_kl, ts: np.ndarray, delta: float, cum_a: np.ndarray) -> np.ndarray:
@@ -117,10 +122,24 @@ def kl_budget(prior_kl: float, t: int, delta: float) -> float:
 
 def reward_gap_radius(prior_kl: float, t: int, delta: float, pi_lmin: float) -> float:
     """L1 relaxation of the kl route: Pinsker radius divided by pi_lmin."""
-    pi_lmin = float(pi_lmin)
-    if not 0.0 < pi_lmin <= 1.0:
-        raise ValueError("pi_lmin must lie in (0, 1]")
-    return pinsker_gap(kl_budget(prior_kl, t, delta)) / pi_lmin
+    pi_lmin = _check_pi_lmin(pi_lmin)
+    prior_kl = _check_prior_kl(prior_kl)
+    t = _check_t(t)
+    delta = _check_delta(delta)
+    return float(_gap_radius(prior_kl, _at(t), delta, pi_lmin)[0])
+
+
+@dataclass(frozen=True)
+class CertificateResult:
+    """Outcome of checking an empirical quantity against a bound.
+
+    ``slack = bound - value``; nonnegative slack means the bound holds.
+    """
+
+    holds: bool
+    slack: float
+    value: float
+    bound: float
 
 
 def _clip_unit(x: float, what: str) -> float:
@@ -149,9 +168,7 @@ def kl_certificate(
     ``r_hat_rho`` and ``r_rho`` are the rho-averaged estimate and truth;
     both must land in [0, 1] after scaling by ``pi_lmin``.
     """
-    pi_lmin = float(pi_lmin)
-    if not 0.0 < pi_lmin <= 1.0:
-        raise ValueError("pi_lmin must lie in (0, 1]")
+    pi_lmin = _check_pi_lmin(pi_lmin)
     scaled_hat = _clip_unit(pi_lmin * float(r_hat_rho), "pi_lmin * r_hat_rho")
     scaled_true = _clip_unit(pi_lmin * float(r_rho), "pi_lmin * r_rho")
     value = bernoulli_kl(scaled_hat, scaled_true)
@@ -248,7 +265,7 @@ def gap_driver_report(trace: GameTrace, delta: float) -> GapDriverReport:
         rounds=np.arange(1, trace.horizon + 1),
         lmin_driver=1.0 / lmin,
         rms_driver=np.sqrt(cum_inv_sq / ts),
-        kl_route_gap=np.sqrt(_kl_budget(0.0, ts, delta) / 2.0) / lmin,
+        kl_route_gap=_gap_radius(0.0, ts, delta, lmin),
         weighted_route_gap=_weighted_opt(0.0, ts, delta, cum_inv_sq),
     )
 

@@ -29,7 +29,6 @@ from .divergences import bernoulli_kl, _check_delta, _check_unit
 
 __all__ = [
     "BudgetError",
-    "CertificateResult",
     "DependentChainSpec",
     "MartingaleRange",
     "azuma_alt_bound",
@@ -55,19 +54,6 @@ _PROFILE_STREAM = 103
 
 class BudgetError(ValueError):
     """Raised when an exact enumeration would exceed the path budget."""
-
-
-@dataclass(frozen=True)
-class CertificateResult:
-    """Outcome of checking an empirical quantity against a bound.
-
-    ``slack = bound - value``; nonnegative slack means the bound holds.
-    """
-
-    holds: bool
-    slack: float
-    value: float
-    bound: float
 
 
 def bernoulli_kl_moment(length: int, p: float) -> float:

@@ -1,4 +1,4 @@
-"""Binary and categorical KL divergence, KL inversion, and simplex values.
+"""Binary KL divergence, KL inversion, and simplex values.
 
 Conventions used throughout: ``0 * ln 0 = 0``, and the divergence is an
 explicit ``math.inf`` whenever the second argument sits on the boundary
@@ -18,7 +18,6 @@ __all__ = [
     "SimplexVector",
     "bernoulli_kl",
     "bernoulli_kl_vec",
-    "categorical_kl",
     "kl_lower_inverse",
     "kl_upper_inverse",
     "pinsker_gap",
@@ -46,6 +45,20 @@ def _check_delta(delta: float) -> float:
     if math.isnan(delta) or not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     return delta
+
+
+def _check_budget(c: float) -> float:
+    c = float(c)
+    if math.isnan(c) or c < 0.0:
+        raise ValueError(f"kl budget must be nonnegative, got {c!r}")
+    return c
+
+
+def _check_pi_lmin(pi_lmin: float) -> float:
+    pi_lmin = float(pi_lmin)
+    if not 0.0 < pi_lmin <= 1.0:
+        raise ValueError(f"pi_lmin must lie in (0, 1], got {pi_lmin!r}")
+    return pi_lmin
 
 
 def _log_ratio(num: float, den: float) -> float:
@@ -89,26 +102,27 @@ def bernoulli_kl_vec(p, q) -> np.ndarray:
     return np.where(p == q, 0.0, out)
 
 
-def categorical_kl(rho: "SimplexVector", mu: "SimplexVector") -> float:
-    """KL divergence between two distributions on the same finite set."""
-    if rho.n_arms != mu.n_arms:
-        raise ValueError(
-            f"dimension mismatch: {rho.n_arms} vs {mu.n_arms} categories"
-        )
-    r = rho.weights
-    m = mu.weights
-    if np.any((r > 0.0) & (m == 0.0)):
-        return math.inf
-    mask = r > 0.0
-    return float(np.sum(r[mask] * np.log(r[mask] / m[mask])))
-
-
 def pinsker_gap(c: float) -> float:
     """Largest |p - q| compatible with kl(p||q) <= c, via Pinsker."""
-    c = float(c)
-    if math.isnan(c) or c < 0.0:
-        raise ValueError(f"kl budget must be nonnegative, got {c!r}")
-    return math.sqrt(c / 2.0)
+    return math.sqrt(_check_budget(c) / 2.0)
+
+
+def _bisect_log(p_hat: float, c: float, lo: float, hi: float, q_of) -> float:
+    """Bisect a log coordinate v in [lo, hi] for kl(p_hat||q_of(v)) <= c.
+
+    kl falls as v rises to ``hi``, the feasible end; ``lo`` must be
+    infeasible.  Stops at both the argument tolerance (1e-14 in v) and the
+    same tolerance on the kl value (1e-12), and returns q at the feasible end.
+    """
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if bernoulli_kl(p_hat, q_of(mid)) <= c:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= _BISECT_LOG_TOL and c - bernoulli_kl(p_hat, q_of(hi)) <= _BISECT_TOL:
+            break
+    return q_of(hi)
 
 
 def kl_upper_inverse(p_hat: float, c: float) -> float:
@@ -116,14 +130,11 @@ def kl_upper_inverse(p_hat: float, c: float) -> float:
 
     Bisection on the increasing branch in the coordinate ln(1-q), where the
     kl curve has bounded slope all the way to the simplex boundary; this
-    reaches both the argument tolerance (1e-12) and the same tolerance on
-    the kl value within the iteration cap even when the inverse sits
-    extremely close to 1.  ``c = inf`` returns 1.0.
+    reaches both tolerances of ``_bisect_log`` within the iteration cap even
+    when the inverse sits extremely close to 1.  ``c = inf`` returns 1.0.
     """
     p_hat = _check_unit(p_hat, "p_hat")
-    c = float(c)
-    if math.isnan(c) or c < 0.0:
-        raise ValueError(f"kl budget must be nonnegative, got {c!r}")
+    c = _check_budget(c)
     if math.isinf(c):
         return 1.0
     if c == 0.0 or p_hat == 1.0:
@@ -132,20 +143,9 @@ def kl_upper_inverse(p_hat: float, c: float) -> float:
         # kl(0||q) = -ln(1-q) inverts in closed form.
         return -math.expm1(-c)
     # kl >= p ln p + (1-p) ln((1-p)/(1-q)) gives the infeasible bracket end.
-    hi_v = math.log1p(-p_hat)
-    lo_v = hi_v - (c - p_hat * math.log(p_hat)) / (1.0 - p_hat)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo_v + hi_v)
-        if bernoulli_kl(p_hat, 1.0 - math.exp(mid)) <= c:
-            hi_v = mid
-        else:
-            lo_v = mid
-        if (
-            hi_v - lo_v <= _BISECT_LOG_TOL
-            and c - bernoulli_kl(p_hat, 1.0 - math.exp(hi_v)) <= _BISECT_TOL
-        ):
-            break
-    return min(1.0, max(p_hat, 1.0 - math.exp(hi_v)))
+    hi = math.log1p(-p_hat)
+    lo = hi - (c - p_hat * math.log(p_hat)) / (1.0 - p_hat)
+    return min(1.0, max(p_hat, _bisect_log(p_hat, c, lo, hi, lambda v: 1.0 - math.exp(v))))
 
 
 def kl_lower_inverse(p_hat: float, c: float) -> float:
@@ -154,9 +154,7 @@ def kl_lower_inverse(p_hat: float, c: float) -> float:
     Mirror of the upper inverse, bisecting in ln q.
     """
     p_hat = _check_unit(p_hat, "p_hat")
-    c = float(c)
-    if math.isnan(c) or c < 0.0:
-        raise ValueError(f"kl budget must be nonnegative, got {c!r}")
+    c = _check_budget(c)
     if math.isinf(c):
         return 0.0
     if c == 0.0 or p_hat == 0.0:
@@ -164,20 +162,9 @@ def kl_lower_inverse(p_hat: float, c: float) -> float:
     if p_hat == 1.0:
         # kl(1||q) = -ln q inverts in closed form.
         return math.exp(-c)
-    hi_u = math.log(p_hat)
-    lo_u = hi_u - (c - (1.0 - p_hat) * math.log1p(-p_hat)) / p_hat
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo_u + hi_u)
-        if bernoulli_kl(p_hat, math.exp(mid)) <= c:
-            hi_u = mid
-        else:
-            lo_u = mid
-        if (
-            hi_u - lo_u <= _BISECT_LOG_TOL
-            and c - bernoulli_kl(p_hat, math.exp(hi_u)) <= _BISECT_TOL
-        ):
-            break
-    return max(0.0, min(p_hat, math.exp(hi_u)))
+    hi = math.log(p_hat)
+    lo = hi - (c - (1.0 - p_hat) * math.log1p(-p_hat)) / p_hat
+    return max(0.0, min(p_hat, _bisect_log(p_hat, c, lo, hi, math.exp)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,26 +202,9 @@ class SimplexVector:
             raise ValueError("need at least one category")
         return cls(np.full(n_arms, 1.0 / n_arms))
 
-    @classmethod
-    def point_mass(cls, n_arms: int, index: int) -> "SimplexVector":
-        if not 0 <= index < n_arms:
-            raise ValueError(f"index {index} outside 0..{n_arms - 1}")
-        w = np.zeros(n_arms)
-        w[index] = 1.0
-        return cls(w)
-
     @property
     def n_arms(self) -> int:
         return int(self.weights.size)
 
-    def expectation(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
-            raise ValueError("values must match the weight vector length")
-        return float(np.dot(self.weights, values))
-
     def min_weight(self) -> float:
         return float(self.weights.min())
-
-    def __len__(self) -> int:
-        return self.n_arms

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .bandit import Environment, GameTrace, _gibbs_weights, _pi_floor, _schedule_arrays, run_game
-from .bounds import _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
+from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
     _stream,
@@ -74,6 +74,10 @@ MODES = ("simulate", "verify-bounds", "oracles", "compare-concentration")
 _TRAJECTORY_STREAM = 0
 _CHAIN_STREAM = 3
 _PROBE_STREAM = 4
+
+# Cap on the entries of the largest array a campaign allocates (800 MB of
+# float64): simulate's (M, T) regret matrix at M = 1000, T = 10^5 just fits.
+_MAX_ARRAY_ENTRIES = 10**8
 
 _INT_FIELDS = (
     "n_arms", "horizon", "trajectories", "seed", "warmup_length", "workers",
@@ -153,6 +157,20 @@ class ExperimentConfig:
             raise ValueError("workers must be positive")
         if min(self.chain_count, self.probe_count, self.walk_trials, self.walk_steps) < 1:
             raise ValueError("campaign sizes must be positive")
+        # Entries of each large array the campaign allocates, checked before
+        # the environment builds its K means.
+        sizes = [self.n_arms]
+        if self.mode in ("simulate", "verify-bounds"):
+            sizes += [self.horizon * self.n_arms, self.trajectories]  # per game; indices
+        if self.mode == "simulate":
+            sizes.append(self.trajectories * self.horizon)
+        if self.mode == "compare-concentration":
+            sizes += [16 * self.walk_steps, self.walk_trials]
+        if max(sizes) > _MAX_ARRAY_ENTRIES:
+            raise ValueError(
+                f"the campaign would allocate an array of {max(sizes)} entries, "
+                f"over the cap of {_MAX_ARRAY_ENTRIES}"
+            )
         self.environment()  # validates means against [0, 1] and reward_kind
 
     def resolved_means(self) -> tuple[float, ...]:
@@ -336,7 +354,9 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     summary = {
         "median_regret_final": float(q50[-1]),
         "regret_loglog_slope": _loglog_slope(ts[fit_mask], q50[fit_mask]),
-        "trajectory_coverage": float(np.mean(covered)),
+        # No scoped round (horizon < K^3) leaves the coverage undefined: null.
+        "trajectory_coverage": float(np.mean(covered)) if scoped.any() else math.nan,
+        "scoped_rounds": int(scoped.sum()),
         "fit_window_start": int(fit_lo),
     }
 
@@ -444,7 +464,7 @@ def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> Cover
     slack = dict.fromkeys(_ROUTES, math.inf)
     for r_hat_rho, r_rho, prior_kl in comparators:
         scaled_hat = lmin * r_hat_rho
-        if scaled_hat.max() > 1.0 + 1e-9:
+        if scaled_hat.max() > 1.0 + _SCALE_TOL:
             raise ValueError("pi_lmin scaling contract violated on the trace")
         scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
         scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from banditbounds import (
     Environment,
@@ -23,6 +25,7 @@ from banditbounds import (
     weighted_gap_bound,
     weighted_gap_bound_opt,
 )
+from banditbounds.bounds import _gap_radius
 
 
 def flat_trace(horizon: int, pi_rows: np.ndarray) -> GameTrace:
@@ -96,6 +99,24 @@ class TestRewardGapRadius:
             reward_gap_radius(0.0, 100, 0.05, 0.0)
         with pytest.raises(ValueError):
             reward_gap_radius(0.0, 100, 0.05, 1.5)
+
+    @given(
+        k=st.integers(2, 16),
+        delta=st.floats(1e-12, 0.5),
+        ts=st.lists(st.integers(1, 10**15), min_size=1, max_size=20),
+        pi_lmin=st.floats(1e-300, 1.0, exclude_min=True),
+    )
+    def test_kernel_entries_equal_scalar_radius(self, k, delta, ts, pi_lmin):
+        radii = _gap_radius(math.log(k), np.array(ts, dtype=float), delta, pi_lmin)
+        for t, radius in zip(ts, radii):
+            assert radius == reward_gap_radius(math.log(k), t, delta, pi_lmin), t
+
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 300), delta=st.floats(1e-6, 0.5))
+    def test_drivers_column_equals_scalar_radius(self, seed, horizon, delta):
+        trace = run_game(Environment(means=np.array([0.7, 0.3])), horizon=horizon, seed=seed)
+        gaps = gap_driver_report(trace, delta).kl_route_gap
+        for t in range(1, horizon + 1):
+            assert gaps[t - 1] == reward_gap_radius(0.0, t, delta, trace.pi_lmin[t - 1]), t
 
 
 class TestKlCertificate:

@@ -9,7 +9,6 @@ from banditbounds.divergences import (
     SimplexVector,
     bernoulli_kl,
     bernoulli_kl_vec,
-    categorical_kl,
     kl_lower_inverse,
     kl_upper_inverse,
     pinsker_gap,
@@ -81,41 +80,6 @@ class TestBernoulliKl:
         vec = bernoulli_kl_vec(np.array([0.5, 0.0]), np.array([0.0, 0.0]))
         assert vec[0] == math.inf
         assert vec[1] == 0.0
-
-
-class TestCategoricalKl:
-    def test_identical_uniform(self):
-        for k in (2, 3, 7):
-            u = SimplexVector.uniform(k)
-            assert categorical_kl(u, u) == 0.0
-
-    def test_point_mass_vs_uniform(self):
-        for k in (2, 5):
-            point = SimplexVector.point_mass(k, 0)
-            assert categorical_kl(point, SimplexVector.uniform(k)) == pytest.approx(
-                math.log(k), abs=1e-15
-            )
-
-    def test_absolute_continuity_failure(self):
-        rho = SimplexVector([0.5, 0.5, 0.0])
-        mu = SimplexVector([0.0, 0.5, 0.5])
-        assert categorical_kl(rho, mu) == math.inf
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            categorical_kl(SimplexVector.uniform(2), SimplexVector.uniform(3))
-
-    def test_nonnegative_zero_iff_equal(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            w = rng.dirichlet(np.ones(4))
-            v = rng.dirichlet(np.ones(4))
-            rho, mu = SimplexVector(w), SimplexVector(v)
-            kl = categorical_kl(rho, mu)
-            assert kl >= 0.0
-            if kl == 0.0:
-                assert np.allclose(w, v)
-            assert categorical_kl(rho, rho) == 0.0
 
 
 class TestKlInverses:
@@ -205,9 +169,6 @@ class TestSimplexVector:
         u = SimplexVector.uniform(4)
         assert u.n_arms == 4
         assert u.min_weight() == pytest.approx(0.25, abs=1e-15)
-        p = SimplexVector.point_mass(4, 2)
-        assert float(p.weights[2]) == 1.0
-        assert p.expectation([0.0, 0.0, 0.7, 0.0]) == pytest.approx(0.7, abs=1e-15)
 
     def test_weights_read_only(self):
         u = SimplexVector.uniform(3)

@@ -8,12 +8,14 @@ drift away from the library's own definitions.
 import csv
 import json
 import math
+import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditbounds import (
@@ -298,6 +300,7 @@ class TestRunSimulate:
             "median_regret_final",
             "regret_loglog_slope",
             "trajectory_coverage",
+            "scoped_rounds",
             "fit_window_start",
         }
 
@@ -328,6 +331,7 @@ class TestRunSimulate:
         assert manifest["summary"]["trajectory_coverage"] == pytest.approx(
             float(np.mean(result.trajectory_covered))
         )
+        assert manifest["summary"]["scoped_rounds"] == 40 - 8 + 1  # t = K^3..T
 
     def test_byte_determinism_across_outdirs(self, tmp_path):
         base = dict(mode="simulate", horizon=30, trajectories=4, seed=7)
@@ -533,9 +537,10 @@ class TestCli:
             assert (outdir / "regret_curve.csv").exists()
             summary = _strict_json((outdir / "manifest.json").read_text())["summary"]
         # Horizon 3 ends before K^3 = 8: no round is fitted or scoped, so the
-        # slope is written as null and the coverage is vacuously 1.
+        # slope and the coverage are both undefined and written as null.
         assert summary["regret_loglog_slope"] is None
-        assert summary["trajectory_coverage"] == 1.0
+        assert summary["scoped_rounds"] == 0
+        assert summary["trajectory_coverage"] is None
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         code = main(
@@ -627,6 +632,123 @@ class TestCli:
         monkeypatch.setitem(cli_module._RUNNERS, "oracles", fake_runner)
         code = main(["oracles", "--outdir", str(tmp_path / "orc_fail")])
         assert code == 1
+
+
+class TestFootprintCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-bounds", "--horizon", str(10**9)],
+            ["simulate", "--trajectories", str(10**6), "--horizon", str(10**6)],
+            ["compare-concentration", "--walk-steps", str(10**8)],
+            ["simulate", "--n-arms", str(10**6)],
+            ["verify-bounds", "--n-arms", str(10**6)],
+        ],
+    )
+    def test_oversized_config_exits_two_before_allocating(self, tmp_path, capsys, argv):
+        outdir = tmp_path / "big"
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--outdir", str(outdir)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not outdir.exists()
+        # --n-arms 10**6 alone would cost about 30 MB if the means were built.
+        assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # both bandit modes at M = 1000, T = 10^5
+            {"mode": "simulate", "trajectories": 1000, "horizon": 10**5},
+            {"mode": "verify-bounds", "trajectories": 1000, "horizon": 10**5},
+            {"mode": "simulate", "n_arms": 3, "trajectories": 1000, "horizon": 10**5},
+            # criteria 05 and 07
+            {"mode": "verify-bounds", "trajectories": 1000, "horizon": 2000},
+            {"mode": "simulate", "n_arms": 3, "trajectories": 100, "horizon": 10**4},
+            # the benchmark workloads
+            {"mode": "verify-bounds", "trajectories": 50, "horizon": 2000},
+            {"mode": "simulate", "n_arms": 3, "reward_kind": "beta", "trajectories": 6,
+             "horizon": 10**4, "store_traces": True},
+            {"mode": "oracles"},
+            {"mode": "compare-concentration"},
+        ],
+    )
+    def test_named_sizes_stay_valid(self, kwargs):
+        ExperimentConfig(**kwargs).validate()
+
+
+_OVER_CAP = st.integers(harness._MAX_ARRAY_ENTRIES + 1, 10**12)
+_INVALID = st.sampled_from([0, -3, math.nan, "4", True, [2]])
+_SMALL = {
+    "n_arms": st.integers(2, 3),
+    "horizon": st.integers(1, 50),
+    "trajectories": st.integers(1, 4),
+    "chain_count": st.integers(1, 5),
+    "probe_count": st.integers(1, 50),
+    "walk_trials": st.integers(1, 20),
+    "walk_steps": st.integers(1, 10),
+    "seed": st.integers(0, 100),
+    "delta": st.floats(0.01, 0.5),
+    "workers": st.sampled_from([1, 2]),
+    "reward_kind": st.sampled_from(["bernoulli", "point", "beta"]),
+    "warmup_length": st.integers(1, 10),
+    "store_traces": st.booleans(),
+}
+_SIZES = ("horizon", "trajectories", "chain_count", "probe_count", "walk_trials", "walk_steps")
+_CAPPED = ("n_arms", "horizon", "trajectories", "walk_trials", "walk_steps")
+_BANDIT_FIELDS = ("n_arms", "horizon", "trajectories", "means", "reward_kind", "warmup_length")
+_MODE_FIELDS = {
+    "simulate": _BANDIT_FIELDS + ("store_traces",),
+    "verify-bounds": _BANDIT_FIELDS,
+    "oracles": ("chain_count", "probe_count"),
+    "compare-concentration": ("walk_trials", "walk_steps"),
+}
+
+
+@st.composite
+def _config_objects(draw, mode: str):
+    """A config file for ``mode`` of small valid values with at most one
+    fault: an invalid value, a size over the footprint cap, or an unknown
+    key.  One fault at a time reaches each rejection on its own, unmasked by
+    an earlier check.  Sizes are always set, since their defaults lie
+    between the small range and the cap."""
+    fields = ("seed", "delta", "workers", *_MODE_FIELDS[mode])
+    config = {
+        name: draw(_SMALL[name])
+        for name in fields
+        if name in _SIZES or (name != "means" and draw(st.booleans()))
+    }
+    if "means" in fields and draw(st.booleans()):
+        k = config.get("n_arms", 2)
+        config["means"] = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    fault = draw(st.sampled_from([None, "no_such_field", *fields]))
+    if fault == "no_such_field":
+        config[fault] = 1
+    elif fault is not None:
+        config[fault] = draw(st.one_of(_INVALID, *([_OVER_CAP] if fault in _CAPPED else [])))
+    return config
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("mode", harness.MODES)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_config_file_exits_zero_or_two(self, mode, data):
+        config = data.draw(_config_objects(mode))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            outdir = Path(tmp) / "out"
+            code = main([mode, "--config", str(path), "--outdir", str(outdir)])
+            assert code in (0, 2), config
+            manifests = list(outdir.rglob("manifest.json")) if outdir.exists() else []
+            assert len(manifests) == (code == 0), config
+            for manifest in manifests:
+                _strict_json(manifest.read_text())
 
 
 def test_version_matches_pyproject():
