@@ -244,9 +244,6 @@ class GameTrace:
     pi_lmin: np.ndarray
     next_pi: np.ndarray
 
-    def pi_min_per_round(self) -> np.ndarray:
-        return self.pi.min(axis=1)
-
 
 def _payouts(env: Environment, horizon: int, rng: np.random.Generator) -> np.ndarray:
     """(T, K) table whose entry [t, a] is what arm a pays if played in round t+1.

@@ -259,8 +259,7 @@ def gap_driver_report(trace: GameTrace, delta: float) -> GapDriverReport:
     delta = _check_delta(delta)
     ts = np.arange(1, trace.horizon + 1, dtype=float)
     lmin = trace.pi_lmin
-    pi_min = trace.pi_min_per_round()
-    cum_inv_sq = np.cumsum(pi_min**-2.0)
+    cum_inv_sq = np.cumsum(trace.pi.min(axis=1) ** -2.0)
     return GapDriverReport(
         rounds=np.arange(1, trace.horizon + 1),
         lmin_driver=1.0 / lmin,

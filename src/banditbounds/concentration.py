@@ -48,6 +48,9 @@ MOMENT_MAX_LENGTH = 25           # bernoulli_kl_moment stays exact-and-cheap
 _MEAN_TOL = 1e-12
 _SIMPLEX_TOL = 1e-12
 _EXP_CAP = 700.0                 # beyond this math.exp overflows a double
+_PROBE_TRIALS = 64               # midpoint_convexity_probe: random pairs,
+_PROBE_SEED = 0                  # their generator seed,
+_PROBE_TOL = 1e-9                # and the slack allowed at a midpoint
 
 _PROFILE_STREAM = 103
 
@@ -202,11 +205,7 @@ def _conditional_vertices(support: Sequence[float], mean: float) -> list[np.ndar
     return vertices
 
 
-def random_constant_mean_chain(
-    length: int,
-    rng: np.random.Generator,
-    support_size: int | None = None,
-) -> DependentChainSpec:
+def random_constant_mean_chain(length: int, rng: np.random.Generator) -> DependentChainSpec:
     """Draw a random chain satisfying the constant-conditional-mean hypothesis.
 
     Each reachable prefix gets an independent random point of the feasible
@@ -214,13 +213,10 @@ def random_constant_mean_chain(
     single point (the chain degenerates to i.i.d.), so 3-point supports
     dominate the mix.
     """
-    if support_size is None:
-        u = rng.random()
-        support_size = 1 if u < 0.1 else (2 if u < 0.3 else 3)
-    if not 1 <= support_size <= 3:
-        raise ValueError("support_size must be 1, 2, or 3")
-    if support_size == 1:
+    u = rng.random()
+    if u < 0.1:
         return DependentChainSpec.constant(length, float(rng.random()))
+    support_size = 2 if u < 0.3 else 3
     while True:
         support = np.sort(rng.random(support_size))
         if np.min(np.diff(support)) > 0.05:
@@ -323,21 +319,15 @@ def convex_test_functions(
     return (("max", f_max), ("square_sum", f_square_sum), ("kl_moment", f_kl_moment))
 
 
-def midpoint_convexity_probe(
-    f: Callable[[tuple[float, ...]], float],
-    length: int,
-    trials: int = 64,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> bool:
+def midpoint_convexity_probe(f: Callable[[tuple[float, ...]], float], length: int) -> bool:
     """Stochastic midpoint test: f((x+y)/2) <= (f(x)+f(y))/2 on random pairs."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    rng = np.random.default_rng(_PROBE_SEED)
+    for _ in range(_PROBE_TRIALS):
         x = rng.random(length)
         y = rng.random(length)
         mid = f(tuple((x + y) / 2.0))
         avg = 0.5 * (f(tuple(x)) + f(tuple(y)))
-        if mid > avg + tol:
+        if mid > avg + _PROBE_TOL:
             return False
     return True
 

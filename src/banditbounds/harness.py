@@ -30,7 +30,6 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -202,35 +201,33 @@ class ExperimentConfig:
         return base
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
+def _cell(x) -> str:
+    """Floats by ``repr``, ints by ``str``, booleans as true/false; nan and None are empty."""
+    if isinstance(x, float):  # float.__repr__ writes a numpy float64 as a plain float too
+        return float.__repr__(x) if x == x else ""
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return ""
-    return repr(x)
+    return "" if x is None else str(x)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write one table whose header is the keys of ``columns``.  A column is
+    a numpy array, read through ``tolist()``, or a list of Python scalars."""
+    cells = [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
 
 
 def write_trace_csv(trace: GameTrace, path) -> None:
     """One row per round: t, action, reward, policy entries, estimate entries."""
-    k = trace.n_arms
-    rounds = zip(trace.actions.tolist(), trace.rewards.tolist(), trace.pi.tolist(), trace.rhat.tolist())
+    arms = range(trace.n_arms)
     _write_csv(
         path,
-        ["t", "action", "reward", *(f"pi_{a}" for a in range(k)), *(f"rhat_{a}" for a in range(k))],
-        ((t, a, r, *p, *h) for t, (a, r, p, h) in enumerate(rounds, 1)),
+        {"t": np.arange(1, trace.horizon + 1), "action": trace.actions, "reward": trace.rewards}
+        | {f"pi_{a}": trace.pi[:, a] for a in arms}
+        | {f"rhat_{a}": trace.rhat[:, a] for a in arms},
     )
 
 
@@ -360,15 +357,10 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
         "fit_window_start": int(fit_lo),
     }
 
-    slack_q50 = envelope - q50
-    _write_csv(
-        outdir / "regret_curve.csv",
-        ["t", "regret_q10", "regret_q50", "regret_q90", "envelope", "slack_q50", "within_fraction"],
-        (
-            (int(t), q10[t - 1], q50[t - 1], q90[t - 1], envelope[t - 1], slack_q50[t - 1], within[t - 1])
-            for t in ts
-        ),
-    )
+    _write_csv(outdir / "regret_curve.csv", {
+        "t": ts, "regret_q10": q10, "regret_q50": q50, "regret_q90": q90,
+        "envelope": envelope, "slack_q50": envelope - q50, "within_fraction": within,
+    })
     _write_manifest(outdir, cfg, summary)
     return SimulateResult(
         regret=regret,
@@ -402,7 +394,6 @@ class BoundCoverage:
 
 @dataclass(frozen=True, eq=False)
 class CoverageReport:
-    delta: float
     entries: dict
 
     def rate(self, name: str) -> float:
@@ -423,15 +414,16 @@ def _merge(a: CoverageReport, b: CoverageReport) -> CoverageReport:
             worst_slack=min(x.worst_slack, y.worst_slack),
             per_round_violations=x.per_round_violations + y.per_round_violations,
         )
-    return CoverageReport(delta=a.delta, entries=entries)
+    return CoverageReport(entries=entries)
 
 
 def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> CoverageReport:
     """Evaluate every bound route at every round of one trajectory.
 
-    Comparison distributions: the Gibbs posterior on current estimates, the
-    point mass on the best arm, and uniform — all against the uniform prior.
-    The kl route uses the realized running-minimum probability (the
+    Comparison distributions, one row each of the stacked (3, T) arrays of
+    estimate, truth and prior KL: the Gibbs posterior on current estimates,
+    the point mass on the best arm, and uniform — all against the uniform
+    prior.  The kl route uses the realized running-minimum probability (the
     tightest legal pi_lmin); the weighted route uses the deterministic
     schedule lower bounds so that lambda stays data-independent.  Returns a
     one-trajectory report: per route, whether any comparator broke its
@@ -441,7 +433,6 @@ def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> Cover
     horizon = trace.horizon
     ts = np.arange(1, horizon + 1, dtype=float)
     means = env.means
-    a_star = env.best_arm
     rhat = trace.rhat
     lmin = trace.pi_lmin
 
@@ -451,43 +442,33 @@ def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> Cover
     log_k = math.log(k)
     # Arms the softmax underflowed to 0 contribute 0 to sum rho ln rho.
     safe_rho = np.where(rho > 0.0, rho, 1.0)
-    kl_gibbs = log_k + np.sum(rho * np.log(safe_rho), axis=1)
-    comparators = (
-        (np.sum(rho * rhat, axis=1), rho @ means, kl_gibbs),
-        (rhat[:, a_star], np.full(horizon, env.best_mean), np.full(horizon, log_k)),
-        (rhat.mean(axis=1), np.full(horizon, float(means.mean())), np.zeros(horizon)),
+    r_hat_rho = np.stack((np.sum(rho * rhat, axis=1), rhat[:, env.best_arm], rhat.mean(axis=1)))
+    r_rho = np.stack((rho @ means, np.full(horizon, env.best_mean), np.full(horizon, means.mean())))
+    prior_kl = np.stack(
+        (log_k + np.sum(rho * np.log(safe_rho), axis=1), np.full(horizon, log_k), np.zeros(horizon))
     )
 
+    scaled_hat = lmin * r_hat_rho
+    if scaled_hat.max() > 1.0 + _SCALE_TOL:
+        raise ValueError("pi_lmin scaling contract violated on the trace")
+    scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
+    scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
     cum_a = np.cumsum(_pi_floor(k, epsilon) ** -2.0)
 
-    violations = {name: np.zeros(horizon, dtype=bool) for name in _ROUTES}
-    slack = dict.fromkeys(_ROUTES, math.inf)
-    for r_hat_rho, r_rho, prior_kl in comparators:
-        scaled_hat = lmin * r_hat_rho
-        if scaled_hat.max() > 1.0 + _SCALE_TOL:
-            raise ValueError("pi_lmin scaling contract violated on the trace")
-        scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
-        scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
-        for name, value, bound in (
-            ("kl_route", bernoulli_kl_vec(scaled_hat, scaled_true), _kl_budget(prior_kl, ts, delta)),
-            ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a)),
-        ):
-            violations[name] |= value > bound
-            slack[name] = min(slack[name], float(np.min(bound - value)))
-
-    return CoverageReport(
-        delta=delta,
-        entries={
-            name: BoundCoverage(
-                name=name,
-                trials=1,
-                violated=int(violations[name].any()),
-                worst_slack=slack[name],
-                per_round_violations=violations[name].astype(np.int64),
-            )
-            for name in _ROUTES
-        },
-    )
+    entries = {}
+    for name, value, bound in (
+        ("kl_route", bernoulli_kl_vec(scaled_hat, scaled_true), _kl_budget(prior_kl, ts, delta)),
+        ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a)),
+    ):
+        violations = (value > bound).any(axis=0)
+        entries[name] = BoundCoverage(
+            name=name,
+            trials=1,
+            violated=int(violations.any()),
+            worst_slack=float(np.min(bound - value)),
+            per_round_violations=violations.astype(np.int64),
+        )
+    return CoverageReport(entries=entries)
 
 
 def _verify_chunk(args):
@@ -517,28 +498,18 @@ def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:
     drivers = driver_reports[0]  # the first chunk starts at trajectory 0
     entries = report.entries.values()
 
-    _write_csv(
-        outdir / "coverage.csv",
-        ["bound", "trajectories", "violated", "empirical_rate", "nominal_delta", "worst_slack"],
-        ((e.name, e.trials, e.violated, e.rate, cfg.delta, e.worst_slack) for e in entries),
-    )
-    _write_csv(
-        outdir / "violation_profile.csv",
-        ["t", *_ROUTES],
-        zip(range(1, cfg.horizon + 1), *(report.entries[n].per_round_violations for n in _ROUTES)),
-    )
-
-    _write_csv(
-        outdir / "drivers.csv",
-        ["t", "lmin_driver", "rms_driver", "kl_route_gap", "weighted_route_gap"],
-        zip(
-            drivers.rounds,
-            drivers.lmin_driver,
-            drivers.rms_driver,
-            drivers.kl_route_gap,
-            drivers.weighted_route_gap,
-        ),
-    )
+    _write_csv(outdir / "coverage.csv", {
+        "bound": [e.name for e in entries], "trajectories": [e.trials for e in entries],
+        "violated": [e.violated for e in entries], "empirical_rate": [e.rate for e in entries],
+        "nominal_delta": [cfg.delta] * len(entries),
+        "worst_slack": [e.worst_slack for e in entries],
+    })
+    profiles = {n: report.entries[n].per_round_violations for n in _ROUTES}
+    _write_csv(outdir / "violation_profile.csv", {"t": np.arange(1, cfg.horizon + 1), **profiles})
+    _write_csv(outdir / "drivers.csv", {
+        "t": drivers.rounds, "lmin_driver": drivers.lmin_driver, "rms_driver": drivers.rms_driver,
+        "kl_route_gap": drivers.kl_route_gap, "weighted_route_gap": drivers.weighted_route_gap,
+    })
     summary = {}
     for e in entries:
         summary[f"{e.name}_rate"] = e.rate
@@ -699,11 +670,10 @@ def run_oracles(cfg: ExperimentConfig) -> OracleReport:
     checks.extend(_expsum_checks(cfg))
     checks.extend(_identity_checks())
     report = OracleReport(checks=tuple(checks))
-    _write_csv(
-        outdir / "oracles.csv",
-        ["check", "status", "detail"],
-        ((c.name, c.status, c.detail) for c in checks),
-    )
+    _write_csv(outdir / "oracles.csv", {
+        "check": [c.name for c in checks], "status": [c.status for c in checks],
+        "detail": [c.detail for c in checks],
+    })
     _write_manifest(outdir, cfg, {"passed": report.passed})
     for c in checks:
         print(f"oracle {c.name}: {c.status.upper()} ({c.detail})")
@@ -756,11 +726,7 @@ def run_compare_concentration(cfg: ExperimentConfig) -> list[dict]:
                         "coverage_classical": float(np.mean(abs_sums <= classical)),
                     }
                 )
-    header = list(rows[0].keys())
-    _write_csv(
-        outdir / "compare_concentration.csv",
-        header,
-        ([row[h] for h in header] for row in rows),
-    )
+    columns = {name: [row[name] for row in rows] for name in rows[0]}
+    _write_csv(outdir / "compare_concentration.csv", columns)
     _write_manifest(outdir, cfg, {"rows": len(rows)})
     return rows

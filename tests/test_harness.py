@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditbounds import (
@@ -167,28 +167,62 @@ class TestPredictionRegret:
         )
 
 
+def _unit_lists(k):
+    return st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+
+
+@st.composite
+def _played_and_checked_means(draw):
+    """Means that play the game, and means the sweep checks it against:
+    the same, or redrawn so that bounds break and the flags are exercised."""
+    played = draw(st.integers(2, 4).flatmap(_unit_lists))
+    return played, draw(st.one_of(st.just(played), _unit_lists(len(played))))
+
+
 class TestCertificateSweep:
-    def test_matches_scalar_bounds_round_by_round(self):
-        env = Environment(means=np.array([0.75, 0.25]))
-        trace = run_game(env, horizon=25, seed=9)
+    @given(
+        means=_played_and_checked_means(),
+        horizon=st.integers(1, 200),
+        reward_kind=st.sampled_from(["bernoulli", "point", "beta"]),
+        warmup_length=st.one_of(st.none(), st.integers(1, 12)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(
+        means=([0.75, 0.25], [0.75, 0.25]),
+        horizon=25,
+        reward_kind="bernoulli",
+        warmup_length=None,
+        seed=9,
+    )
+    def test_matches_scalar_bounds_round_by_round(
+        self, means, horizon, reward_kind, warmup_length, seed
+    ):
+        # Flags must match exactly; slacks within 1e-10, since the scalar
+        # bernoulli_kl and bernoulli_kl_vec may differ in the last ulps.
+        played, checked = means
+        game = Environment(means=np.array(played), reward_kind=reward_kind)
+        trace = run_game(game, horizon, seed=seed, warmup_length=warmup_length)
+        env = Environment(means=np.array(checked), reward_kind=reward_kind)
         delta = 0.05
-        det = schedule_pi_min(2, 25)
+        det = schedule_pi_min(env.n_arms, horizon)
         sweep = certificate_sweep(trace, env, delta)
 
         k = trace.n_arms
         log_k = math.log(k)
-        kl_viol = np.zeros(25, dtype=bool)
-        w_viol = np.zeros(25, dtype=bool)
+        kl_viol = np.zeros(horizon, dtype=bool)
+        w_viol = np.zeros(horizon, dtype=bool)
         kl_slack = math.inf
         w_slack = math.inf
-        for t in range(1, 26):
+        for t in range(1, horizon + 1):
             rhat = trace.rhat[t - 1]
             lmin = float(trace.pi_lmin[t - 1])
-            gamma = (k * t) ** 0.25
-            rho = gibbs_posterior(rhat, gamma).weights
+            rho = gibbs_posterior(rhat, schedules(t, k).gamma).weights
             kl_rho = log_k + float(
                 np.sum(np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0))
             )
+            # A uniform rho can round this to -1e-16, which the scalar API
+            # rejects; either sign adds the same float to a budget of ln terms.
+            kl_rho = max(kl_rho, 0.0)
             comparators = (
                 (float(np.sum(rho * rhat)), float(np.sum(rho * env.means)), kl_rho),
                 (float(rhat[env.best_arm]), env.best_mean, log_k),
@@ -236,9 +270,8 @@ class TestCertificateSweep:
 
 class TestMerge:
     @staticmethod
-    def _record(delta, **routes):
+    def _record(**routes):
         return CoverageReport(
-            delta=delta,
             entries={
                 name: BoundCoverage(
                     name=name,
@@ -252,8 +285,8 @@ class TestMerge:
         )
 
     def test_counts_add_and_slack_is_the_minimum(self):
-        a = self._record(0.1, kl_route=(3, 2, -0.25, [1, 2, 1]), weighted_route=(3, 0, 0.5, [0, 0, 0]))
-        b = self._record(0.1, kl_route=(2, 1, 0.125, [1, 0, 1]), weighted_route=(2, 1, -1.5, [0, 1, 1]))
+        a = self._record(kl_route=(3, 2, -0.25, [1, 2, 1]), weighted_route=(3, 0, 0.5, [0, 0, 0]))
+        b = self._record(kl_route=(2, 1, 0.125, [1, 0, 1]), weighted_route=(2, 1, -1.5, [0, 1, 1]))
         for merged in (harness._merge(a, b), harness._merge(b, a)):
             kl_route = merged.entries["kl_route"]
             weighted_route = merged.entries["weighted_route"]
@@ -265,7 +298,6 @@ class TestMerge:
             assert weighted_route.per_round_violations.tolist() == [0, 1, 1]
             assert kl_route.per_round_violations.dtype == np.int64
             assert merged.rate("kl_route") == 0.6
-            assert merged.delta == 0.1
 
 
 class TestEnvelopeCurve:
@@ -280,6 +312,34 @@ class TestEnvelopeCurve:
         assert np.all(np.isnan(curve[: k**3 - 1]))
         for t in range(k**3, horizon + 1):
             assert curve[t - 1] == regret_envelope(k, t, delta), t
+
+
+class TestWriteCsv:
+    def test_columns_become_the_table(self, tmp_path):
+        path = tmp_path / "table.csv"
+        harness._write_csv(
+            path,
+            {
+                "i": np.array([3, -7, 2**40], dtype=np.int64),
+                "x": np.array([0.1, np.nan, -0.0]),
+                "flag": np.array([True, False, True]),
+                "name": ["kl_route", "", "a,b"],
+                "mixed": [None, True, False],
+                "n": [0, -1, 12],
+                "y": [math.nan, math.inf, -math.inf],
+                "z": [-0.0, 0.1, 1e22],
+            },
+        )
+        assert path.read_bytes() == (
+            b"i,x,flag,name,mixed,n,y,z\r\n"
+            b"3,0.1,true,kl_route,,0,,-0.0\r\n"
+            b"-7,,false,,true,-1,inf,0.1\r\n"
+            b'1099511627776,-0.0,true,"a,b",false,12,-inf,1e+22\r\n'
+        )
+
+    def test_columns_of_unequal_length_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            harness._write_csv(tmp_path / "table.csv", {"t": np.arange(3), "x": [0.5, 0.25]})
 
 
 class TestRunSimulate:
