@@ -12,10 +12,15 @@ is active and smooths any estimates to exactly the uniform policy (for
 K < 49, where K*(1/K) rounds to 1), so a configured warmup shorter than K^3
 plays the default game bit for bit; only a longer warmup changes the game,
 by extending the uniform phase.
+
+Engine: ``_play_block`` plays a block of trajectories in lockstep, with the
+trajectory index as a numpy axis; a trajectory's trace does not depend on
+the block it is played in.  ``run_game`` is the block of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,6 +64,17 @@ def _schedule_arrays(n_arms: int, ts) -> tuple[np.ndarray, np.ndarray]:
     """
     kts = [float(n_arms * t) for t in ts]
     return np.array([kt**0.25 for kt in kts]), np.array([kt**-0.25 for kt in kts])
+
+
+@functools.lru_cache(maxsize=8)
+def _schedule_table(n_arms: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gamma_t and epsilon_t for t = 1..T+1 (entry t-1 is round t),
+    built once per (K, T); the engine, the sweep and the decomposition
+    slice it."""
+    gamma, epsilon = _schedule_arrays(n_arms, range(1, horizon + 2))
+    gamma.setflags(write=False)
+    epsilon.setflags(write=False)
+    return gamma, epsilon
 
 
 def _pi_floor(n_arms: int, epsilon):
@@ -268,14 +284,73 @@ def _payouts(env: Environment, horizon: int, rng: np.random.Generator) -> np.nda
     return np.where(inner, g + step * up, means)
 
 
-def _sample_index(weights: np.ndarray, u: float) -> int:
-    acc = 0.0
-    last = weights.size - 1
-    for j in range(last):
-        acc += weights[j]
-        if u < acc:
-            return j
-    return last
+def _choose_arms(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Arm of each (K,) row of ``pi`` for its uniform in ``u``: the first j
+    with u < pi_0 + ... + pi_j, or the last arm when u passes every partial
+    sum.  The partial sums grow along the row, so that arm is the number of
+    them at or below u."""
+    return (u[:, None] >= np.add.accumulate(pi[:, :-1], axis=1)).sum(axis=1)
+
+
+def _play_block(
+    env: Environment, horizon: int, seeds, warmup_length: int | None = None
+) -> list[GameTrace]:
+    """Play one trajectory per seed, all in lockstep, and return their traces.
+
+    Each trajectory draws its action uniforms and then its payout table from
+    its own generator into (B, T) and (B, T, K) arrays before the first
+    round.  Each pass of the loop plays one round of every trajectory with
+    (B, K) operations that act on each row alone, so row j is bit for bit
+    what seed j played alone gives.  Traces are read-only per-row views.
+    """
+    k = env.n_arms
+    warmup = int(warmup_length) if warmup_length is not None else k**3
+    size = len(seeds)
+    uniforms = np.empty((size, horizon))
+    payouts = np.empty((size, horizon, k))
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.random(out=uniforms[j])
+        payouts[j] = _payouts(env, horizon, rng)
+    gamma, epsilon = _schedule_table(k, horizon)
+    # Python floats keep numpy scalars out of the round loop.
+    gammas, floors = gamma.tolist(), _pi_floor(k, epsilon).tolist()
+
+    pi = np.empty((size, horizon, k))
+    actions = np.empty((size, horizon), dtype=np.int64)
+    rhat = np.empty((size, horizon, k))
+    uniform_w = np.full((size, k), 1.0 / k)
+    sums = np.zeros((size, k))
+    arm_ids = np.arange(k)
+
+    # Round T+1 only forms its policy, which the traces keep as next_pi.
+    for t in range(1, horizon + 2):
+        row = t - 1
+        if t < warmup:
+            pi_w = uniform_w
+        else:
+            rho_w = uniform_w if t == 1 else _gibbs_weights(rhat[:, row - 1], gammas[t - 2])
+            # Before K^3 the floor is 1/K and pi_w is uniform whatever rho_w
+            # is; from K^3 on it is epsilon_t.
+            pi_w = _smooth_weights(rho_w, floors[row])
+        if t > horizon:
+            break
+        arm = _choose_arms(pi_w, uniforms[:, row])
+        # Adding 0.0 to the arms not played leaves their sums exact.
+        sums += (payouts[:, row] / pi_w) * (arm[:, None] == arm_ids)
+        pi[:, row] = pi_w
+        actions[:, row] = arm
+        rhat[:, row] = sums / t
+
+    rewards = np.take_along_axis(payouts, actions[:, :, None], axis=2)[:, :, 0]
+    lmin = np.minimum.accumulate(np.minimum(pi.min(axis=2), 1.0 / k), axis=1)
+    next_pi = np.array(pi_w)
+    for arr in (pi, actions, rewards, rhat, lmin, next_pi):
+        arr.setflags(write=False)
+    return [
+        GameTrace(k, horizon, warmup, pi[j], actions[j], rewards[j], rhat[j], lmin[j], next_pi[j])
+        for j in range(size)
+    ]
 
 
 def run_game(
@@ -290,63 +365,13 @@ def run_game(
     The uniform warmup lasts ``warmup_length`` rounds (default K^3).  Fully
     deterministic given ``seed`` (an int, SeedSequence, or Generator): the
     action uniforms and then the payout table are drawn before the first
-    round, so the round loop itself never touches the generator.
+    round.  This is the one-trajectory block of the lockstep engine.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be a positive integer")
-    k = env.n_arms
-    if k < 2:
+    if env.n_arms < 2:
         raise ValueError("need at least two arms")
     if warmup_length is not None and int(warmup_length) < 1:
         raise ValueError("warmup_length must be a positive integer")
-    warmup = int(warmup_length) if warmup_length is not None else k**3
-    rng = np.random.default_rng(seed)
-    action_uniforms = rng.random(horizon).tolist()
-    payouts = _payouts(env, horizon, rng)
-    gamma, epsilon = _schedule_arrays(k, range(1, horizon + 2))
-    # Python lists keep numpy scalars out of the round loop.
-    gammas, floors = gamma.tolist(), _pi_floor(k, epsilon).tolist()
-
-    pi_rows = np.empty((horizon, k))
-    actions = np.empty(horizon, dtype=np.int64)
-    rhat_rows = np.empty((horizon, k))
-
-    uniform_w = np.full(k, 1.0 / k)
-    sums = np.zeros(k)
-    inv_k = 1.0 / k
-
-    # Round T+1 only forms its policy, which the trace keeps as next_pi.
-    for t in range(1, horizon + 2):
-        row = t - 1
-        if t < warmup:
-            pi_w = uniform_w
-        else:
-            rho_w = uniform_w if t == 1 else _gibbs_weights(rhat_rows[row - 1], gammas[t - 2])
-            # Before K^3 the floor is 1/K and pi_w is uniform whatever rho_w
-            # is; from K^3 on it is epsilon_t.
-            pi_w = _smooth_weights(rho_w, floors[row])
-        if t > horizon:
-            break
-        arm = _sample_index(pi_w, action_uniforms[row])
-        sums[arm] += payouts[row, arm] / pi_w[arm]
-        pi_rows[row] = pi_w
-        actions[row] = arm
-        rhat_rows[row] = sums / t
-
-    rewards = payouts[np.arange(horizon), actions]
-    lmin_rows = np.minimum.accumulate(np.minimum(pi_rows.min(axis=1), inv_k))
-    next_pi = np.array(pi_w)
-    for arr in (pi_rows, actions, rewards, rhat_rows, lmin_rows, next_pi):
-        arr.setflags(write=False)
-    return GameTrace(
-        n_arms=k,
-        horizon=horizon,
-        warmup_length=warmup,
-        pi=pi_rows,
-        actions=actions,
-        rewards=rewards,
-        rhat=rhat_rows,
-        pi_lmin=lmin_rows,
-        next_pi=next_pi,
-    )
+    return _play_block(env, horizon, [seed], warmup_length)[0]

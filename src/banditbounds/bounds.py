@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import Environment, GameTrace, _gibbs_weights, _schedule_arrays, _smooth_weights
+from .bandit import Environment, GameTrace, _gibbs_weights, _schedule_table, _smooth_weights
 from .divergences import _check_delta, _check_pi_lmin, bernoulli_kl
 
 __all__ = [
@@ -337,8 +337,8 @@ def regret_decomposition(trace: GameTrace, env: Environment) -> RegretDecomposit
         )
     ts = np.arange(start, trace.horizon + 1)
     rhat = trace.rhat[start - 1 :, :]
-    gamma, epsilon = _schedule_arrays(k, range(start, trace.horizon + 2))
-    gamma, eps_next = gamma[:-1], epsilon[1:]
+    gamma, epsilon = _schedule_table(k, trace.horizon)
+    gamma, eps_next = gamma[start - 1 : trace.horizon], epsilon[start:]
     rho = _gibbs_weights(rhat, gamma[:, None])
     rho_tilde = _smooth_weights(rho, eps_next[:, None])
 

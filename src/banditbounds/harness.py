@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandit import Environment, GameTrace, _gibbs_weights, _pi_floor, _schedule_arrays, run_game
+from .bandit import Environment, GameTrace, _gibbs_weights, _pi_floor, _play_block, _schedule_table
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
@@ -77,6 +77,9 @@ _PROBE_STREAM = 4
 # Cap on the entries of the largest array a campaign allocates (800 MB of
 # float64): simulate's (M, T) regret matrix at M = 1000, T = 10^5 just fits.
 _MAX_ARRAY_ENTRIES = 10**8
+# Trajectories the engine plays in lockstep: a larger block saves little
+# per round and costs peak memory.
+_BLOCK = 8
 
 _INT_FIELDS = (
     "n_arms", "horizon", "trajectories", "seed", "warmup_length", "workers",
@@ -160,7 +163,7 @@ class ExperimentConfig:
         # the environment builds its K means.
         sizes = [self.n_arms]
         if self.mode in ("simulate", "verify-bounds"):
-            sizes += [self.horizon * self.n_arms, self.trajectories]  # per game; indices
+            sizes += [self.horizon * self.n_arms, self.trajectories]  # per trajectory; indices
         if self.mode == "simulate":
             sizes.append(self.trajectories * self.horizon)
         if self.mode == "compare-concentration":
@@ -264,8 +267,23 @@ def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
     phases regardless of the configured warmup length, and being
     data-independent it is a legal choice wherever the bounds require one.
     """
-    _, epsilon = _schedule_arrays(n_arms, range(1, horizon + 1))
-    return _pi_floor(n_arms, epsilon)
+    _, epsilon = _schedule_table(n_arms, horizon)
+    return _pi_floor(n_arms, epsilon[:horizon])
+
+
+def _block_size(chunk: int, horizon: int, n_arms: int) -> int:
+    """Trajectories per lockstep block: at most ``_BLOCK`` and the chunk,
+    and few enough that a (B, T, K) block array stays under the cap."""
+    return min(_BLOCK, chunk, _MAX_ARRAY_ENTRIES // (horizon * n_arms))
+
+
+def _chunk_traces(cfg: ExperimentConfig, env: Environment, indices):
+    """Play trajectories ``indices`` in lockstep blocks; yield (index, trace) in order."""
+    size = _block_size(len(indices), cfg.horizon, env.n_arms)
+    for start in range(0, len(indices), size):
+        block = [int(i) for i in indices[start : start + size]]
+        seeds = [trajectory_stream(cfg.seed, i) for i in block]
+        yield from zip(block, _play_block(env, cfg.horizon, seeds, cfg.warmup_length))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +309,10 @@ def _simulate_chunk(args) -> np.ndarray:
     cfg, indices = args
     env = cfg.environment()
     rows = np.empty((len(indices), cfg.horizon))
-    for j, i in enumerate(indices):
-        trace = run_game(
-            env, cfg.horizon, trajectory_stream(cfg.seed, int(i)), warmup_length=cfg.warmup_length
-        )
+    for j, (i, trace) in enumerate(_chunk_traces(cfg, env, indices)):
         rows[j] = prediction_regret(trace, env)
         if cfg.store_traces:
-            write_trace_csv(trace, Path(cfg.outdir) / f"trace_{int(i):04d}.csv")
+            write_trace_csv(trace, Path(cfg.outdir) / f"trace_{i:04d}.csv")
     return rows
 
 
@@ -436,8 +451,8 @@ def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> Cover
     rhat = trace.rhat
     lmin = trace.pi_lmin
 
-    gamma, epsilon = _schedule_arrays(k, range(1, horizon + 1))
-    rho = _gibbs_weights(rhat, gamma[:, None])
+    gamma, _ = _schedule_table(k, horizon)
+    rho = _gibbs_weights(rhat, gamma[:horizon, None])
 
     log_k = math.log(k)
     # Arms the softmax underflowed to 0 contribute 0 to sum rho ln rho.
@@ -453,7 +468,7 @@ def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> Cover
         raise ValueError("pi_lmin scaling contract violated on the trace")
     scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
     scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
-    cum_a = np.cumsum(_pi_floor(k, epsilon) ** -2.0)
+    cum_a = np.cumsum(schedule_pi_min(k, horizon) ** -2.0)
 
     entries = {}
     for name, value, bound in (
@@ -478,10 +493,7 @@ def _verify_chunk(args):
     cfg, indices = args
     env = cfg.environment()
     record = drivers = None
-    for i in indices:
-        trace = run_game(
-            env, cfg.horizon, trajectory_stream(cfg.seed, int(i)), warmup_length=cfg.warmup_length
-        )
+    for i, trace in _chunk_traces(cfg, env, indices):
         if i == 0:
             drivers = gap_driver_report(trace, cfg.delta)
         sweep = certificate_sweep(trace, env, cfg.delta)

@@ -22,9 +22,12 @@ from banditbounds import (
 )
 from banditbounds.bandit import (
     BETA_LEVELS,
+    _choose_arms,
     _gibbs_weights,
     _payouts,
+    _play_block,
     _schedule_arrays,
+    _schedule_table,
     _smooth_weights,
 )
 
@@ -155,6 +158,60 @@ class TestKernels:
         for t in range(1, horizon + 1):
             kt = float(k * t)
             assert gamma[t - 1] == kt**0.25 and epsilon[t - 1] == kt**-0.25, t
+
+    def test_schedule_table_is_shared_and_read_only(self):
+        gamma, epsilon = _schedule_table(3, 40)
+        assert _schedule_table(3, 40)[0] is gamma
+        expected = _schedule_arrays(3, range(1, 42))
+        assert np.array_equal(gamma, expected[0]) and np.array_equal(epsilon, expected[1])
+        with pytest.raises(ValueError):
+            gamma[0] = 0.0
+
+
+def _scan_arm(weights, u):
+    """Sequential-scan reference: the first j with u < w_0 + ... + w_j, else the last arm."""
+    acc = 0.0
+    for j in range(len(weights) - 1):
+        acc += weights[j]
+        if u < acc:
+            return j
+    return len(weights) - 1
+
+
+class TestChooseArms:
+    @given(
+        k=st.integers(2, 8),
+        rows=st.integers(1, 6),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_scan(self, k, rows, zeros, seed):
+        rng = np.random.default_rng(seed)
+        pi = rng.dirichlet(np.ones(k), rows)
+        if zeros:  # underflowed arms give repeated partial sums
+            pi[:, rng.integers(0, k)] = 0.0
+        # Every row meets uniforms exactly on, just below and just above each
+        # partial sum, the extremes of [0, 1) and one random draw.
+        for row in pi:
+            partial = np.cumsum(row[:-1])
+            us = np.concatenate((
+                partial, np.nextafter(partial, 0.0), np.nextafter(partial, 1.0),
+                [0.0, 1.0 - 2.0**-53, rng.random()],
+            ))
+            arms = _choose_arms(np.tile(row, (us.size, 1)), us)
+            assert arms.tolist() == [_scan_arm(row.tolist(), u) for u in us.tolist()]
+
+    def test_boundary_and_last_partial_sum(self):
+        # u on a partial sum is past it: 0.25 picks arm 1, not arm 0.
+        pi = np.array([[0.25, 0.25, 0.5]])
+        assert _choose_arms(pi, np.array([0.25])).tolist() == [1]
+        # Ten weights of 0.1 add up to 1 - 2^-53 in order, which the largest
+        # uniform reaches: it passes every partial sum and must pick the
+        # last arm, not an eleventh.
+        pi = np.full((1, 10), 0.1)
+        u = 1.0 - 2.0**-53
+        assert sum([0.1] * 10) == u
+        assert _choose_arms(pi, np.array([u])).tolist() == [9] == [_scan_arm([0.1] * 10, u)]
 
 
 class TestEstimates:
@@ -358,14 +415,18 @@ class TestRunGame:
         kind=st.sampled_from(["bernoulli", "point", "beta"]),
         warmup_length=st.none() | st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
+        position=st.integers(1, 7),
     )
-    def test_step_api_replays_the_game(self, k, horizon, kind, warmup_length, seed):
+    def test_step_api_replays_the_game(self, k, horizon, kind, warmup_length, seed, position):
         # The step API is the engine's per-round reference: replaying the
         # trace's arms and rewards through it must give every policy,
         # estimate and running floor bit for bit, and the round-T+1 policy.
+        # The trace is row ``position`` of a lockstep block of eight.
         rng = np.random.default_rng(seed)
         env = Environment(means=rng.uniform(0.0, 1.0, k), reward_kind=kind)
-        trace = run_game(env, horizon, seed, warmup_length=warmup_length)
+        seeds = [seed + 1 + j for j in range(8)]
+        seeds[position] = seed
+        trace = _play_block(env, horizon, seeds, warmup_length)[position]
 
         def policy(t, state):
             if t < trace.warmup_length:

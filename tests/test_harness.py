@@ -6,6 +6,7 @@ drift away from the library's own definitions.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import tempfile
@@ -132,6 +133,53 @@ class TestSchedulePiMin:
         trace = run_game(env, horizon=150, seed=2)
         floor = schedule_pi_min(2, 150)
         assert np.all(trace.pi.min(axis=1) >= floor - 1e-12)
+
+
+_CAP = harness._MAX_ARRAY_ENTRIES
+
+
+class TestLockstepBlocks:
+    @given(
+        k=st.integers(2, 8),
+        horizon=st.integers(1, 300),
+        kind=st.sampled_from(["bernoulli", "point", "beta"]),
+        warmup_length=st.none() | st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        trajectories=st.integers(1, 20),
+    )
+    @settings(max_examples=50)
+    def test_blocks_play_each_seed_as_alone(
+        self, k, horizon, kind, warmup_length, seed, trajectories
+    ):
+        cfg = ExperimentConfig(
+            mode="simulate", n_arms=k, horizon=horizon, trajectories=trajectories, seed=seed,
+            means=tuple(np.random.default_rng(seed).uniform(0.0, 1.0, k)), reward_kind=kind,
+            warmup_length=warmup_length,
+        )
+        env = cfg.environment()
+        played = list(harness._chunk_traces(cfg, env, np.arange(trajectories)))
+        assert [i for i, _ in played] == list(range(trajectories))
+        for i, trace in played:
+            alone = run_game(env, horizon, trajectory_stream(seed, i), warmup_length=warmup_length)
+            for field in dataclasses.fields(trace):
+                a, b = getattr(trace, field.name), getattr(alone, field.name)
+                assert np.array_equal(a, b), (i, field.name)
+            assert trace.pi.flags.c_contiguous and trace.rhat.flags.c_contiguous
+
+    @given(
+        st.integers(2, 64).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, _CAP // k))),
+        st.integers(1, 10**4),
+    )
+    def test_block_size_rule(self, k_and_horizon, chunk):
+        k, horizon = k_and_horizon
+        size = harness._block_size(chunk, horizon, k)
+        assert 1 <= size <= min(chunk, harness._BLOCK)
+        assert size * horizon * k <= _CAP
+
+    def test_block_size_at_the_cap(self):
+        assert harness._block_size(50, _CAP // 2, 2) == 1
+        assert harness._block_size(50, 2000, 2) == harness._BLOCK
+        assert harness._block_size(3, 2000, 2) == 3
 
 
 class TestPredictionRegret:
