@@ -343,7 +343,10 @@ def _play_block(
         rhat[:, row] = sums / t
 
     rewards = np.take_along_axis(payouts, actions[:, :, None], axis=2)[:, :, 0]
-    lmin = np.minimum.accumulate(np.minimum(pi.min(axis=2), 1.0 / k), axis=1)
+    del uniforms, payouts  # freed before the lmin pass allocates
+    lmin = pi.min(axis=2)
+    np.minimum(lmin, 1.0 / k, out=lmin)
+    np.minimum.accumulate(lmin, axis=1, out=lmin)
     next_pi = np.array(pi_w)
     for arr in (pi, actions, rewards, rhat, lmin, next_pi):
         arr.setflags(write=False)

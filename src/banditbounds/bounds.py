@@ -362,21 +362,24 @@ def regret_decomposition(trace: GameTrace, env: Environment) -> RegretDecomposit
     )
 
 
-def expsum_ratio(x, alpha: float) -> float:
+def expsum_ratio(x, alpha: float | np.ndarray) -> float | np.ndarray:
     """sum x_i e^(-alpha x_i) / sum e^(-alpha x_i), requiring x[0] = 0.
 
     Bounded above by n/alpha.  This is the mean of x under the Gibbs
     weights at -alpha, whose max-shift keeps large negative entries from
-    overflowing.
+    overflowing.  Given an (m, n) block of rows and an (m,) vector of
+    alphas it returns the (m,) ratios, each the ratio of its row.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("x must be a vector with at least two entries")
+    alpha = np.asarray(alpha, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] < 2 or x.shape[:-1] != alpha.shape:
+        raise ValueError("x must be a vector of two or more entries, or an (m, n) block of them, "
+                         "with one alpha per vector")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    if x[0] != 0.0:
+    if np.any(x[..., 0] != 0.0):
         raise ValueError("the first entry of x must be exactly 0")
-    alpha = float(alpha)
-    if not alpha > 0.0:
+    if not np.all(alpha > 0.0):
         raise ValueError("alpha must be positive")
-    return float(np.dot(x, _gibbs_weights(x, -alpha)))
+    ratios = np.sum(x * _gibbs_weights(x, -alpha[..., None]), axis=-1)
+    return float(ratios) if x.ndim == 1 else ratios

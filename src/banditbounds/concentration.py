@@ -409,24 +409,29 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def simulate_profile_walks(
-    step_sizes, trials: int, seed: int
-) -> tuple[np.ndarray, MartingaleRange]:
-    """Symmetric walks with per-step magnitudes ``step_sizes``.
+def simulate_profile_walks(profiles, trials: int, seed: int) -> np.ndarray:
+    """Final sums of symmetric walks, one row per step-magnitude profile c_j.
 
-    Returns the final sums together with the per-step increment ranges
-    [-c_i, c_i]; one independent stream per trajectory as usual.
+    Entry [j, i] is sum_k c_jk s_ik, with the signs s_i of trajectory i drawn
+    once at the longest profile's length.  A shorter draw from the same
+    stream is a prefix of that one, so row j is what profile j drawn alone
+    gives.  Profile j's increment ranges are [-c_jk, c_jk].
     """
-    steps = np.asarray(step_sizes, dtype=float)
-    if steps.ndim != 1 or steps.size == 0:
-        raise ValueError("step_sizes must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(steps)) or np.any(steps <= 0.0):
-        raise ValueError("step sizes must be positive and finite")
+    steps = [np.asarray(p, dtype=float) for p in profiles]
+    if not steps:
+        raise ValueError("profiles must be a nonempty list of step vectors")
+    for c in steps:
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("each profile must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
+            raise ValueError("step sizes must be positive and finite")
     if int(trials) < 1:
         raise ValueError("trials must be positive")
-    sums = np.empty(int(trials))
+    longest = max(c.size for c in steps)
+    sums = np.empty((len(steps), int(trials)))
     for i in range(int(trials)):
         rng = _stream(seed, _PROFILE_STREAM, i)
-        signs = 2.0 * rng.integers(0, 2, size=steps.size) - 1.0
-        sums[i] = float(np.dot(steps, signs))
-    return sums, MartingaleRange(-steps, steps)
+        signs = 2.0 * rng.integers(0, 2, size=longest) - 1.0
+        for j, c in enumerate(steps):
+            sums[j, i] = float(np.dot(c, signs[: c.size]))
+    return sums

@@ -38,6 +38,7 @@ from .bandit import Environment, GameTrace, _gibbs_weights, _pi_floor, _play_blo
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
+    MartingaleRange,
     _stream,
     azuma_alt_bound,
     bernoulli_kl_moment,
@@ -80,6 +81,8 @@ _MAX_ARRAY_ENTRIES = 10**8
 # Trajectories the engine plays in lockstep: a larger block saves little
 # per round and costs peak memory.
 _BLOCK = 8
+# Exp-sum probes evaluated per kernel call.
+_PROBE_BLOCK = 1024
 
 _INT_FIELDS = (
     "n_arms", "horizon", "trajectories", "seed", "warmup_length", "workers",
@@ -167,7 +170,7 @@ class ExperimentConfig:
         if self.mode == "simulate":
             sizes.append(self.trajectories * self.horizon)
         if self.mode == "compare-concentration":
-            sizes += [16 * self.walk_steps, self.walk_trials]
+            sizes += [16 * self.walk_steps, 8 * self.walk_trials]  # signs; (8, trials) sums
         if max(sizes) > _MAX_ARRAY_ENTRIES:
             raise ValueError(
                 f"the campaign would allocate an array of {max(sizes)} entries, "
@@ -313,6 +316,7 @@ def _simulate_chunk(args) -> np.ndarray:
         rows[j] = prediction_regret(trace, env)
         if cfg.store_traces:
             write_trace_csv(trace, Path(cfg.outdir) / f"trace_{i:04d}.csv")
+        del trace  # the last view would keep its block alive while the next one plays
     return rows
 
 
@@ -498,6 +502,7 @@ def _verify_chunk(args):
             drivers = gap_driver_report(trace, cfg.delta)
         sweep = certificate_sweep(trace, env, cfg.delta)
         record = sweep if record is None else _merge(record, sweep)
+        del trace  # the last view would keep its block alive while the next one plays
     return record, drivers
 
 
@@ -624,20 +629,27 @@ def _expsum_checks(cfg: ExperimentConfig) -> list[OracleCheck]:
     log_violations = 0
     total = 0
     for pos, n in enumerate(sizes):
-        # Normal entries with occasional 10x heavy draws stress both signs
-        # and both extremes of the alpha range.
-        for _ in range(per_size + (1 if pos < remainder else 0)):
-            x = rng.normal(0.0, 3.0, size=n)
-            if rng.random() < 0.1:
-                x *= 10.0
-            x[0] = 0.0
-            alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
-            ratio = expsum_ratio(x, alpha)
-            total += 1
-            if ratio > n / alpha:
-                cap_violations += 1
-            if ratio > math.log(n) / alpha:
-                log_violations += 1
+        count = per_size + (1 if pos < remainder else 0)
+        xs = np.empty((_PROBE_BLOCK, n))
+        alphas = np.empty(_PROBE_BLOCK)
+        for start in range(0, count, _PROBE_BLOCK):
+            rows = min(_PROBE_BLOCK, count - start)
+            # The draws stay one probe at a time, in this order: a normal
+            # draw takes a variable share of the stream.  Normal entries
+            # with occasional 10x heavy draws stress both signs and both
+            # extremes of the alpha range.
+            for r in range(rows):
+                x = rng.normal(0.0, 3.0, size=n)
+                if rng.random() < 0.1:
+                    x *= 10.0
+                x[0] = 0.0
+                xs[r] = x
+                alphas[r] = 10.0 ** rng.uniform(-2.0, 2.0)
+            alpha = alphas[:rows]
+            ratios = expsum_ratio(xs[:rows], alpha)
+            total += rows
+            cap_violations += int(np.count_nonzero(ratios > n / alpha))
+            log_violations += int(np.count_nonzero(ratios > math.log(n) / alpha))
     return [
         OracleCheck(
             "expsum_ratio_cap",
@@ -703,41 +715,45 @@ def run_compare_concentration(cfg: ExperimentConfig) -> list[dict]:
     base = max(2, cfg.walk_steps)
     n_grid = [max(2, base // 4), base, 4 * base, 16 * base]
     deltas = sorted({0.1, 0.05, 0.01} | {cfg.delta}, reverse=True)
-    rows: list[dict] = []
+    cells = []
     for profile in ("equal", "one_spike"):
         for n in n_grid:
             steps = np.ones(n)
             if profile == "one_spike":
                 steps[0] = 5.0
-            sums, ranges = simulate_profile_walks(steps, cfg.walk_trials, cfg.seed)
-            low = float(-steps.max())
-            high = float(steps.max())
-            abs_sums = np.abs(sums)
-            q50, q95 = (float(q) for q in np.quantile(abs_sums, [0.5, 0.95]))
-            for delta in deltas:
-                alt = azuma_alt_bound(n, low, high, delta)
-                classical = hoeffding_azuma_bound(ranges, delta)
-                equal_ratio = (
-                    math.sqrt(math.log((n + 1) / delta) / math.log(2.0 / delta))
-                    if profile == "equal"
-                    else math.nan
-                )
-                rows.append(
-                    {
-                        "profile": profile,
-                        "n_steps": n,
-                        "delta": delta,
-                        "azuma_alt": alt,
-                        "hoeffding_azuma": classical,
-                        "alt_over_classical": alt / classical,
-                        "equal_range_ratio": equal_ratio,
-                        "abs_sum_q50": q50,
-                        "abs_sum_q95": q95,
-                        "abs_sum_max": float(abs_sums.max()),
-                        "coverage_alt": float(np.mean(abs_sums <= alt)),
-                        "coverage_classical": float(np.mean(abs_sums <= classical)),
-                    }
-                )
+            cells.append((profile, n, steps))
+    all_sums = simulate_profile_walks([steps for _, _, steps in cells], cfg.walk_trials, cfg.seed)
+    rows: list[dict] = []
+    for (profile, n, steps), sums in zip(cells, all_sums):
+        ranges = MartingaleRange(-steps, steps)
+        low = float(-steps.max())
+        high = float(steps.max())
+        abs_sums = np.abs(sums)
+        q50, q95 = (float(q) for q in np.quantile(abs_sums, [0.5, 0.95]))
+        for delta in deltas:
+            alt = azuma_alt_bound(n, low, high, delta)
+            classical = hoeffding_azuma_bound(ranges, delta)
+            equal_ratio = (
+                math.sqrt(math.log((n + 1) / delta) / math.log(2.0 / delta))
+                if profile == "equal"
+                else math.nan
+            )
+            rows.append(
+                {
+                    "profile": profile,
+                    "n_steps": n,
+                    "delta": delta,
+                    "azuma_alt": alt,
+                    "hoeffding_azuma": classical,
+                    "alt_over_classical": alt / classical,
+                    "equal_range_ratio": equal_ratio,
+                    "abs_sum_q50": q50,
+                    "abs_sum_q95": q95,
+                    "abs_sum_max": float(abs_sums.max()),
+                    "coverage_alt": float(np.mean(abs_sums <= alt)),
+                    "coverage_classical": float(np.mean(abs_sums <= classical)),
+                }
+            )
     columns = {name: [row[name] for row in rows] for name in rows[0]}
     _write_csv(outdir / "compare_concentration.csv", columns)
     _write_manifest(outdir, cfg, {"rows": len(rows)})

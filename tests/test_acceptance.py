@@ -13,6 +13,7 @@ import numpy as np
 
 from banditbounds import (
     ExperimentConfig,
+    MartingaleRange,
     azuma_alt_bound,
     bernoulli_kl_moment,
     convex_domination_gap,
@@ -83,9 +84,9 @@ def test_criterion_02_dependent_chain_domination():
 def test_criterion_03_martingale_tail_coverage():
     t0 = time.perf_counter()
     n_steps, trials, delta = 100, 10_000, 0.05
-    sums, ranges = simulate_profile_walks(np.ones(n_steps), trials, seed=11)
+    (sums,) = simulate_profile_walks([np.ones(n_steps)], trials, seed=11)
     alt = azuma_alt_bound(n_steps, -1.0, 1.0, delta)
-    classical = hoeffding_azuma_bound(ranges, delta)
+    classical = hoeffding_azuma_bound(MartingaleRange.equal(n_steps, -1.0, 1.0), delta)
     rate_alt = float(np.mean(np.abs(sums) > alt))
     rate_classical = float(np.mean(np.abs(sums) > classical))
     elapsed = time.perf_counter() - t0

@@ -370,3 +370,32 @@ class TestExpsumRatio:
             expsum_ratio((0.0, np.inf), 1.0)
         with pytest.raises(ValueError):
             expsum_ratio((0.0, 1.0), 0.0)
+
+    def test_block_rows_match_vector_calls(self):
+        rng = np.random.default_rng(1)
+        for n in (2, 3, 5, 8, 13):
+            x = rng.normal(0.0, 30.0, size=(500, n))
+            x[:, 0] = 0.0
+            alpha = 10.0 ** rng.uniform(-2.0, 2.0, size=500)
+            ratios = expsum_ratio(x, alpha)
+            assert ratios.shape == (500,)
+            singles = np.array([expsum_ratio(row, a) for row, a in zip(x, alpha)])
+            assert np.all(np.abs(ratios - singles) <= 4 * np.spacing(np.abs(singles)))
+
+    def test_block_validation(self):
+        x = np.array([[0.0, 1.0, 2.0], [0.0, -1.0, 3.0]])
+        alpha = np.array([1.0, 2.0])
+        for bad_x, bad_alpha in [
+            (x + np.array([[0.0], [1.0]]), alpha),  # second row starts at 1
+            (np.where(x == 3.0, np.inf, x), alpha),
+            (np.where(x == 3.0, np.nan, x), alpha),
+            (x, np.array([1.0, 0.0])),
+            (x, np.array([-1.0, 1.0])),
+            (x, np.array([1.0, np.nan])),
+            (x, np.array([1.0, 2.0, 3.0])),  # one alpha per row
+            (x, 1.0),
+            (x[:, :1], alpha),
+            (x[None], alpha),
+        ]:
+            with pytest.raises(ValueError):
+                expsum_ratio(bad_x, bad_alpha)

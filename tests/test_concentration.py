@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditbounds import (
     BudgetError,
@@ -33,6 +35,7 @@ from banditbounds import (
     random_constant_mean_chain,
     simulate_profile_walks,
 )
+from banditbounds.concentration import _PROFILE_STREAM, _stream
 
 
 class TestKlMoment:
@@ -275,30 +278,71 @@ class TestMartingaleBounds:
             ranges.lows[0] = 5.0  # read-only
 
 
+def _walks_one_profile_at_a_time(profiles, trials, seed):
+    """Reference: each profile draws its own signs, at its own length."""
+    sums = np.empty((len(profiles), trials))
+    for j, steps in enumerate(profiles):
+        for i in range(trials):
+            rng = _stream(seed, _PROFILE_STREAM, i)
+            signs = 2.0 * rng.integers(0, 2, size=steps.size) - 1.0
+            sums[j, i] = float(np.dot(steps, signs))
+    return sums
+
+
 class TestSimulators:
     def test_profile_walk_prefix_stability(self):
         # Trajectory i depends only on (seed, i): enlarging the batch keeps
         # the earlier trajectories bit-identical.
-        steps = np.array([1.0, 2.0, 5.0])
-        small, _ = simulate_profile_walks(steps, trials=5, seed=9)
-        large, _ = simulate_profile_walks(steps, trials=12, seed=9)
-        assert np.array_equal(small, large[:5])
+        steps = [np.array([1.0, 2.0, 5.0]), np.ones(7)]
+        small = simulate_profile_walks(steps, trials=5, seed=9)
+        large = simulate_profile_walks(steps, trials=12, seed=9)
+        assert np.array_equal(small, large[:, :5])
 
     def test_profile_walks(self):
         steps = np.array([1.0, 2.0, 5.0])
-        sums, ranges = simulate_profile_walks(steps, trials=25, seed=11)
-        assert np.array_equal(ranges.lows, -steps)
-        assert np.array_equal(ranges.highs, steps)
+        sums = simulate_profile_walks([steps], trials=25, seed=11)
+        assert sums.shape == (1, 25)
         assert np.all(np.abs(sums) <= steps.sum() + 1e-12)
-        sums2, _ = simulate_profile_walks(steps, trials=25, seed=11)
+        sums2 = simulate_profile_walks([steps], trials=25, seed=11)
         assert np.array_equal(sums, sums2)
 
     def test_profile_walk_validation(self):
         with pytest.raises(ValueError):
-            simulate_profile_walks(np.array([]), trials=5, seed=0)
+            simulate_profile_walks([], trials=5, seed=0)
         with pytest.raises(ValueError):
-            simulate_profile_walks(np.array([1.0, 0.0]), trials=5, seed=0)
+            simulate_profile_walks([np.array([])], trials=5, seed=0)
         with pytest.raises(ValueError):
-            simulate_profile_walks(np.array([1.0, np.nan]), trials=5, seed=0)
+            simulate_profile_walks([np.ones(3), np.array([1.0, 0.0])], trials=5, seed=0)
         with pytest.raises(ValueError):
-            simulate_profile_walks(np.array([1.0]), trials=0, seed=0)
+            simulate_profile_walks([np.array([1.0, np.nan])], trials=5, seed=0)
+        with pytest.raises(ValueError):
+            simulate_profile_walks([np.ones((2, 2))], trials=5, seed=0)
+        with pytest.raises(ValueError):
+            simulate_profile_walks([np.array([1.0])], trials=0, seed=0)
+
+    def test_shorter_sign_draw_is_a_prefix(self):
+        # The walk simulator draws each trial once, at the longest profile,
+        # and relies on this numpy behaviour, which its API does not promise.
+        for i in range(300):
+            longest = _stream(0, _PROFILE_STREAM, i).integers(0, 2, size=1600)
+            for n in (1, 25, 100, 400):
+                draw = _stream(0, _PROFILE_STREAM, i).integers(0, 2, size=n)
+                assert np.array_equal(draw, longest[:n]), (i, n)
+
+    @given(
+        profiles=st.lists(
+            st.lists(
+                st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False), min_size=1, max_size=60
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        trials=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_profiles_match_drawing_alone(self, profiles, trials, seed):
+        profiles = [np.array(p) for p in profiles]
+        sums = simulate_profile_walks(profiles, trials, seed)
+        reference = _walks_one_profile_at_a_time(profiles, trials, seed)
+        assert sums.tobytes() == reference.tobytes()

@@ -27,6 +27,7 @@ from banditbounds import (
     OracleCheck,
     OracleReport,
     certificate_sweep,
+    expsum_ratio,
     gibbs_posterior,
     kl_certificate,
     prediction_regret,
@@ -571,6 +572,54 @@ class TestRunOracles:
         assert len(rows) == len(report.checks) + 1
 
 
+def _expsum_one_probe_at_a_time(cfg):
+    """Reference for ``_expsum_checks``: one scalar ratio per probe.
+    Returns the probes' rows and alphas, and the two detail strings."""
+    rng = harness._stream(cfg.seed, harness._PROBE_STREAM)
+    rows, alphas = [], []
+    cap = log = 0
+    sizes = (2, 3, 5, 8)
+    per_size, remainder = divmod(cfg.probe_count, len(sizes))
+    for pos, n in enumerate(sizes):
+        for _ in range(per_size + (1 if pos < remainder else 0)):
+            x = rng.normal(0.0, 3.0, size=n)
+            if rng.random() < 0.1:
+                x *= 10.0
+            x[0] = 0.0
+            alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
+            ratio = expsum_ratio(x, alpha)
+            rows.append(x)
+            alphas.append(alpha)
+            cap += ratio > n / alpha
+            log += ratio > math.log(n) / alpha
+    total = len(rows)
+    return rows, alphas, (
+        f"{cap} violations of n/alpha over {total} probes",
+        f"{log} exceedances of ln(n)/alpha over {total} probes (conjectured cap, never asserted)",
+    )
+
+
+class TestExpsumChecks:
+    @pytest.mark.parametrize("probe_count", [1, 7, 5000])
+    def test_blocks_match_one_probe_at_a_time(self, probe_count, monkeypatch):
+        blocks = []
+
+        def recording(x, alpha):
+            blocks.append((x.copy(), alpha.copy()))
+            return expsum_ratio(x, alpha)
+
+        monkeypatch.setattr(harness, "expsum_ratio", recording)
+        cfg = ExperimentConfig(mode="oracles", probe_count=probe_count, seed=3)
+        details = tuple(c.detail for c in harness._expsum_checks(cfg))
+        rows, alphas, expected = _expsum_one_probe_at_a_time(cfg)
+        assert details == expected
+        # The probes reach the kernel in draw order, bit for bit, at most
+        # one block of rows per call.
+        assert all(len(a) <= harness._PROBE_BLOCK for _, a in blocks)
+        assert [r.tobytes() for x, _ in blocks for r in x] == [r.tobytes() for r in rows]
+        assert np.concatenate([a for _, a in blocks]).tobytes() == np.array(alphas).tobytes()
+
+
 class TestRunCompareConcentration:
     def test_table_properties(self, tmp_path):
         cfg = ExperimentConfig(
@@ -787,6 +836,23 @@ class TestFootprintCap:
     )
     def test_named_sizes_stay_valid(self, kwargs):
         ExperimentConfig(**kwargs).validate()
+
+    def test_walk_trials_boundary(self, tmp_path, capsys, monkeypatch):
+        # The largest compare-concentration array is the (8, walk_trials)
+        # table of sums.  Only validate these sizes: a campaign at either
+        # would take hours, so the runner fails the test if it is reached.
+        import banditbounds.cli as cli_module
+
+        def never_run(cfg):
+            pytest.fail(f"a campaign ran at walk_trials={cfg.walk_trials}")
+
+        monkeypatch.setitem(cli_module._RUNNERS, "compare-concentration", never_run)
+        ExperimentConfig(mode="compare-concentration", walk_trials=_CAP // 8).validate()
+        outdir = tmp_path / "big"
+        argv = ["compare-concentration", "--walk-trials", str(_CAP // 8 + 1)]
+        assert main([*argv, "--outdir", str(outdir)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 _OVER_CAP = st.integers(harness._MAX_ARRAY_ENTRIES + 1, 10**12)
