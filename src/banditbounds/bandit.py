@@ -13,42 +13,36 @@ K < 49, where K*(1/K) rounds to 1), so a configured warmup shorter than K^3
 plays the default game bit for bit; only a longer warmup changes the game,
 by extending the uniform phase.
 
-Engine: ``_play_block`` plays a block of trajectories in lockstep, with the
-trajectory index as a numpy axis; a trajectory's trace does not depend on
-the block it is played in.  ``run_game`` is the block of one.
+Engine: ``_play_windows`` plays a block of B trajectories in lockstep, with
+the trajectory index as a numpy axis, and hands them out ``_WINDOW`` = R
+rounds at a time.  A trajectory's rounds do not depend on the block it is
+played in or on where the windows break.  Bernoulli and point games hold
+O(B R K) memory whatever the horizon; a Beta game also holds its (B, T, K)
+payout table.  ``run_game`` is the block of one, its windows concatenated.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .divergences import SimplexVector, _check_pi_lmin, _check_unit
+from .divergences import _check_unit
 
 __all__ = [
     "Environment",
     "GameTrace",
-    "PolicyState",
-    "ScheduleError",
     "ScheduleParams",
-    "gibbs_posterior",
     "run_game",
     "schedules",
-    "smooth_policy",
-    "update_estimates",
 ]
 
 REWARD_KINDS = ("bernoulli", "point", "beta")
 BETA_CONCENTRATION = 4.0  # alpha + beta of the Beta reward distribution
 BETA_LEVELS = 21          # grid points the Beta draws are rounded onto
-
-
-class ScheduleError(ValueError):
-    """Raised when a smoothing amount is incompatible with the simplex."""
 
 
 class ScheduleParams(NamedTuple):
@@ -132,69 +126,6 @@ class Environment:
         return float(self.means[self.best_arm])
 
 
-@dataclass(frozen=True, eq=False)
-class PolicyState:
-    """Running estimate state after t rounds.
-
-    ``weighted_sums[a]`` accumulates the importance-weighted samples
-    R_s/pi_s(a) of rounds where arm a was played; ``pi_lmin`` is the
-    smallest sampling probability assigned to any arm so far (1/K before
-    the first round, so the invariant pi_lmin in (0, 1/K] always holds).
-    """
-
-    t: int
-    weighted_sums: np.ndarray
-    pi_lmin: float
-
-    def __post_init__(self) -> None:
-        sums = np.array(self.weighted_sums, dtype=float, copy=True)
-        if sums.ndim != 1 or sums.size < 1:
-            raise ValueError("weighted_sums must be a nonempty 1-d vector")
-        if int(self.t) < 0:
-            raise ValueError("t must be nonnegative")
-        sums.setflags(write=False)
-        object.__setattr__(self, "weighted_sums", sums)
-        object.__setattr__(self, "t", int(self.t))
-        object.__setattr__(self, "pi_lmin", _check_pi_lmin(self.pi_lmin))
-
-    @classmethod
-    def initial(cls, n_arms: int) -> "PolicyState":
-        if n_arms < 1:
-            raise ValueError("need at least one arm")
-        return cls(t=0, weighted_sums=np.zeros(n_arms), pi_lmin=1.0 / n_arms)
-
-    @property
-    def n_arms(self) -> int:
-        return int(self.weighted_sums.size)
-
-    @property
-    def rhat(self) -> np.ndarray:
-        if self.t == 0:
-            return np.zeros(self.n_arms)
-        return self.weighted_sums / self.t
-
-
-def update_estimates(
-    state: PolicyState, pi: SimplexVector, arm: int, reward: float
-) -> PolicyState:
-    """Fold one observed round into the running state."""
-    if pi.n_arms != state.n_arms:
-        raise ValueError("policy dimension does not match the state")
-    if not 0 <= int(arm) < state.n_arms:
-        raise ValueError(f"arm {arm} outside 0..{state.n_arms - 1}")
-    reward = _check_unit(reward, "reward")
-    prob = float(pi.weights[arm])
-    if prob <= 0.0:
-        raise ValueError("observed an arm the policy assigns zero probability")
-    sums = state.weighted_sums.copy()
-    sums[int(arm)] += reward / prob
-    return PolicyState(
-        t=state.t + 1,
-        weighted_sums=sums,
-        pi_lmin=min(state.pi_lmin, pi.min_weight()),
-    )
-
-
 # The two policy kernels take one row with a float parameter, or a (T, K)
 # matrix with a (T, 1) parameter column; every row of a matrix call equals
 # the 1-d call on that row bit for bit.
@@ -210,34 +141,8 @@ def _gibbs_weights(r_hat: np.ndarray, gamma) -> np.ndarray:
     return (w / w.sum(axis=0)).T
 
 
-def gibbs_posterior(r_hat, gamma: float) -> SimplexVector:
-    """Distribution proportional to exp(gamma * r_hat), max-shifted for stability."""
-    r_hat = np.asarray(r_hat, dtype=float)
-    if r_hat.ndim != 1 or r_hat.size < 1:
-        raise ValueError("r_hat must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(r_hat)):
-        raise ValueError("r_hat must be finite")
-    gamma = float(gamma)
-    if math.isnan(gamma) or gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-    return SimplexVector(_gibbs_weights(r_hat, gamma))
-
-
 def _smooth_weights(rho_w: np.ndarray, epsilon) -> np.ndarray:
     return (1.0 - rho_w.shape[-1] * epsilon) * rho_w + epsilon
-
-
-def smooth_policy(rho: SimplexVector, epsilon_next: float) -> SimplexVector:
-    """Mix toward uniform so every arm keeps probability >= epsilon_next."""
-    epsilon_next = float(epsilon_next)
-    if math.isnan(epsilon_next) or epsilon_next < 0.0:
-        raise ValueError("epsilon_next must be nonnegative")
-    if rho.n_arms * epsilon_next > 1.0 + 1e-12:
-        raise ScheduleError(
-            f"K*epsilon = {rho.n_arms * epsilon_next!r} exceeds 1; "
-            "the smoothed policy would leave the simplex"
-        )
-    return SimplexVector(_smooth_weights(rho.weights, epsilon_next))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +166,9 @@ class GameTrace:
     next_pi: np.ndarray
 
 
-def _payouts(env: Environment, horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """(T, K) table whose entry [t, a] is what arm a pays if played in round t+1.
+def _payouts(env: Environment, rounds: int, rngs) -> np.ndarray:
+    """(B, R, K) table whose entry [j, r, a] is what arm a pays in round r+1
+    of the R rounds generator j draws.
 
     Bernoulli rewards compare one uniform per round with every mean; point
     rewards are the means themselves (a read-only view).  Beta rewards take
@@ -271,17 +177,24 @@ def _payouts(env: Environment, horizon: int, rng: np.random.Generator) -> np.nda
     which keeps the mean exact; an arm whose mean is 0 or 1 pays its mean.
     """
     means = env.means
-    if env.reward_kind == "bernoulli":
-        return (rng.random(horizon)[:, None] < means).astype(float)
+    shape = (len(rngs), rounds, means.size)
     if env.reward_kind == "point":
-        return np.broadcast_to(means, (horizon, means.size))
+        return np.broadcast_to(means, shape)
+    if env.reward_kind == "bernoulli":
+        uniforms = np.empty(shape[:2])
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row)
+        return (uniforms[:, :, None] < means).astype(float)
     inner = (means > 0.0) & (means < 1.0)
     m = np.where(inner, means, 0.5)  # any valid shape; those draws go unused
-    x = rng.beta(BETA_CONCENTRATION * m, BETA_CONCENTRATION * (1.0 - m), size=(horizon, m.size))
     step = 1.0 / (BETA_LEVELS - 1)
-    g = np.minimum(np.floor(x / step), BETA_LEVELS - 2) * step
-    up = rng.random((horizon, m.size)) < (x - g) / step
-    return np.where(inner, g + step * up, means)
+    table = np.empty(shape)
+    for rng, rows in zip(rngs, table):
+        x = rng.beta(BETA_CONCENTRATION * m, BETA_CONCENTRATION * (1.0 - m), size=shape[1:])
+        g = np.minimum(np.floor(x / step), BETA_LEVELS - 2) * step
+        up = rng.random(shape[1:]) < (x - g) / step
+        rows[:] = np.where(inner, g + step * up, means)
+    return table
 
 
 def _choose_arms(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -292,67 +205,110 @@ def _choose_arms(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[:, None] >= np.add.accumulate(pi[:, :-1], axis=1)).sum(axis=1)
 
 
-def _play_block(
-    env: Environment, horizon: int, seeds, warmup_length: int | None = None
-) -> list[GameTrace]:
-    """Play one trajectory per seed, all in lockstep, and return their traces.
+def _expected_reward(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """sum_a w(a) mu_a per row: unlike a BLAS product, an elementwise product
+    summed along the last axis rounds a row the same in any array shape."""
+    return (weights * means).sum(axis=-1)
 
-    Each trajectory draws its action uniforms and then its payout table from
-    its own generator into (B, T) and (B, T, K) arrays before the first
-    round.  Each pass of the loop plays one round of every trajectory with
+
+# Rounds per window: the engine's arrays are (B, R, K) whatever the horizon,
+# and the sweep's (3, B, R) temporaries stay small at the largest block.
+_WINDOW = 64
+
+
+class Window(NamedTuple):
+    """Rounds start+1..start+R of a block of B trajectories, row j for seed j.
+    ``pi`` also holds the policy formed for round start+R+1; ``rho`` is each
+    round's Gibbs distribution on its estimates, before smoothing; ``floor``
+    is each round's schedule floor min(epsilon_t, 1/K)."""
+
+    start: int
+    pi: np.ndarray       # (B, R+1, K)
+    actions: np.ndarray  # (B, R)
+    rewards: np.ndarray  # (B, R)
+    rhat: np.ndarray     # (B, R, K)
+    rho: np.ndarray      # (B, R, K)
+    pi_lmin: np.ndarray  # (B, R)
+    floor: np.ndarray    # (R,)
+
+
+def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | None = None):
+    """Play one trajectory per seed, all in lockstep, and yield ``Window``s.
+
+    Seed j's generator draws the action uniforms, R per window, and a copy
+    of it advanced by T the payouts: the stream positions a game that drew
+    all its uniforms first would read.  Beta draws take a variable share of
+    the stream, so a Beta trajectory draws its whole (T, K) table first.
+    Between windows only (B, K) state is kept.  Each round is played with
     (B, K) operations that act on each row alone, so row j is bit for bit
-    what seed j played alone gives.  Traces are read-only per-row views.
+    what seed j played alone gives, whatever the block and the window.
     """
     k = env.n_arms
     warmup = int(warmup_length) if warmup_length is not None else k**3
     size = len(seeds)
-    uniforms = np.empty((size, horizon))
-    payouts = np.empty((size, horizon, k))
-    for j, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        rng.random(out=uniforms[j])
-        payouts[j] = _payouts(env, horizon, rng)
-    gamma, epsilon = _schedule_table(k, horizon)
-    # Python floats keep numpy scalars out of the round loop.
-    gammas, floors = gamma.tolist(), _pi_floor(k, epsilon).tolist()
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    twins = [np.random.Generator(copy.copy(rng.bit_generator)) for rng in rngs]
+    for twin in twins:
+        twin.bit_generator.advance(horizon)
+    table = _payouts(env, horizon, twins) if env.reward_kind == "beta" else None
 
-    pi = np.empty((size, horizon, k))
-    actions = np.empty((size, horizon), dtype=np.int64)
-    rhat = np.empty((size, horizon, k))
     uniform_w = np.full((size, k), 1.0 / k)
+    floor_1 = float(_pi_floor(k, schedules(1, k).epsilon))
+    pi_w = uniform_w if warmup > 1 else _smooth_weights(uniform_w, floor_1)
     sums = np.zeros((size, k))
+    lmin_carry = np.full(size, 1.0 / k)
     arm_ids = np.arange(k)
+    for start in range(0, horizon, _WINDOW):
+        n = min(_WINDOW, horizon - start)
+        uniforms = np.empty((size, n))
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row)
+        payouts = _payouts(env, n, twins) if table is None else table[:, start : start + n]
+        # gamma_t and the floors of rounds t = start+1..start+n+1; the round
+        # loop reads them as Python floats, which keep numpy scalars out.
+        gamma, epsilon = _schedule_arrays(k, range(start + 1, start + n + 2))
+        floor = _pi_floor(k, epsilon)
+        gammas, floors = gamma[:-1].tolist(), floor[1:].tolist()
+        pi = np.empty((size, n + 1, k))
+        actions = np.empty((size, n), dtype=np.int64)
+        rhat = np.empty((size, n, k))
+        rho = np.empty((size, n, k))
+        pi[:, 0] = pi_w
+        for r in range(n):
+            t = start + r + 1
+            arm = _choose_arms(pi_w, uniforms[:, r])
+            # Adding 0.0 to the arms not played leaves their sums exact.
+            sums += (payouts[:, r] / pi_w) * (arm[:, None] == arm_ids)
+            actions[:, r] = arm
+            rhat_w = np.divide(sums, t, out=rhat[:, r])
+            rho_w = _gibbs_weights(rhat_w, gammas[r])
+            rho[:, r] = rho_w
+            # Before K^3 the floor is 1/K and the policy is uniform whatever
+            # rho_w is; from K^3 on it is epsilon_{t+1}.
+            pi_w = uniform_w if t + 1 < warmup else _smooth_weights(rho_w, floors[r])
+            pi[:, r + 1] = pi_w
+        rewards = payouts[np.arange(size)[:, None], np.arange(n), actions]
+        lmin = np.minimum(pi[:, :-1].min(axis=2), 1.0 / k)
+        np.minimum(lmin[:, 0], lmin_carry, out=lmin[:, 0])
+        np.minimum.accumulate(lmin, axis=1, out=lmin)
+        lmin_carry = lmin[:, -1].copy()
+        yield Window(start, pi, actions, rewards, rhat, rho, lmin, floor[:-1])
 
-    # Round T+1 only forms its policy, which the traces keep as next_pi.
-    for t in range(1, horizon + 2):
-        row = t - 1
-        if t < warmup:
-            pi_w = uniform_w
-        else:
-            rho_w = uniform_w if t == 1 else _gibbs_weights(rhat[:, row - 1], gammas[t - 2])
-            # Before K^3 the floor is 1/K and pi_w is uniform whatever rho_w
-            # is; from K^3 on it is epsilon_t.
-            pi_w = _smooth_weights(rho_w, floors[row])
-        if t > horizon:
-            break
-        arm = _choose_arms(pi_w, uniforms[:, row])
-        # Adding 0.0 to the arms not played leaves their sums exact.
-        sums += (payouts[:, row] / pi_w) * (arm[:, None] == arm_ids)
-        pi[:, row] = pi_w
-        actions[:, row] = arm
-        rhat[:, row] = sums / t
 
-    rewards = np.take_along_axis(payouts, actions[:, :, None], axis=2)[:, :, 0]
-    del uniforms, payouts  # freed before the lmin pass allocates
-    lmin = pi.min(axis=2)
-    np.minimum(lmin, 1.0 / k, out=lmin)
-    np.minimum.accumulate(lmin, axis=1, out=lmin)
-    next_pi = np.array(pi_w)
-    for arr in (pi, actions, rewards, rhat, lmin, next_pi):
+def _block_traces(n_arms: int, horizon: int, warmup: int, windows) -> list[GameTrace]:
+    """Each row of a block's windows, concatenated into a read-only trace."""
+    windows = list(windows)
+    rows = {
+        name: np.concatenate([getattr(w, name) for w in windows], axis=1)
+        for name in ("actions", "rewards", "rhat", "pi_lmin")
+    }
+    rows["pi"] = np.concatenate([w.pi[:, :-1] for w in windows], axis=1)
+    rows["next_pi"] = windows[-1].pi[:, -1].copy()
+    for arr in rows.values():
         arr.setflags(write=False)
     return [
-        GameTrace(k, horizon, warmup, pi[j], actions[j], rewards[j], rhat[j], lmin[j], next_pi[j])
-        for j in range(size)
+        GameTrace(n_arms, horizon, warmup, **{name: arr[j] for name, arr in rows.items()})
+        for j in range(len(rows["pi"]))
     ]
 
 
@@ -366,9 +322,11 @@ def run_game(
     """Play the smoothed Gibbs strategy for ``horizon`` rounds.
 
     The uniform warmup lasts ``warmup_length`` rounds (default K^3).  Fully
-    deterministic given ``seed`` (an int, SeedSequence, or Generator): the
-    action uniforms and then the payout table are drawn before the first
-    round.  This is the one-trajectory block of the lockstep engine.
+    deterministic given ``seed`` (an int, a SeedSequence, or a Generator
+    whose bit generator can ``advance``, as numpy's default PCG64 can): the
+    game plays as if it drew its T action uniforms and then its payouts
+    before the first round.  This is the one-trajectory block of the
+    lockstep engine, its windows concatenated.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -377,4 +335,6 @@ def run_game(
         raise ValueError("need at least two arms")
     if warmup_length is not None and int(warmup_length) < 1:
         raise ValueError("warmup_length must be a positive integer")
-    return _play_block(env, horizon, [seed], warmup_length)[0]
+    k = env.n_arms
+    warmup = int(warmup_length) if warmup_length is not None else k**3
+    return _block_traces(k, horizon, warmup, _play_windows(env, horizon, [seed], warmup))[0]

@@ -32,7 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import Environment, GameTrace, _gibbs_weights, _schedule_table, _smooth_weights
+from .bandit import (
+    Environment,
+    GameTrace,
+    _expected_reward,
+    _gibbs_weights,
+    _schedule_table,
+    _smooth_weights,
+)
 from .divergences import _check_delta, _check_pi_lmin, bernoulli_kl
 
 __all__ = [
@@ -255,16 +262,19 @@ class GapDriverReport:
     weighted_route_gap: np.ndarray
 
 
-def gap_driver_report(trace: GameTrace, delta: float) -> GapDriverReport:
+def gap_driver_report(pi_min, pi_lmin, delta: float) -> GapDriverReport:
+    """The report of one trajectory from two of its (T,) columns: the
+    smallest entry of each round's policy, and the running minimum of those
+    (``GameTrace.pi_lmin``)."""
     delta = _check_delta(delta)
-    ts = np.arange(1, trace.horizon + 1, dtype=float)
-    lmin = trace.pi_lmin
-    cum_inv_sq = np.cumsum(trace.pi.min(axis=1) ** -2.0)
+    rounds = np.arange(1, len(pi_min) + 1)
+    ts = rounds.astype(float)
+    cum_inv_sq = np.cumsum(pi_min ** -2.0)
     return GapDriverReport(
-        rounds=np.arange(1, trace.horizon + 1),
-        lmin_driver=1.0 / lmin,
+        rounds=rounds,
+        lmin_driver=1.0 / pi_lmin,
         rms_driver=np.sqrt(cum_inv_sq / ts),
-        kl_route_gap=_gap_radius(0.0, ts, delta, lmin),
+        kl_route_gap=_gap_radius(0.0, ts, delta, pi_lmin),
         weighted_route_gap=_weighted_opt(0.0, ts, delta, cum_inv_sq),
     )
 
@@ -347,8 +357,8 @@ def regret_decomposition(trace: GameTrace, env: Environment) -> RegretDecomposit
     r_star = env.best_mean
     rhat_star = rhat[:, a_star]
     rhat_rho = np.sum(rho * rhat, axis=1)
-    r_rho = rho @ means
-    r_rho_tilde = rho_tilde @ means
+    r_rho = _expected_reward(rho, means)
+    r_rho_tilde = _expected_reward(rho_tilde, means)
 
     return RegretDecomposition(
         rounds=ts,

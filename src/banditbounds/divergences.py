@@ -1,4 +1,4 @@
-"""Binary KL divergence, KL inversion, and simplex values.
+"""Binary KL divergence and KL inversion.
 
 Conventions used throughout: ``0 * ln 0 = 0``, and the divergence is an
 explicit ``math.inf`` whenever the second argument sits on the boundary
@@ -10,23 +10,16 @@ than silently wrong.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SimplexVector",
     "bernoulli_kl",
     "bernoulli_kl_vec",
     "kl_lower_inverse",
     "kl_upper_inverse",
     "pinsker_gap",
 ]
-
-# Simplex sums within _SUM_TOL of 1 are accepted as-is; deviations up to
-# _RENORM_TOL are renormalized; anything larger is rejected as malformed.
-_SUM_TOL = 1e-12
-_RENORM_TOL = 1e-9
 
 _BISECT_TOL = 1e-12
 _BISECT_LOG_TOL = 1e-14
@@ -165,46 +158,3 @@ def kl_lower_inverse(p_hat: float, c: float) -> float:
     hi = math.log(p_hat)
     lo = hi - (c - (1.0 - p_hat) * math.log1p(-p_hat)) / p_hat
     return max(0.0, min(p_hat, _bisect_log(p_hat, c, lo, hi, math.exp)))
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexVector:
-    """An immutable probability vector.
-
-    Entries must be nonnegative (tiny negative float noise up to 1e-12 is
-    clipped to zero) and sum to 1.  A sum deviating from 1 by less than
-    1e-9 is renormalized; larger deviations are rejected.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float, copy=True)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0.0):
-            if np.any(w < -_SUM_TOL):
-                raise ValueError("weights must be nonnegative")
-            w[w < 0.0] = 0.0
-        s = float(w.sum())
-        if abs(s - 1.0) > _RENORM_TOL:
-            raise ValueError(f"weights sum to {s!r}, too far from 1 to renormalize")
-        if abs(s - 1.0) > _SUM_TOL:
-            w = w / s
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, n_arms: int) -> "SimplexVector":
-        if n_arms < 1:
-            raise ValueError("need at least one category")
-        return cls(np.full(n_arms, 1.0 / n_arms))
-
-    @property
-    def n_arms(self) -> int:
-        return int(self.weights.size)
-
-    def min_weight(self) -> float:
-        return float(self.weights.min())

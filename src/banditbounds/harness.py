@@ -4,8 +4,8 @@
   emit per-round regret quantiles against the theoretical envelope.
 * ``verify-bounds`` — check every bound route (``_ROUTES``) at every round
   of every trajectory and report trajectory-level violation rates.  A
-  sweep, a worker's chunk and the whole campaign all return one
-  ``CoverageReport``; chunk and campaign records are sweeps combined by
+  sweep folds a worker's chunk, window by window, into one
+  ``CoverageReport``; the campaign's record is the chunks' combined by
   ``_merge``.
 * ``oracles`` — run the exact enumeration and algebraic identity suites.
 * ``compare-concentration`` — tabulate the kl-form tail bound against the
@@ -22,6 +22,7 @@ output directory or worker count, which cannot affect results).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -34,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandit import Environment, GameTrace, _gibbs_weights, _pi_floor, _play_block, _schedule_table
+from .bandit import Environment, GameTrace, Window, _expected_reward, _gibbs_weights, _pi_floor
+from .bandit import _play_windows, _schedule_table
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
@@ -78,9 +80,12 @@ _PROBE_STREAM = 4
 # Cap on the entries of the largest array a campaign allocates (800 MB of
 # float64): simulate's (M, T) regret matrix at M = 1000, T = 10^5 just fits.
 _MAX_ARRAY_ENTRIES = 10**8
-# Trajectories the engine plays in lockstep: a larger block saves little
-# per round and costs peak memory.
-_BLOCK = 8
+# Trajectories the engine plays in lockstep.  A round of a block costs
+# little more than a round of one trajectory, and the engine holds (B, R, K)
+# windows (plus a Beta block's (B, T, K) payout table), so blocks are large.
+_BLOCK = 256
+# Table rows converted to text per write.
+_CSV_ROWS = 4096
 # Exp-sum probes evaluated per kernel call.
 _PROBE_BLOCK = 1024
 
@@ -216,25 +221,38 @@ def _cell(x) -> str:
     return "" if x is None else str(x)
 
 
-def _write_csv(path: Path, columns: dict) -> None:
-    """Write one table whose header is the keys of ``columns``.  A column is
-    a numpy array, read through ``tolist()``, or a list of Python scalars."""
-    cells = [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns.values()]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+def _write_csv(out, columns: dict, header: bool = True) -> None:
+    """Write one table whose header is the keys of ``columns`` to ``out``, a
+    path or an open text file; without ``header``, write only the rows, to
+    continue a table.  A column is a numpy array, read through ``tolist()``,
+    or a list of Python scalars; ``_CSV_ROWS`` rows are converted at a time,
+    never one Python object per cell."""
+    if isinstance(out, (str, Path)):
+        with open(out, "w", newline="") as fh:
+            return _write_csv(fh, columns, header)
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    writer = csv.writer(out)
+    if header:
         writer.writerow(columns)
-        writer.writerows(zip(*cells, strict=True))
+    for start in range(0, lengths.pop(), _CSV_ROWS):
+        part = [c[start : start + _CSV_ROWS] for c in columns.values()]
+        cells = [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in part]
+        writer.writerows(zip(*cells))
+
+
+def _trace_columns(start: int, actions, rewards, pi, rhat) -> dict:
+    """Rounds start+1.. of one trajectory: t, action, reward, policy entries, estimates."""
+    ts = np.arange(start + 1, start + len(actions) + 1)
+    return {"t": ts, "action": actions, "reward": rewards} | {
+        f"{name}_{a}": col[:, a] for name, col in (("pi", pi), ("rhat", rhat)) for a in range(pi.shape[1])
+    }
 
 
 def write_trace_csv(trace: GameTrace, path) -> None:
     """One row per round: t, action, reward, policy entries, estimate entries."""
-    arms = range(trace.n_arms)
-    _write_csv(
-        path,
-        {"t": np.arange(1, trace.horizon + 1), "action": trace.actions, "reward": trace.rewards}
-        | {f"pi_{a}": trace.pi[:, a] for a in arms}
-        | {f"rhat_{a}": trace.rhat[:, a] for a in arms},
-    )
+    _write_csv(path, _trace_columns(0, trace.actions, trace.rewards, trace.pi, trace.rhat))
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, summary: dict) -> Path:
@@ -275,18 +293,19 @@ def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
 
 
 def _block_size(chunk: int, horizon: int, n_arms: int) -> int:
-    """Trajectories per lockstep block: at most ``_BLOCK`` and the chunk,
-    and few enough that a (B, T, K) block array stays under the cap."""
+    """Trajectories per lockstep block: the whole chunk up to ``_BLOCK``, and
+    few enough that a Beta block's (B, T, K) payout table stays under the cap."""
     return min(_BLOCK, chunk, _MAX_ARRAY_ENTRIES // (horizon * n_arms))
 
 
-def _chunk_traces(cfg: ExperimentConfig, env: Environment, indices):
-    """Play trajectories ``indices`` in lockstep blocks; yield (index, trace) in order."""
+def _chunk_blocks(cfg: ExperimentConfig, env: Environment, indices):
+    """Split trajectories ``indices`` into lockstep blocks, in order; yield
+    each block's slice of the chunk and its stream of windows."""
     size = _block_size(len(indices), cfg.horizon, env.n_arms)
     for start in range(0, len(indices), size):
-        block = [int(i) for i in indices[start : start + size]]
-        seeds = [trajectory_stream(cfg.seed, i) for i in block]
-        yield from zip(block, _play_block(env, cfg.horizon, seeds, cfg.warmup_length))
+        block = slice(start, start + size)
+        seeds = [trajectory_stream(cfg.seed, int(i)) for i in indices[block]]
+        yield block, _play_windows(env, cfg.horizon, seeds, cfg.warmup_length)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +315,7 @@ def _chunk_traces(cfg: ExperimentConfig, env: Environment, indices):
 
 def prediction_regret(trace: GameTrace, env: Environment) -> np.ndarray:
     """Per-round regret of the policy formed after round t (played at t+1)."""
-    # One (T, K) product, the shape the curve has always used: BLAS may
-    # round a row differently inside a matrix of another shape.
-    return env.best_mean - np.vstack((trace.pi[1:], trace.next_pi)) @ env.means
+    return env.best_mean - _expected_reward(np.vstack((trace.pi[1:], trace.next_pi)), env.means)
 
 
 def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
@@ -309,14 +326,25 @@ def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
 
 
 def _simulate_chunk(args) -> np.ndarray:
+    """Regret rows of trajectories ``indices``, filled a window at a time;
+    with ``store_traces``, each window is added to its trajectories' files,
+    which stay open while their block plays."""
     cfg, indices = args
     env = cfg.environment()
     rows = np.empty((len(indices), cfg.horizon))
-    for j, (i, trace) in enumerate(_chunk_traces(cfg, env, indices)):
-        rows[j] = prediction_regret(trace, env)
-        if cfg.store_traces:
-            write_trace_csv(trace, Path(cfg.outdir) / f"trace_{i:04d}.csv")
-        del trace  # the last view would keep its block alive while the next one plays
+    for block, windows in _chunk_blocks(cfg, env, indices):
+        with contextlib.ExitStack() as stack:
+            files = [
+                stack.enter_context(open(Path(cfg.outdir) / f"trace_{i:04d}.csv", "w", newline=""))
+                for i in indices[block]
+            ] if cfg.store_traces else []
+            for w in windows:
+                # Each round's regret is that of the policy formed after it.
+                regret = env.best_mean - _expected_reward(w.pi[:, 1:], env.means)
+                rows[block, w.start : w.start + regret.shape[1]] = regret
+                for j, fh in enumerate(files):
+                    columns = _trace_columns(w.start, w.actions[j], w.rewards[j], w.pi[j, :-1], w.rhat[j])
+                    _write_csv(fh, columns, header=w.start == 0)
     return rows
 
 
@@ -436,58 +464,94 @@ def _merge(a: CoverageReport, b: CoverageReport) -> CoverageReport:
     return CoverageReport(entries=entries)
 
 
-def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> CoverageReport:
-    """Evaluate every bound route at every round of one trajectory.
+def _coverage(blocks, env: Environment, delta: float, horizon: int) -> CoverageReport:
+    """Evaluate every bound route at every round of some trajectories.
 
-    Comparison distributions, one row each of the stacked (3, T) arrays of
-    estimate, truth and prior KL: the Gibbs posterior on current estimates,
-    the point mass on the best arm, and uniform — all against the uniform
-    prior.  The kl route uses the realized running-minimum probability (the
-    tightest legal pi_lmin); the weighted route uses the deterministic
-    schedule lower bounds so that lambda stays data-independent.  Returns a
-    one-trajectory report: per route, whether any comparator broke its
-    bound at each round, and the smallest bound-minus-value slack.
+    ``blocks`` yields one stream of ``Window``s per lockstep block; the
+    sweep reads each window's rho, rhat and pi_lmin.  Comparison
+    distributions, one row each of the stacked (3, B, R) arrays of
+    estimate, truth and prior KL: the Gibbs posterior rho on current
+    estimates, the point mass on the best arm, and uniform — all against
+    the uniform prior.  The kl route uses the realized running-minimum
+    probability (the tightest legal pi_lmin); the weighted route uses the
+    deterministic schedule lower bounds so that lambda stays
+    data-independent.  Windows fold in exactly: a trajectory's flag is the
+    OR of its windows', per-round counts add, and the worst
+    bound-minus-value slack is the minimum.
     """
-    k = trace.n_arms
-    horizon = trace.horizon
-    ts = np.arange(1, horizon + 1, dtype=float)
+    log_k = math.log(env.n_arms)
     means = env.means
-    rhat = trace.rhat
-    lmin = trace.pi_lmin
+    trials = 0
+    violated = dict.fromkeys(_ROUTES, 0)
+    worst = dict.fromkeys(_ROUTES, math.inf)
+    counts = {name: np.zeros(horizon, dtype=np.int64) for name in _ROUTES}
+    for windows in blocks:
+        hits = {}
+        carry = 0.0
+        for w in windows:
+            rho, rhat, lmin = w.rho, w.rhat, w.pi_lmin
+            shape = lmin.shape
+            rounds = slice(w.start, w.start + shape[1])
+            ts = np.arange(rounds.start + 1, rounds.stop + 1, dtype=float)
+            # The running sum of the schedule floors' pi_min^-2, continued
+            # from the last window: adding the carry to the first entry
+            # before the cumsum keeps the float order sequential.
+            inv_sq = w.floor ** -2.0
+            inv_sq[0] += carry
+            cum_a = np.cumsum(inv_sq)
+            carry = cum_a[-1]
+            # Arms the softmax underflowed to 0 contribute 0 to sum rho ln rho.
+            safe_rho = np.where(rho > 0.0, rho, 1.0)
+            r_hat_rho = np.stack((np.sum(rho * rhat, axis=-1), rhat[..., env.best_arm], rhat.mean(axis=-1)))
+            r_rho = np.stack(
+                (_expected_reward(rho, means), np.full(shape, env.best_mean), np.full(shape, means.mean()))
+            )
+            prior_kl = np.stack(
+                (log_k + np.sum(rho * np.log(safe_rho), axis=-1), np.full(shape, log_k), np.zeros(shape))
+            )
 
-    gamma, _ = _schedule_table(k, horizon)
-    rho = _gibbs_weights(rhat, gamma[:horizon, None])
+            scaled_hat = lmin * r_hat_rho
+            if scaled_hat.max() > 1.0 + _SCALE_TOL:
+                raise ValueError("pi_lmin scaling contract violated on the trace")
+            scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
+            scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
 
-    log_k = math.log(k)
-    # Arms the softmax underflowed to 0 contribute 0 to sum rho ln rho.
-    safe_rho = np.where(rho > 0.0, rho, 1.0)
-    r_hat_rho = np.stack((np.sum(rho * rhat, axis=1), rhat[:, env.best_arm], rhat.mean(axis=1)))
-    r_rho = np.stack((rho @ means, np.full(horizon, env.best_mean), np.full(horizon, means.mean())))
-    prior_kl = np.stack(
-        (log_k + np.sum(rho * np.log(safe_rho), axis=1), np.full(horizon, log_k), np.zeros(horizon))
-    )
+            for name, value, bound in (
+                ("kl_route", bernoulli_kl_vec(scaled_hat, scaled_true), _kl_budget(prior_kl, ts, delta)),
+                ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a)),
+            ):
+                flags = (value > bound).any(axis=0)
+                hits[name] = flags.any(axis=1) | hits.get(name, False)
+                counts[name][rounds] += flags.sum(axis=0)
+                worst[name] = min(worst[name], float(np.min(bound - value)))
+        trials += shape[0]  # the block's trajectories
+        for name, hit in hits.items():
+            violated[name] += int(hit.sum())
+    return CoverageReport(entries={
+        name: BoundCoverage(name, trials, violated[name], worst[name], counts[name]) for name in _ROUTES
+    })
 
-    scaled_hat = lmin * r_hat_rho
-    if scaled_hat.max() > 1.0 + _SCALE_TOL:
-        raise ValueError("pi_lmin scaling contract violated on the trace")
-    scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
-    scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
-    cum_a = np.cumsum(schedule_pi_min(k, horizon) ** -2.0)
 
-    entries = {}
-    for name, value, bound in (
-        ("kl_route", bernoulli_kl_vec(scaled_hat, scaled_true), _kl_budget(prior_kl, ts, delta)),
-        ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a)),
-    ):
-        violations = (value > bound).any(axis=0)
-        entries[name] = BoundCoverage(
-            name=name,
-            trials=1,
-            violated=int(violations.any()),
-            worst_slack=float(np.min(bound - value)),
-            per_round_violations=violations.astype(np.int64),
-        )
-    return CoverageReport(entries=entries)
+def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> CoverageReport:
+    """Evaluate every bound route at every round of one trajectory: the
+    one-window call of the sweep, with rho formed from the trace's
+    estimates.  Returns a one-trajectory report: per route, whether any
+    comparator broke its bound at each round, and the smallest slack."""
+    gamma, _ = _schedule_table(trace.n_arms, trace.horizon)
+    rho = _gibbs_weights(trace.rhat, gamma[: trace.horizon, None])
+    floor = schedule_pi_min(trace.n_arms, trace.horizon)
+    window = Window(0, None, None, None, trace.rhat[None], rho[None], trace.pi_lmin[None], floor)
+    return _coverage([[window]], env, delta, trace.horizon)
+
+
+def _first_row_columns(windows, pi_min: np.ndarray, pi_lmin: np.ndarray):
+    """Pass windows on, copying row 0's smallest policy entry and running
+    minimum of each round into the (T,) columns ``pi_min`` and ``pi_lmin``."""
+    for w in windows:
+        rounds = slice(w.start, w.start + w.pi_lmin.shape[1])
+        pi_min[rounds] = w.pi[0, :-1].min(axis=1)
+        pi_lmin[rounds] = w.pi_lmin[0]
+        yield w
 
 
 def _verify_chunk(args):
@@ -496,14 +560,13 @@ def _verify_chunk(args):
     others return None."""
     cfg, indices = args
     env = cfg.environment()
-    record = drivers = None
-    for i, trace in _chunk_traces(cfg, env, indices):
-        if i == 0:
-            drivers = gap_driver_report(trace, cfg.delta)
-        sweep = certificate_sweep(trace, env, cfg.delta)
-        record = sweep if record is None else _merge(record, sweep)
-        del trace  # the last view would keep its block alive while the next one plays
-    return record, drivers
+    columns = np.empty((2, cfg.horizon)) if indices[0] == 0 else None
+    blocks = (
+        _first_row_columns(windows, *columns) if block.start == 0 and columns is not None else windows
+        for block, windows in _chunk_blocks(cfg, env, indices)
+    )
+    record = _coverage(blocks, env, cfg.delta, cfg.horizon)
+    return record, None if columns is None else gap_driver_report(*columns, cfg.delta)
 
 
 def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:

@@ -2,33 +2,33 @@
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from banditbounds import (
-    Environment,
+from banditbounds import Environment, run_game, schedules, write_trace_csv
+from banditbounds import bandit
+from banditbounds.bandit import (
+    BETA_LEVELS,
+    _block_traces,
+    _choose_arms,
+    _gibbs_weights,
+    _payouts,
+    _play_windows,
+    _schedule_arrays,
+    _schedule_table,
+    _smooth_weights,
+)
+from reference import (
     PolicyState,
     ScheduleError,
     SimplexVector,
     gibbs_posterior,
-    run_game,
-    schedules,
     smooth_policy,
     update_estimates,
-    write_trace_csv,
-)
-from banditbounds.bandit import (
-    BETA_LEVELS,
-    _choose_arms,
-    _gibbs_weights,
-    _payouts,
-    _play_block,
-    _schedule_arrays,
-    _schedule_table,
-    _smooth_weights,
 )
 
 
@@ -289,7 +289,7 @@ class TestEnvironment:
     def test_beta_rewards_live_on_grid(self):
         env = Environment(means=np.array([0.35, 0.0, 1.0]), reward_kind="beta")
         step = 1.0 / (BETA_LEVELS - 1)
-        table = _payouts(env, 500, np.random.default_rng(1))
+        table = _payouts(env, 500, [np.random.default_rng(1)])[0]
         assert table.shape == (500, 3)
         draws = table[:, 0]
         assert np.all((draws >= 0.0) & (draws <= 1.0))
@@ -416,17 +416,24 @@ class TestRunGame:
         warmup_length=st.none() | st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
         position=st.integers(1, 7),
+        window=st.integers(1, 40),
     )
-    def test_step_api_replays_the_game(self, k, horizon, kind, warmup_length, seed, position):
+    def test_step_api_replays_the_game(
+        self, k, horizon, kind, warmup_length, seed, position, window
+    ):
         # The step API is the engine's per-round reference: replaying the
         # trace's arms and rewards through it must give every policy,
         # estimate and running floor bit for bit, and the round-T+1 policy.
-        # The trace is row ``position`` of a lockstep block of eight.
+        # The trace is row ``position`` of a lockstep block of eight, played
+        # ``window`` rounds at a time.
         rng = np.random.default_rng(seed)
         env = Environment(means=rng.uniform(0.0, 1.0, k), reward_kind=kind)
         seeds = [seed + 1 + j for j in range(8)]
         seeds[position] = seed
-        trace = _play_block(env, horizon, seeds, warmup_length)[position]
+        warmup = k**3 if warmup_length is None else warmup_length
+        with mock.patch.object(bandit, "_WINDOW", window):
+            windows = list(_play_windows(env, horizon, seeds, warmup))
+        trace = _block_traces(k, horizon, warmup, windows)[position]
 
         def policy(t, state):
             if t < trace.warmup_length:

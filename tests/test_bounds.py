@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from banditbounds import (
     Environment,
-    GameTrace,
     bernoulli_kl,
     expsum_ratio,
     gap_driver_report,
@@ -28,22 +27,12 @@ from banditbounds import (
 from banditbounds.bounds import _gap_radius
 
 
-def flat_trace(horizon: int, pi_rows: np.ndarray) -> GameTrace:
-    """Minimal synthetic trace: only the policy columns matter to the
-    driver report, the rest is zero filler."""
+def policy_columns(pi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns the driver report reads from a run of policies: the
+    smallest entry of each round's policy and its running minimum."""
     k = pi_rows.shape[1]
-    lmin = np.minimum.accumulate(np.minimum(pi_rows.min(axis=1), 1.0 / k))
-    return GameTrace(
-        n_arms=k,
-        horizon=horizon,
-        warmup_length=1,
-        pi=pi_rows,
-        actions=np.zeros(horizon, dtype=np.int64),
-        rewards=np.zeros(horizon),
-        rhat=np.zeros((horizon, k)),
-        pi_lmin=lmin,
-        next_pi=pi_rows[-1],
-    )
+    pi_min = pi_rows.min(axis=1)
+    return pi_min, np.minimum.accumulate(np.minimum(pi_min, 1.0 / k))
 
 
 class TestKlBudget:
@@ -114,7 +103,7 @@ class TestRewardGapRadius:
     @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 300), delta=st.floats(1e-6, 0.5))
     def test_drivers_column_equals_scalar_radius(self, seed, horizon, delta):
         trace = run_game(Environment(means=np.array([0.7, 0.3])), horizon=horizon, seed=seed)
-        gaps = gap_driver_report(trace, delta).kl_route_gap
+        gaps = gap_driver_report(trace.pi.min(axis=1), trace.pi_lmin, delta).kl_route_gap
         for t in range(1, horizon + 1):
             assert gaps[t - 1] == reward_gap_radius(0.0, t, delta, trace.pi_lmin[t - 1]), t
 
@@ -257,7 +246,7 @@ class TestWeightedGapBound:
 class TestGapDriverReport:
     def test_constant_policy_drivers_coincide(self):
         pi = np.full((200, 2), 0.5)
-        rep = gap_driver_report(flat_trace(200, pi), 0.05)
+        rep = gap_driver_report(*policy_columns(pi), 0.05)
         assert np.allclose(rep.lmin_driver, 2.0)
         assert np.allclose(rep.rms_driver, 2.0)
         assert np.array_equal(rep.rounds, np.arange(1, 201))
@@ -267,7 +256,7 @@ class TestGapDriverReport:
         # forever, while the root-mean-square driver forgives it.
         pi = np.full((400, 2), 0.5)
         pi[0] = (0.99, 0.01)
-        rep = gap_driver_report(flat_trace(400, pi), 0.05)
+        rep = gap_driver_report(*policy_columns(pi), 0.05)
         assert rep.lmin_driver[-1] == pytest.approx(100.0)
         assert rep.rms_driver[-1] < 10.0
         assert rep.kl_route_gap[-1] > 5.0 * rep.weighted_route_gap[-1]
@@ -275,7 +264,7 @@ class TestGapDriverReport:
     def test_schedule_trace_keeps_drivers_comparable(self):
         env = Environment(means=np.array([0.7, 0.3]))
         trace = run_game(env, horizon=300, seed=11)
-        rep = gap_driver_report(trace, 0.05)
+        rep = gap_driver_report(trace.pi.min(axis=1), trace.pi_lmin, 0.05)
         ratio = rep.lmin_driver[49:] / rep.rms_driver[49:]
         assert np.all(ratio >= 1.0)
         assert np.all(ratio <= 1.5)

@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from banditbounds.divergences import (
-    SimplexVector,
     bernoulli_kl,
     bernoulli_kl_vec,
     kl_lower_inverse,
     kl_upper_inverse,
     pinsker_gap,
 )
+from reference import SimplexVector
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 interior = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)

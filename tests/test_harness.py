@@ -5,8 +5,10 @@ using the scalar bound functions round by round, so the harness cannot
 drift away from the library's own definitions.
 """
 
+import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
 import tempfile
@@ -28,7 +30,7 @@ from banditbounds import (
     OracleReport,
     certificate_sweep,
     expsum_ratio,
-    gibbs_posterior,
+    gap_driver_report,
     kl_certificate,
     prediction_regret,
     regret_decomposition,
@@ -44,8 +46,9 @@ from banditbounds import (
     weighted_gap_bound_opt,
 )
 import banditbounds
-from banditbounds import harness
+from banditbounds import bandit, harness
 from banditbounds.cli import main
+from reference import gibbs_posterior
 
 
 def read_csv(path):
@@ -147,20 +150,35 @@ class TestLockstepBlocks:
         warmup_length=st.none() | st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
         trajectories=st.integers(1, 20),
+        block=st.integers(1, 8),
+        window=st.integers(1, 40),
     )
     @settings(max_examples=50)
     def test_blocks_play_each_seed_as_alone(
-        self, k, horizon, kind, warmup_length, seed, trajectories
+        self, k, horizon, kind, warmup_length, seed, trajectories, block, window
     ):
+        # Blocks of ``block`` trajectories, played ``window`` rounds at a
+        # time, against each seed played alone in windows of the default
+        # length.
         cfg = ExperimentConfig(
             mode="simulate", n_arms=k, horizon=horizon, trajectories=trajectories, seed=seed,
             means=tuple(np.random.default_rng(seed).uniform(0.0, 1.0, k)), reward_kind=kind,
             warmup_length=warmup_length,
         )
         env = cfg.environment()
-        played = list(harness._chunk_traces(cfg, env, np.arange(trajectories)))
-        assert [i for i, _ in played] == list(range(trajectories))
-        for i, trace in played:
+        warmup = k**3 if warmup_length is None else warmup_length
+        played, offsets = [], []
+        with mock.patch.object(harness, "_BLOCK", block), mock.patch.object(
+            bandit, "_WINDOW", window
+        ):
+            for rows, windows in harness._chunk_blocks(cfg, env, np.arange(trajectories)):
+                windows = list(windows)
+                assert [w.start for w in windows] == list(range(0, horizon, window))
+                offsets.append(rows.start)
+                played += bandit._block_traces(k, horizon, warmup, windows)
+        assert offsets == list(range(0, trajectories, block))
+        assert len(played) == trajectories
+        for i, trace in enumerate(played):
             alone = run_game(env, horizon, trajectory_stream(seed, i), warmup_length=warmup_length)
             for field in dataclasses.fields(trace):
                 a, b = getattr(trace, field.name), getattr(alone, field.name)
@@ -176,11 +194,125 @@ class TestLockstepBlocks:
         size = harness._block_size(chunk, horizon, k)
         assert 1 <= size <= min(chunk, harness._BLOCK)
         assert size * horizon * k <= _CAP
+        # The whole chunk, up to the block cap, whenever a Beta payout
+        # table of that many trajectories fits under the array cap.
+        if min(chunk, harness._BLOCK) * horizon * k <= _CAP:
+            assert size == min(chunk, harness._BLOCK)
 
     def test_block_size_at_the_cap(self):
         assert harness._block_size(50, _CAP // 2, 2) == 1
-        assert harness._block_size(50, 2000, 2) == harness._BLOCK
+        assert harness._block_size(1000, 2000, 2) == harness._BLOCK
+        assert harness._block_size(50, 2000, 2) == 50
         assert harness._block_size(3, 2000, 2) == 3
+        assert harness._block_size(1000, 10**5, 8) == _CAP // (8 * 10**5) < harness._BLOCK
+
+    def test_game_reads_the_documented_stream(self):
+        # Played a window at a time, a game's actions still read stream
+        # positions 0..T-1 and its Bernoulli payouts positions T..2T-1.
+        env = Environment(means=np.array([0.7, 0.4, 0.2]))
+        horizon = 100
+        with mock.patch.object(bandit, "_WINDOW", 7):
+            trace = run_game(env, horizon, trajectory_stream(2, 5))
+        u = trajectory_stream(2, 5).random(2 * horizon)
+        assert np.array_equal(trace.actions, bandit._choose_arms(trace.pi, u[:horizon]))
+        assert np.array_equal(trace.rewards, (u[horizon:] < env.means[trace.actions]).astype(float))
+
+    def test_advanced_twin_draws_the_payout_uniforms(self):
+        # The engine draws a trajectory's action uniforms a window at a time
+        # from its stream, and its payout uniforms from a copy advanced by
+        # T.  Both must be the positions a game that drew all 2T uniforms
+        # up front would read: numpy promises neither.
+        horizon = 300
+        for i in range(300):
+            up_front = trajectory_stream(5, i).random(2 * horizon)
+            rng = trajectory_stream(5, i)
+            twin = np.random.Generator(copy.copy(rng.bit_generator))
+            twin.bit_generator.advance(horizon)
+            sizes = [7] * (horizon // 7) + [horizon % 7]
+            actions = np.concatenate([rng.random(n) for n in sizes])
+            payouts = np.concatenate([twin.random(n) for n in sizes])
+            assert np.array_equal(actions, up_front[:horizon]), i
+            assert np.array_equal(payouts, up_front[horizon:]), i
+
+
+class TestWindows:
+    _VERIFY = dict(mode="verify-bounds", n_arms=3, horizon=45, trajectories=7, seed=3)
+    _SIMULATE = dict(
+        mode="simulate", n_arms=3, horizon=45, trajectories=5, seed=8, reward_kind="beta",
+        store_traces=True,
+    )
+
+    def _outputs(self, tmp_path, name, window, block):
+        with mock.patch.object(bandit, "_WINDOW", window), mock.patch.object(
+            harness, "_BLOCK", block
+        ):
+            run_verify_bounds(ExperimentConfig(outdir=str(tmp_path / name / "v"), **self._VERIFY))
+            run_simulate(ExperimentConfig(outdir=str(tmp_path / name / "s"), **self._SIMULATE))
+        root = tmp_path / name
+        files = ["v/coverage.csv", "v/violation_profile.csv", "v/drivers.csv",
+                 "s/regret_curve.csv"] + [f"s/trace_{i:04d}.csv" for i in range(5)]
+        return {f: (root / f).read_bytes() for f in files}
+
+    def test_outputs_do_not_depend_on_the_window(self, tmp_path):
+        # Windows of 1, 7, T and T + 5 rounds, in blocks of several sizes,
+        # against the default window and block.
+        reference = self._outputs(tmp_path, "default", bandit._WINDOW, harness._BLOCK)
+        for window, block in ((1, harness._BLOCK), (7, 2), (45, 3), (50, 1)):
+            outputs = self._outputs(tmp_path, f"w{window}", window, block)
+            for name, data in reference.items():
+                assert outputs[name] == data, (window, block, name)
+        # drivers.csv is trajectory 0's report.
+        trace = run_game(ExperimentConfig(**self._VERIFY).environment(), 45, trajectory_stream(3, 0))
+        report = gap_driver_report(trace.pi.min(axis=1), trace.pi_lmin, 0.05)
+        rows = read_csv(tmp_path / "default" / "v" / "drivers.csv")[1:]
+        assert [float(r[1]) for r in rows] == report.lmin_driver.tolist()
+        assert [float(r[2]) for r in rows] == report.rms_driver.tolist()
+
+    def test_verify_matches_one_sweep_per_trajectory(self, tmp_path):
+        # The campaign sweeps windows with the engine's rho and floors; the
+        # trace path forms both again from each trajectory.
+        cfg = ExperimentConfig(outdir=str(tmp_path), **self._VERIFY)
+        with mock.patch.object(bandit, "_WINDOW", 7):
+            report = run_verify_bounds(cfg)
+        env = cfg.environment()
+        sweeps = [
+            certificate_sweep(run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i)), env, cfg.delta)
+            for i in range(cfg.trajectories)
+        ]
+        for name, entry in functools.reduce(harness._merge, sweeps).entries.items():
+            got = report.entries[name]
+            assert (got.trials, got.violated, got.worst_slack) == (entry.trials, entry.violated, entry.worst_slack)
+            assert np.array_equal(got.per_round_violations, entry.per_round_violations)
+
+    def test_simulate_rows_are_prediction_regret(self, tmp_path):
+        cfg = ExperimentConfig(outdir=str(tmp_path), **self._SIMULATE)
+        with mock.patch.object(bandit, "_WINDOW", 7):
+            result = run_simulate(cfg)
+        env = cfg.environment()
+        for i, row in enumerate(result.regret):
+            trace = run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i))
+            assert np.array_equal(row, prediction_regret(trace, env)), i
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "point"])
+    def test_chunk_memory_does_not_hold_the_horizon(self, kind):
+        # From T = 1 000 to T = 8 000 the per-round outputs (counts, the
+        # schedule and trajectory 0's drivers) may grow the peak; a (B, T)
+        # or (B, T, K) array left over from the engine or the sweep would
+        # grow it by at least one (32, 7 000) float64 array.
+        peaks = []
+        for horizon in (1000, 8000):
+            cfg = ExperimentConfig(
+                mode="verify-bounds", horizon=horizon, trajectories=32, reward_kind=kind
+            )
+            if not peaks:  # a first call also allocates what later calls reuse
+                harness._verify_chunk((dataclasses.replace(cfg, horizon=10), np.arange(32)))
+            tracemalloc.start()
+            try:
+                harness._verify_chunk((cfg, np.arange(32)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 32 * 7000 * 8, peaks
 
 
 class TestPredictionRegret:
@@ -191,7 +323,7 @@ class TestPredictionRegret:
         assert pr.shape == (40,)
         # The policy formed after round t is exactly the one the game plays
         # at round t+1, so the regret columns must coincide shifted by one.
-        expected = env.best_mean - trace.pi[1:] @ env.means
+        expected = env.best_mean - (trace.pi[1:] * env.means).sum(axis=1)
         assert np.array_equal(pr[:-1], expected)
 
     def test_equal_means_give_zero_regret(self):
@@ -292,6 +424,37 @@ class TestCertificateSweep:
         assert np.array_equal(weighted_route.per_round_violations, w_viol)
         assert kl_route.worst_slack == pytest.approx(kl_slack, abs=1e-10)
         assert weighted_route.worst_slack == pytest.approx(w_slack, abs=1e-10)
+
+    @pytest.mark.parametrize("window", [1, 7, 20])
+    def test_windows_fold_like_one_sweep_per_trajectory(self, window):
+        # Three trajectories swept as one block cut into windows, against
+        # one sweep per trajectory merged.  The sweep checks means redrawn
+        # from the played ones, so bounds break in early and late windows
+        # and the flags, counts and slacks are all exercised.
+        rng = np.random.default_rng(window)
+        late_violations = 0
+        for case in range(30):
+            k, horizon = int(rng.integers(2, 5)), int(rng.integers(1, 121))
+            game = Environment(means=rng.uniform(0.0, 1.0, k))
+            env = Environment(means=rng.uniform(0.0, 1.0, k))
+            traces = [run_game(game, horizon, seed=100 * case + j) for j in range(3)]
+            gamma = np.array([schedules(t, k).gamma for t in range(1, horizon + 1)])
+            rho = np.stack([harness._gibbs_weights(t.rhat, gamma[:, None]) for t in traces])
+            rhat = np.stack([t.rhat for t in traces])
+            lmin = np.stack([t.pi_lmin for t in traces])
+            windows = []
+            for start in range(0, horizon, window):
+                cut = slice(start, start + window)
+                floor = schedule_pi_min(k, horizon)[cut]
+                windows.append(bandit.Window(start, None, None, None, rhat[:, cut], rho[:, cut], lmin[:, cut], floor))
+            folded = harness._coverage([windows], env, 0.05, horizon)
+            merged = functools.reduce(harness._merge, [certificate_sweep(t, env, 0.05) for t in traces])
+            for name, entry in merged.entries.items():
+                got = folded.entries[name]
+                assert (got.trials, got.violated, got.worst_slack) == (3, entry.violated, entry.worst_slack)
+                assert np.array_equal(got.per_round_violations, entry.per_round_violations), case
+                late_violations += int(entry.per_round_violations[window:].any())
+        assert late_violations >= 3
 
     @given(k=st.integers(2, 8), horizon=st.integers(1, 500), seed=st.integers(0, 2**16))
     def test_gibbs_comparator_uses_the_schedule(self, k, horizon, seed):
@@ -802,7 +965,16 @@ class TestFootprintCap:
             ["verify-bounds", "--n-arms", str(10**6)],
         ],
     )
-    def test_oversized_config_exits_two_before_allocating(self, tmp_path, capsys, argv):
+    def test_oversized_config_exits_two_before_allocating(self, tmp_path, capsys, monkeypatch, argv):
+        # If the cap let one of these through, its campaign would run for
+        # hours; the runners fail the test instead.
+        import banditbounds.cli as cli_module
+
+        def never_run(cfg):
+            pytest.fail(f"a {cfg.mode} campaign ran")
+
+        for mode in harness.MODES:
+            monkeypatch.setitem(cli_module._RUNNERS, mode, never_run)
         outdir = tmp_path / "big"
         tracemalloc.start()
         try:
