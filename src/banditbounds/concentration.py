@@ -4,7 +4,9 @@ Three layers, all backed by exact finite computations where possible:
 
 * a dominance oracle: dependent [0,1]-valued chains whose conditional mean
   is constant are compared against i.i.d. Bernoulli draws under convex test
-  functions, by exhaustive path enumeration;
+  functions, by exhaustive path enumeration.  Both sides are a path matrix
+  (one row of values per path) and a weight per path, and one kernel folds
+  ``weights @ f(rows)`` over row blocks;
 * a moment bound for the exponentiated kl of a Bernoulli sample mean,
   evaluated exactly over the N+1 outcomes;
 * two martingale tail bounds — a kl-form bound driven by ln((N+1)/delta)
@@ -20,7 +22,7 @@ can be reproduced trajectory by trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 PATH_BUDGET = 1_000_000          # hard cap on |support|**length enumerations
+_PATH_BLOCK = 1 << 14            # path rows per f call: blocks stay a few MB
 MOMENT_MAX_LENGTH = 25           # bernoulli_kl_moment stays exact-and-cheap
 _MEAN_TOL = 1e-12
 _SIMPLEX_TOL = 1e-12
@@ -105,6 +108,8 @@ class DependentChainSpec:
     prefix, in that order) and rejects the spec unless each conditional is
     a probability vector whose mean equals ``mean`` to within 1e-12: the
     constant-conditional-mean hypothesis is validated up front, not trusted.
+    The same walk records every reachable path: ``path_values`` holds one
+    row of values per path and ``path_probs`` its probability.
     """
 
     length: int
@@ -114,6 +119,8 @@ class DependentChainSpec:
         | Callable[[tuple[int, ...]], Sequence[float]]
     )
     mean: float
+    path_values: np.ndarray = field(init=False, repr=False)
+    path_probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if int(self.length) < 1:
@@ -135,10 +142,14 @@ class DependentChainSpec:
         source = self.transitions
         conditional = source if callable(source) else source.__getitem__
         cleaned: dict[tuple[int, ...], tuple[float, ...]] = {}
-        stack: list[tuple[int, ...]] = [()]
+        paths: list[tuple[tuple[int, ...], float]] = []
+        stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
         values = np.asarray(support)
         while stack:
-            prefix = stack.pop()
+            prefix, mass = stack.pop()
+            if len(prefix) == self.length:
+                paths.append((prefix, mass))
+                continue
             try:
                 raw = conditional(prefix)
             except KeyError:
@@ -164,11 +175,14 @@ class DependentChainSpec:
                     f"deviates from {mean!r}: the constant-mean hypothesis fails"
                 )
             cleaned[prefix] = tuple(float(x) for x in probs)
-            if len(prefix) + 1 < self.length:
-                for j, pr in enumerate(probs):
-                    if pr > 0.0:
-                        stack.append(prefix + (j,))
+            for j, pr in enumerate(cleaned[prefix]):
+                if pr > 0.0:
+                    stack.append((prefix + (j,), mass * pr))
         object.__setattr__(self, "transitions", cleaned)
+        indices, path_probs = zip(*paths)
+        for name, arr in (("path_values", values[np.array(indices)]), ("path_probs", np.array(path_probs))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def iid_bernoulli(cls, length: int, p: float) -> "DependentChainSpec":
@@ -244,92 +258,79 @@ def random_constant_mean_chain(length: int, rng: np.random.Generator) -> Depende
     )
 
 
-def dependent_convex_expectation(
-    chain: DependentChainSpec, f: Callable[[tuple[float, ...]], float]
-) -> float:
-    """E[f(X_1..X_N)] under the chain, by exact enumeration of reachable paths."""
-    values = chain.support
+def _fold_paths(count: int, rows_of, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Sum over ``count`` paths of weight * f(path), ``_PATH_BLOCK`` paths at a
+    time; ``rows_of(start, stop)`` gives those paths' (B, N) rows and (B,)
+    weights.  Paths of zero weight (an underflowed product) are dropped."""
     total = 0.0
-    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    while stack:
-        prefix, prob = stack.pop()
-        if len(prefix) == chain.length:
-            total += prob * float(f(tuple(values[j] for j in prefix)))
-            continue
-        for j, pr in enumerate(chain.transitions[prefix]):
-            if pr > 0.0:
-                stack.append((prefix + (j,), prob * pr))
+    for start in range(0, count, _PATH_BLOCK):
+        rows, weights = rows_of(start, min(start + _PATH_BLOCK, count))
+        keep = weights > 0.0
+        total += float(weights[keep] @ f(rows[keep]))
     return total
 
 
-def bernoulli_convex_expectation(
-    length: int, p: float, f: Callable[[tuple[float, ...]], float]
-) -> float:
-    """E[f(Y_1..Y_N)] for Y_i i.i.d. Bernoulli(p), by exact enumeration."""
+def dependent_convex_expectation(chain: DependentChainSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """E[f(X_1..X_N)] under the chain, over its reachable paths."""
+    return _fold_paths(len(chain.path_probs), lambda s, e: (chain.path_values[s:e], chain.path_probs[s:e]), f)
+
+
+def bernoulli_convex_expectation(length: int, p: float, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """E[f(Y_1..Y_N)] for Y_i i.i.d. Bernoulli(p), over the 2^N paths whose
+    bits are (b >> i) & 1."""
     length = int(length)
     if length < 1:
         raise ValueError("length must be a positive integer")
     if 2**length > PATH_BUDGET:
         raise BudgetError("path count exceeds the enumeration budget")
     p = _check_unit(p, "p")
-    total = 0.0
-    for bits in range(2**length):
-        path = tuple(float((bits >> i) & 1) for i in range(length))
-        ones = sum(1 for x in path if x == 1.0)
-        weight = p**ones * (1.0 - p) ** (length - ones)
-        if weight > 0.0:
-            total += weight * float(f(path))
-    return total
+    weight_of = np.array([p**k * (1.0 - p) ** (length - k) for k in range(length + 1)])
+
+    def rows_of(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        bits = (np.arange(start, stop)[:, None] >> np.arange(length)) & 1
+        return bits.astype(float), weight_of[bits.sum(axis=1)]
+
+    return _fold_paths(2**length, rows_of, f)
 
 
-def convex_domination_gap(
-    chain: DependentChainSpec, f: Callable[[tuple[float, ...]], float]
-) -> float:
+def convex_domination_gap(chain: DependentChainSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """E_bernoulli[f] - E_chain[f]; nonnegative for convex f.
 
     Convexity of ``f`` is the caller's responsibility (see
     :func:`midpoint_convexity_probe` for a stochastic spot check).
     """
-    return bernoulli_convex_expectation(
-        chain.length, chain.mean, f
-    ) - dependent_convex_expectation(chain, f)
+    return bernoulli_convex_expectation(chain.length, chain.mean, f) - dependent_convex_expectation(chain, f)
 
 
-def convex_test_functions(
-    length: int, mean: float
-) -> tuple[tuple[str, Callable[[tuple[float, ...]], float]], ...]:
-    """The fixed convex family used by the oracle sweeps.
+def convex_test_functions(length: int, mean: float) -> tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...]:
+    """The fixed convex family used by the oracle sweeps, as functions from
+    (P, N) path rows to (P,) values.
 
     max, squared sum, and the exponentiated-kl moment function matched to
-    ``mean``; each is convex on [0,1]^N.
+    ``mean`` (infinite where the exponent reaches ``_EXP_CAP``); each is
+    convex on [0,1]^N.
     """
     mean = _check_unit(mean, "mean")
 
-    def f_max(xs: tuple[float, ...]) -> float:
-        return max(xs)
+    def f_max(xs: np.ndarray) -> np.ndarray:
+        return xs.max(axis=1)
 
-    def f_square_sum(xs: tuple[float, ...]) -> float:
-        return sum(xs) ** 2
+    def f_square_sum(xs: np.ndarray) -> np.ndarray:
+        return xs.sum(axis=1) ** 2
 
-    def f_kl_moment(xs: tuple[float, ...]) -> float:
-        x_bar = min(max(sum(xs) / length, 0.0), 1.0)
-        exponent = length * bernoulli_kl(x_bar, mean)
-        return math.exp(exponent) if exponent < _EXP_CAP else math.inf
+    def f_kl_moment(xs: np.ndarray) -> np.ndarray:
+        # One scalar kl per distinct sample mean: rows share few of them.
+        x_bar, row_of = np.unique(np.clip(xs.sum(axis=1) / length, 0.0, 1.0), return_inverse=True)
+        exponents = [length * bernoulli_kl(x, mean) for x in x_bar.tolist()]
+        return np.array([math.exp(e) if e < _EXP_CAP else math.inf for e in exponents])[row_of]
 
     return (("max", f_max), ("square_sum", f_square_sum), ("kl_moment", f_kl_moment))
 
 
-def midpoint_convexity_probe(f: Callable[[tuple[float, ...]], float], length: int) -> bool:
-    """Stochastic midpoint test: f((x+y)/2) <= (f(x)+f(y))/2 on random pairs."""
-    rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(_PROBE_TRIALS):
-        x = rng.random(length)
-        y = rng.random(length)
-        mid = f(tuple((x + y) / 2.0))
-        avg = 0.5 * (f(tuple(x)) + f(tuple(y)))
-        if mid > avg + _PROBE_TOL:
-            return False
-    return True
+def midpoint_convexity_probe(f: Callable[[np.ndarray], np.ndarray], length: int) -> bool:
+    """Stochastic midpoint test: f((x+y)/2) <= (f(x)+f(y))/2 on random pairs, one f call per side."""
+    x, y = np.random.default_rng(_PROBE_SEED).random((_PROBE_TRIALS, 2, length)).transpose(1, 0, 2)
+    return not np.any(f((x + y) / 2.0) > 0.5 * (f(x) + f(y)) + _PROBE_TOL)
 
 
 # ---------------------------------------------------------------------------

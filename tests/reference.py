@@ -1,10 +1,15 @@
-"""Per-round reference for the game engine: the step API.
+"""Scalar references the array kernels are checked against.
 
-``PolicyState``, ``update_estimates``, ``gibbs_posterior`` and
-``smooth_policy`` play one round at a time on validated ``SimplexVector``
-policies.  No campaign uses them; ``test_step_api_replays_the_game`` checks
-the lockstep engine against them round by round, and the tests of each
-piece pin the rules they encode.
+* The step API, a per-round reference for the game engine.
+  ``PolicyState``, ``update_estimates``, ``gibbs_posterior`` and
+  ``smooth_policy`` play one round at a time on validated ``SimplexVector``
+  policies.  No campaign uses them; ``test_step_api_replays_the_game``
+  checks the lockstep engine against them round by round, and the tests of
+  each piece pin the rules they encode.
+* Both sides of the domination lemma, one scalar ``f`` call per path: the
+  depth-first walk of a chain's prefix tree, the loop over the 2^N bit
+  paths, and the convex test family as functions of one path tuple.  The
+  path-matrix kernel in ``concentration`` must match them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from banditbounds.bandit import _gibbs_weights, _smooth_weights
-from banditbounds.divergences import _check_pi_lmin, _check_unit
+from banditbounds.concentration import _EXP_CAP
+from banditbounds.divergences import _check_pi_lmin, _check_unit, bernoulli_kl
 
 # Simplex sums within _SUM_TOL of 1 are accepted as-is; deviations up to
 # _RENORM_TOL are renormalized; anything larger is rejected as malformed.
@@ -157,3 +163,51 @@ def smooth_policy(rho: SimplexVector, epsilon_next: float) -> SimplexVector:
             "the smoothed policy would leave the simplex"
         )
     return SimplexVector(_smooth_weights(rho.weights, epsilon_next))
+
+
+def tree_walk_expectation(chain, f) -> float:
+    """E[f(X_1..X_N)] under the chain, by a depth-first walk of its prefix
+    tree; a path whose probability underflows to 0 is dropped, as in the
+    bit loop."""
+    values = chain.support
+    total = 0.0
+    stack = [((), 1.0)]
+    while stack:
+        prefix, prob = stack.pop()
+        if len(prefix) == chain.length:
+            if prob > 0.0:
+                total += prob * float(f(tuple(values[j] for j in prefix)))
+            continue
+        for j, pr in enumerate(chain.transitions[prefix]):
+            if pr > 0.0:
+                stack.append((prefix + (j,), prob * pr))
+    return total
+
+
+def bit_loop_expectation(length: int, p: float, f) -> float:
+    """E[f(Y_1..Y_N)] for Y_i i.i.d. Bernoulli(p), one bit path at a time."""
+    total = 0.0
+    for bits in range(2**length):
+        path = tuple(float((bits >> i) & 1) for i in range(length))
+        ones = sum(1 for x in path if x == 1.0)
+        weight = p**ones * (1.0 - p) ** (length - ones)
+        if weight > 0.0:
+            total += weight * float(f(path))
+    return total
+
+
+def scalar_convex_test_functions(length: int, mean: float):
+    """``convex_test_functions`` as functions of one path tuple."""
+
+    def f_max(xs):
+        return max(xs)
+
+    def f_square_sum(xs):
+        return sum(xs) ** 2
+
+    def f_kl_moment(xs):
+        x_bar = min(max(sum(xs) / length, 0.0), 1.0)
+        exponent = length * bernoulli_kl(x_bar, mean)
+        return math.exp(exponent) if exponent < _EXP_CAP else math.inf
+
+    return (("max", f_max), ("square_sum", f_square_sum), ("kl_moment", f_kl_moment))

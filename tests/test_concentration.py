@@ -13,6 +13,7 @@ direct enumeration on paper:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from banditbounds import (
     random_constant_mean_chain,
     simulate_profile_walks,
 )
-from banditbounds.concentration import _PROFILE_STREAM, _stream
+from banditbounds.concentration import _PATH_BLOCK, _PROFILE_STREAM, _conditional_vertices, _stream
+from reference import bit_loop_expectation, scalar_convex_test_functions, tree_walk_expectation
 
 
 class TestKlMoment:
@@ -81,7 +83,7 @@ def two_step_chain() -> DependentChainSpec:
 class TestDependentChains:
     def test_two_step_chain_by_hand(self):
         chain = two_step_chain()
-        f = lambda xs: (xs[0] + xs[1]) ** 2  # noqa: E731
+        f = lambda xs: (xs[:, 0] + xs[:, 1]) ** 2  # noqa: E731
         assert dependent_convex_expectation(chain, f) == pytest.approx(1.375, abs=1e-14)
         assert bernoulli_convex_expectation(2, 0.5, f) == pytest.approx(1.5, abs=1e-14)
         assert convex_domination_gap(chain, f) == pytest.approx(0.125, abs=1e-13)
@@ -98,7 +100,7 @@ class TestDependentChains:
         # The dominance inequality is tight for affine f: both sides equal
         # N * mean by the tower rule.
         chain = two_step_chain()
-        f_sum = lambda xs: sum(xs)  # noqa: E731
+        f_sum = lambda xs: xs.sum(axis=1)  # noqa: E731
         assert dependent_convex_expectation(chain, f_sum) == pytest.approx(
             1.0, abs=1e-13
         )
@@ -108,7 +110,7 @@ class TestDependentChains:
         # A constant chain concentrates all mass at the mean; for strictly
         # convex f the Bernoulli side pays the full variance.
         chain = DependentChainSpec.constant(3, 0.5)
-        f = lambda xs: sum(xs) ** 2  # noqa: E731
+        f = lambda xs: xs.sum(axis=1) ** 2  # noqa: E731
         assert dependent_convex_expectation(chain, f) == pytest.approx(2.25, abs=1e-13)
         # E[S^2] = Var + (E S)^2 = 3/4 + 9/4 = 3 for S ~ Bin(3, 1/2).
         assert convex_domination_gap(chain, f) == pytest.approx(0.75, abs=1e-13)
@@ -182,7 +184,7 @@ class TestDependentChains:
             CountingChain.iid_bernoulli(21, 0.5)  # 2^21 > 10^6
         assert CountingChain.calls == 0  # the budget is checked before the walk
         with pytest.raises(BudgetError):
-            bernoulli_convex_expectation(21, 0.5, lambda xs: 0.0)
+            bernoulli_convex_expectation(21, 0.5, lambda xs: np.zeros(len(xs)))
 
     def test_function_and_mapping_build_the_same_chain(self):
         def conditional(prefix):
@@ -211,8 +213,100 @@ class TestDependentChains:
     def test_midpoint_probe(self):
         for name, f in convex_test_functions(3, 0.4):
             assert midpoint_convexity_probe(f, 3), name
-        concave = lambda xs: -(sum(xs) ** 2)  # noqa: E731
+        concave = lambda xs: -(xs.sum(axis=1) ** 2)  # noqa: E731
         assert not midpoint_convexity_probe(concave, 3)
+
+
+@st.composite
+def small_chains(draw):
+    """Constant-mean chains of length <= 5 on <= 3 support points; each
+    reachable prefix mixes two vertices of the feasible conditionals."""
+    length = draw(st.integers(1, 5))
+    support = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True).map(sorted)
+        .filter(lambda v: len(v) == 1 or min(np.diff(v)) > 1e-3)
+    )
+    mean = draw(st.floats(support[0], support[-1]))
+    if len(support) == 1:
+        return DependentChainSpec.constant(length, mean)
+    vertices = _conditional_vertices(tuple(support), mean)
+
+    def conditional(_prefix):
+        a, b = draw(st.integers(0, len(vertices) - 1)), draw(st.integers(0, len(vertices) - 1))
+        t = draw(st.floats(0.0, 1.0))
+        return tuple(t * vertices[a] + (1.0 - t) * vertices[b])
+
+    return DependentChainSpec(length=length, support=tuple(support), transitions=conditional, mean=mean)
+
+
+def _bit_rows(length):
+    return np.array([[float((b >> i) & 1) for i in range(length)] for b in range(2**length)])
+
+
+class TestPathKernel:
+    """The path-matrix kernel against the scalar tree walk and bit loop."""
+
+    def _check(self, chain):
+        scalar = dict(scalar_convex_test_functions(chain.length, chain.mean))
+        for name, f in convex_test_functions(chain.length, chain.mean):
+            g = scalar[name]
+            assert dependent_convex_expectation(chain, f) == pytest.approx(
+                tree_walk_expectation(chain, g), rel=1e-12, abs=1e-12
+            ), name
+            assert bernoulli_convex_expectation(chain.length, chain.mean, f) == pytest.approx(
+                bit_loop_expectation(chain.length, chain.mean, g), rel=1e-12, abs=1e-12
+            ), name
+            # Row by row, the array function is the scalar one.
+            for rows in (chain.path_values, _bit_rows(chain.length)):
+                np.testing.assert_allclose(f(rows), [g(tuple(r)) for r in rows], rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_chains())
+    def test_drawn_chains_match_the_references(self, chain):
+        assert chain.path_values.shape == (len(chain.path_probs), chain.length)
+        assert math.fsum(chain.path_probs) == pytest.approx(1.0, abs=1e-12)
+        self._check(chain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.floats(0.0, 1.0))
+    def test_iid_and_constant_chains_match_the_references(self, length, p):
+        self._check(DependentChainSpec.iid_bernoulli(length, p))
+        self._check(DependentChainSpec.constant(length, p))
+
+    def test_paths_follow_the_walk_and_are_read_only(self):
+        chain = two_step_chain()
+        assert chain.path_values.tolist() == [[1.0, 1.0], [1.0, 0.0], [0.0, 0.5]]
+        assert chain.path_probs.tolist() == [0.25, 0.25, 0.5]
+        with pytest.raises(ValueError):
+            chain.path_probs[0] = 1.0
+
+    def test_kl_moment_caps_to_inf_without_overflow(self):
+        # kl(1 || 1e-305) = 702.3 reaches the cap of 700; kl(1 || 0) is inf.
+        # A warning would fail the test: pytest turns warnings into errors.
+        f = dict(convex_test_functions(1, 1e-305))["kl_moment"]
+        assert f(np.array([[1.0], [1e-305]])).tolist() == [math.inf, 1.0]
+        f = dict(convex_test_functions(2, 0.0))["kl_moment"]
+        assert f(np.array([[1.0, 1.0], [0.0, 0.0]])).tolist() == [math.inf, 1.0]
+
+    def test_bernoulli_side_at_the_budget_folds_in_blocks(self):
+        # The whole (2^19, 19) path matrix would take 80 MB; blocks of
+        # _PATH_BLOCK paths keep the peak a small fraction of that.
+        length, p = 19, 0.3
+        whole = 2**length * length * 8
+        assert 2**length > 4 * _PATH_BLOCK
+        tracemalloc.start()
+        try:
+            values = {
+                name: bernoulli_convex_expectation(length, p, f)
+                for name, f in convex_test_functions(length, p)
+            }
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 4
+        assert values["max"] == pytest.approx(1.0 - (1.0 - p) ** length, rel=1e-12)
+        mean = length * p
+        assert values["square_sum"] == pytest.approx(mean * (1.0 - p) + mean**2, rel=1e-12)
 
 
 class TestMartingaleBounds:

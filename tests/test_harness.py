@@ -9,6 +9,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import tempfile
@@ -549,6 +550,39 @@ class TestWriteCsv:
             b'1099511627776,-0.0,true,"a,b",false,12,-inf,1e+22\r\n'
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e16, 1e-5, 0.1])
+                | st.floats(),
+                st.integers(-(2**63), 2**63 - 1),
+                st.integers(0, 2**64 - 1),
+            ),
+            min_size=1, max_size=40,
+        ),
+        st.integers(1, 40),
+    )
+    def test_arrays_write_as_one_cell_at_a_time(self, cells, rows):
+        # Int columns and nan-free float columns skip _cell; every column
+        # must still give the bytes of a _cell-per-cell writer.
+        xs, ints, uints = zip(*cells)
+        floats = np.array(xs)
+        columns = {
+            "x": floats,
+            "x_no_nan": np.where(np.isnan(floats), -0.0, floats),
+            "i": np.array(ints, dtype=np.int64),
+            "u": np.array(uints, dtype=np.uint64),
+        }
+        out = io.StringIO()
+        with mock.patch.object(harness, "_CSV_ROWS", rows):
+            harness._write_csv(out, columns)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(columns)
+        writer.writerows(zip(*([harness._cell(x) for x in c.tolist()] for c in columns.values())))
+        assert out.getvalue() == expected.getvalue()
+
     def test_columns_of_unequal_length_are_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             harness._write_csv(tmp_path / "table.csv", {"t": np.arange(3), "x": [0.5, 0.25]})
@@ -736,25 +770,31 @@ class TestRunOracles:
 
 
 def _expsum_one_probe_at_a_time(cfg):
-    """Reference for ``_expsum_checks``: one scalar ratio per probe.
-    Returns the probes' rows and alphas, and the two detail strings."""
+    """Reference for ``_expsum_checks``: the probes drawn a block of
+    ``_PROBE_BLOCK`` rows at a time (normal entries, then the 10x heavy
+    rows, then log10 alpha), and one scalar ratio per probe.  Returns the
+    probes' rows and alphas, and the two detail strings."""
     rng = harness._stream(cfg.seed, harness._PROBE_STREAM)
     rows, alphas = [], []
     cap = log = 0
     sizes = (2, 3, 5, 8)
     per_size, remainder = divmod(cfg.probe_count, len(sizes))
     for pos, n in enumerate(sizes):
-        for _ in range(per_size + (1 if pos < remainder else 0)):
-            x = rng.normal(0.0, 3.0, size=n)
-            if rng.random() < 0.1:
-                x *= 10.0
-            x[0] = 0.0
-            alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
-            ratio = expsum_ratio(x, alpha)
-            rows.append(x)
-            alphas.append(alpha)
-            cap += ratio > n / alpha
-            log += ratio > math.log(n) / alpha
+        count = per_size + (1 if pos < remainder else 0)
+        for start in range(0, count, harness._PROBE_BLOCK):
+            size = min(harness._PROBE_BLOCK, count - start)
+            block = rng.normal(0.0, 3.0, size=(size, n))
+            heavy = rng.random(size) < 0.1
+            block_alphas = 10.0 ** rng.uniform(-2.0, 2.0, size=size)
+            for x, is_heavy, alpha in zip(block, heavy, block_alphas.tolist()):
+                if is_heavy:
+                    x *= 10.0
+                x[0] = 0.0
+                ratio = expsum_ratio(x, alpha)
+                rows.append(x)
+                alphas.append(alpha)
+                cap += ratio > n / alpha
+                log += ratio > math.log(n) / alpha
     total = len(rows)
     return rows, alphas, (
         f"{cap} violations of n/alpha over {total} probes",
