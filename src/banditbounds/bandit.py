@@ -18,13 +18,13 @@ the trajectory index as a numpy axis, and hands them out ``_WINDOW`` = R
 rounds at a time.  A trajectory's rounds do not depend on the block it is
 played in or on where the windows break.  Bernoulli and point games hold
 O(B R K) memory whatever the horizon; a Beta game also holds its (B, T, K)
-payout table.  ``run_game`` is the block of one, its windows concatenated.
+payout table.  ``run_game`` is the block of one, its windows joined into
+one ``Window`` with no block axis: the record of play.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,8 +34,8 @@ from .divergences import _check_unit
 
 __all__ = [
     "Environment",
-    "GameTrace",
     "ScheduleParams",
+    "Window",
     "run_game",
     "schedules",
 ]
@@ -58,17 +58,6 @@ def _schedule_arrays(n_arms: int, ts) -> tuple[np.ndarray, np.ndarray]:
     """
     kts = [float(n_arms * t) for t in ts]
     return np.array([kt**0.25 for kt in kts]), np.array([kt**-0.25 for kt in kts])
-
-
-@functools.lru_cache(maxsize=8)
-def _schedule_table(n_arms: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only gamma_t and epsilon_t for t = 1..T+1 (entry t-1 is round t),
-    built once per (K, T); the engine, the sweep and the decomposition
-    slice it."""
-    gamma, epsilon = _schedule_arrays(n_arms, range(1, horizon + 2))
-    gamma.setflags(write=False)
-    epsilon.setflags(write=False)
-    return gamma, epsilon
 
 
 def _pi_floor(n_arms: int, epsilon):
@@ -145,27 +134,6 @@ def _smooth_weights(rho_w: np.ndarray, epsilon) -> np.ndarray:
     return (1.0 - rho_w.shape[-1] * epsilon) * rho_w + epsilon
 
 
-@dataclass(frozen=True, eq=False)
-class GameTrace:
-    """Complete record of one trajectory.
-
-    Row t (0-indexed as t-1) holds the policy played at round t, the arm
-    and reward drawn, the estimate vector after the round, and the running
-    minimum sampling probability.  ``next_pi`` is the policy the game
-    forms for round T+1, which it never plays.
-    """
-
-    n_arms: int
-    horizon: int
-    warmup_length: int
-    pi: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    rhat: np.ndarray
-    pi_lmin: np.ndarray
-    next_pi: np.ndarray
-
-
 def _payouts(env: Environment, rounds: int, rngs) -> np.ndarray:
     """(B, R, K) table whose entry [j, r, a] is what arm a pays in round r+1
     of the R rounds generator j draws.
@@ -220,7 +188,9 @@ class Window(NamedTuple):
     """Rounds start+1..start+R of a block of B trajectories, row j for seed j.
     ``pi`` also holds the policy formed for round start+R+1; ``rho`` is each
     round's Gibbs distribution on its estimates, before smoothing; ``floor``
-    is each round's schedule floor min(epsilon_t, 1/K)."""
+    is each round's schedule floor min(epsilon_t, 1/K).  ``run_game``'s
+    record is one trajectory's windows joined, with no block axis: start 0,
+    ``pi`` (T+1, K), ``rhat`` and ``rho`` (T, K), the rest (T,)."""
 
     start: int
     pi: np.ndarray       # (B, R+1, K)
@@ -295,21 +265,18 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
         yield Window(start, pi, actions, rewards, rhat, rho, lmin, floor[:-1])
 
 
-def _block_traces(n_arms: int, horizon: int, warmup: int, windows) -> list[GameTrace]:
-    """Each row of a block's windows, concatenated into a read-only trace."""
-    windows = list(windows)
+def _join(windows: list[Window], j: int) -> Window:
+    """Row j of a block's windows joined along the rounds axis into one
+    read-only record; ``pi`` ends with the policy formed after the last round."""
     rows = {
-        name: np.concatenate([getattr(w, name) for w in windows], axis=1)
-        for name in ("actions", "rewards", "rhat", "pi_lmin")
+        name: np.concatenate([getattr(w, name)[j] for w in windows])
+        for name in ("actions", "rewards", "rhat", "rho", "pi_lmin")
     }
-    rows["pi"] = np.concatenate([w.pi[:, :-1] for w in windows], axis=1)
-    rows["next_pi"] = windows[-1].pi[:, -1].copy()
+    rows["pi"] = np.concatenate([w.pi[j, :-1] for w in windows] + [windows[-1].pi[j, -1:]])
+    rows["floor"] = np.concatenate([w.floor for w in windows])
     for arr in rows.values():
         arr.setflags(write=False)
-    return [
-        GameTrace(n_arms, horizon, warmup, **{name: arr[j] for name, arr in rows.items()})
-        for j in range(len(rows["pi"]))
-    ]
+    return Window(start=0, **rows)
 
 
 def run_game(
@@ -318,7 +285,7 @@ def run_game(
     seed,
     *,
     warmup_length: int | None = None,
-) -> GameTrace:
+) -> Window:
     """Play the smoothed Gibbs strategy for ``horizon`` rounds.
 
     The uniform warmup lasts ``warmup_length`` rounds (default K^3).  Fully
@@ -326,7 +293,7 @@ def run_game(
     whose bit generator can ``advance``, as numpy's default PCG64 can): the
     game plays as if it drew its T action uniforms and then its payouts
     before the first round.  This is the one-trajectory block of the
-    lockstep engine, its windows concatenated.
+    lockstep engine; its record is the windows joined (see ``Window``).
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -335,6 +302,4 @@ def run_game(
         raise ValueError("need at least two arms")
     if warmup_length is not None and int(warmup_length) < 1:
         raise ValueError("warmup_length must be a positive integer")
-    k = env.n_arms
-    warmup = int(warmup_length) if warmup_length is not None else k**3
-    return _block_traces(k, horizon, warmup, _play_windows(env, horizon, [seed], warmup))[0]
+    return _join(list(_play_windows(env, horizon, [seed], warmup_length)), 0)

@@ -32,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import (
-    Environment,
-    GameTrace,
-    _expected_reward,
-    _gibbs_weights,
-    _schedule_table,
-    _smooth_weights,
-)
+from .bandit import Environment, Window, _expected_reward, _gibbs_weights, _schedule_arrays, _smooth_weights
 from .divergences import _check_delta, _check_pi_lmin, bernoulli_kl
 
 __all__ = [
@@ -265,7 +258,7 @@ class GapDriverReport:
 def gap_driver_report(pi_min, pi_lmin, delta: float) -> GapDriverReport:
     """The report of one trajectory from two of its (T,) columns: the
     smallest entry of each round's policy, and the running minimum of those
-    (``GameTrace.pi_lmin``)."""
+    (a record's ``pi_lmin``)."""
     delta = _check_delta(delta)
     rounds = np.arange(1, len(pi_min) + 1)
     ts = rounds.astype(float)
@@ -336,20 +329,19 @@ class RegretDecomposition:
         )
 
 
-def regret_decomposition(trace: GameTrace, env: Environment) -> RegretDecomposition:
-    if env.n_arms != trace.n_arms:
-        raise ValueError("environment and trace disagree on the number of arms")
-    k = trace.n_arms
+def regret_decomposition(record: Window, env: Environment) -> RegretDecomposition:
+    """The split of ``run_game``'s record, with rho as the game formed it."""
+    horizon, k = record.rhat.shape
+    if env.n_arms != k:
+        raise ValueError("environment and record disagree on the number of arms")
     start = k**3
-    if trace.horizon < start:
-        raise ValueError(
-            f"trace of length {trace.horizon} never reaches round K^3 = {start}"
-        )
-    ts = np.arange(start, trace.horizon + 1)
-    rhat = trace.rhat[start - 1 :, :]
-    gamma, epsilon = _schedule_table(k, trace.horizon)
-    gamma, eps_next = gamma[start - 1 : trace.horizon], epsilon[start:]
-    rho = _gibbs_weights(rhat, gamma[:, None])
+    if horizon < start:
+        raise ValueError(f"record of length {horizon} never reaches round K^3 = {start}")
+    ts = np.arange(start, horizon + 1)
+    rhat = record.rhat[start - 1 :]
+    rho = record.rho[start - 1 :]
+    gamma, epsilon = _schedule_arrays(k, range(start, horizon + 2))
+    gamma, eps_next = gamma[:-1], epsilon[1:]
     rho_tilde = _smooth_weights(rho, eps_next[:, None])
 
     means = env.means

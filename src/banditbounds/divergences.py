@@ -63,6 +63,13 @@ def _log_ratio(num: float, den: float) -> float:
     return math.log(ratio)
 
 
+def _log_ratio_vec(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise ``_log_ratio``; the split form is taken only where it is needed."""
+    ratio = num / den
+    big = np.isinf(ratio)
+    return np.where(big, np.log(num) - np.log(den), np.log(ratio)) if big.any() else np.log(ratio)
+
+
 def bernoulli_kl(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q).
 
@@ -88,9 +95,9 @@ def bernoulli_kl_vec(p, q) -> np.ndarray:
     for name, arr in (("p", p), ("q", q)):
         if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError(f"{name} entries must lie in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(p > 0.0, p * np.log(p / q), 0.0)
-        right = np.where(p < 1.0, (1.0 - p) * np.log((1.0 - p) / (1.0 - q)), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        left = np.where(p > 0.0, p * _log_ratio_vec(p, q), 0.0)
+        right = np.where(p < 1.0, (1.0 - p) * _log_ratio_vec(1.0 - p, 1.0 - q), 0.0)
     out = left + right
     return np.where(p == q, 0.0, out)
 

@@ -35,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandit import Environment, GameTrace, Window, _expected_reward, _gibbs_weights, _pi_floor
-from .bandit import _play_windows, _schedule_table
+from .bandit import Environment, Window, _expected_reward, _pi_floor, _play_windows, _schedule_arrays
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
@@ -259,9 +258,10 @@ def _trace_columns(start: int, actions, rewards, pi, rhat) -> dict:
     }
 
 
-def write_trace_csv(trace: GameTrace, path) -> None:
-    """One row per round: t, action, reward, policy entries, estimate entries."""
-    _write_csv(path, _trace_columns(0, trace.actions, trace.rewards, trace.pi, trace.rhat))
+def write_trace_csv(record: Window, path) -> None:
+    """One row per round of ``run_game``'s record: t, action, reward, policy
+    entries, estimate entries."""
+    _write_csv(path, _trace_columns(0, record.actions, record.rewards, record.pi[:-1], record.rhat))
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, summary: dict) -> Path:
@@ -297,8 +297,8 @@ def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
     phases regardless of the configured warmup length, and being
     data-independent it is a legal choice wherever the bounds require one.
     """
-    _, epsilon = _schedule_table(n_arms, horizon)
-    return _pi_floor(n_arms, epsilon[:horizon])
+    _, epsilon = _schedule_arrays(n_arms, range(1, horizon + 1))
+    return _pi_floor(n_arms, epsilon)
 
 
 def _block_size(chunk: int, horizon: int, n_arms: int) -> int:
@@ -322,9 +322,10 @@ def _chunk_blocks(cfg: ExperimentConfig, env: Environment, indices):
 # ---------------------------------------------------------------------------
 
 
-def prediction_regret(trace: GameTrace, env: Environment) -> np.ndarray:
-    """Per-round regret of the policy formed after round t (played at t+1)."""
-    return env.best_mean - _expected_reward(np.vstack((trace.pi[1:], trace.next_pi)), env.means)
+def prediction_regret(record: Window, env: Environment) -> np.ndarray:
+    """Per-round regret of the policy formed after round t (played at t+1),
+    for ``run_game``'s record or each row of a block's window."""
+    return env.best_mean - _expected_reward(record.pi[..., 1:, :], env.means)
 
 
 def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
@@ -348,8 +349,7 @@ def _simulate_chunk(args) -> np.ndarray:
                 for i in indices[block]
             ] if cfg.store_traces else []
             for w in windows:
-                # Each round's regret is that of the policy formed after it.
-                regret = env.best_mean - _expected_reward(w.pi[:, 1:], env.means)
+                regret = prediction_regret(w, env)
                 rows[block, w.start : w.start + regret.shape[1]] = regret
                 for j, fh in enumerate(files):
                     columns = _trace_columns(w.start, w.actions[j], w.rewards[j], w.pi[j, :-1], w.rhat[j])
@@ -541,16 +541,13 @@ def _coverage(blocks, env: Environment, delta: float, horizon: int) -> CoverageR
     })
 
 
-def certificate_sweep(trace: GameTrace, env: Environment, delta: float) -> CoverageReport:
-    """Evaluate every bound route at every round of one trajectory: the
-    one-window call of the sweep, with rho formed from the trace's
-    estimates.  Returns a one-trajectory report: per route, whether any
-    comparator broke its bound at each round, and the smallest slack."""
-    gamma, _ = _schedule_table(trace.n_arms, trace.horizon)
-    rho = _gibbs_weights(trace.rhat, gamma[: trace.horizon, None])
-    floor = schedule_pi_min(trace.n_arms, trace.horizon)
-    window = Window(0, None, None, None, trace.rhat[None], rho[None], trace.pi_lmin[None], floor)
-    return _coverage([[window]], env, delta, trace.horizon)
+def certificate_sweep(record: Window, env: Environment, delta: float) -> CoverageReport:
+    """Evaluate every bound route at every round of ``run_game``'s record:
+    the one-window call of the sweep.  Returns a one-trajectory report: per
+    route, whether any comparator broke its bound at each round, and the
+    smallest slack."""
+    window = record._replace(rhat=record.rhat[None], rho=record.rho[None], pi_lmin=record.pi_lmin[None])
+    return _coverage([[window]], env, delta, len(record.floor))
 
 
 def _first_row_columns(windows, pi_min: np.ndarray, pi_lmin: np.ndarray):

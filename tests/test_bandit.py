@@ -13,13 +13,12 @@ from banditbounds import Environment, run_game, schedules, write_trace_csv
 from banditbounds import bandit
 from banditbounds.bandit import (
     BETA_LEVELS,
-    _block_traces,
     _choose_arms,
     _gibbs_weights,
+    _join,
     _payouts,
     _play_windows,
     _schedule_arrays,
-    _schedule_table,
     _smooth_weights,
 )
 from reference import (
@@ -159,14 +158,6 @@ class TestKernels:
             kt = float(k * t)
             assert gamma[t - 1] == kt**0.25 and epsilon[t - 1] == kt**-0.25, t
 
-    def test_schedule_table_is_shared_and_read_only(self):
-        gamma, epsilon = _schedule_table(3, 40)
-        assert _schedule_table(3, 40)[0] is gamma
-        expected = _schedule_arrays(3, range(1, 42))
-        assert np.array_equal(gamma, expected[0]) and np.array_equal(epsilon, expected[1])
-        with pytest.raises(ValueError):
-            gamma[0] = 0.0
-
 
 def _scan_arm(weights, u):
     """Sequential-scan reference: the first j with u < w_0 + ... + w_j, else the last arm."""
@@ -305,7 +296,7 @@ class TestRunGame:
     def test_warmup_only(self):
         env = Environment(means=np.array([0.9, 0.1]))
         trace = run_game(env, horizon=7, seed=0)  # default warmup 2^3 = 8
-        assert trace.warmup_length == 8
+        assert trace.pi.shape == (8, 2)
         assert np.allclose(trace.pi, 0.5)
 
     def test_deterministic(self):
@@ -331,8 +322,8 @@ class TestRunGame:
         # estimates and match bit-for-bit misfit-free.
         env = Environment(means=np.array([0.75, 0.25]))
         trace = run_game(env, horizon=40, seed=5, warmup_length=2)
-        k = trace.n_arms
-        for t in range(trace.warmup_length, trace.horizon + 1):
+        k = env.n_arms
+        for t in range(2, len(trace.actions) + 1):
             if t == 1:
                 rho_w = np.full(k, 1.0 / k)
             else:
@@ -345,10 +336,10 @@ class TestRunGame:
     def test_exploration_floor(self):
         env = Environment(means=np.array([0.9, 0.1]))
         trace = run_game(env, horizon=100, seed=3)
-        k = trace.n_arms
+        k = env.n_arms
         for t in range(1, 101):
             row = trace.pi[t - 1]
-            if t < trace.warmup_length:
+            if t < k**3:
                 assert np.allclose(row, 0.5)
             else:
                 eps_t = min(schedules(t, k).epsilon, 1.0 / k)
@@ -375,7 +366,7 @@ class TestRunGame:
         default = run_game(env, horizon, seed=k)
         for warmup in (1, k**3 - 1):
             short = run_game(env, horizon, seed=k, warmup_length=warmup)
-            for field in ("pi", "actions", "rewards", "rhat", "pi_lmin", "next_pi"):
+            for field in ("pi", "actions", "rewards", "rhat", "rho", "pi_lmin", "floor"):
                 same = np.array_equal(getattr(short, field), getattr(default, field))
                 assert same, (warmup, field)
 
@@ -383,15 +374,15 @@ class TestRunGame:
         env = Environment(means=np.array([0.9, 0.5, 0.1]))
         trace = run_game(env, horizon=120, seed=8)
         expected = np.minimum.accumulate(
-            np.minimum(trace.pi.min(axis=1), 1.0 / trace.n_arms)
+            np.minimum(trace.pi[:-1].min(axis=1), 1.0 / env.n_arms)
         )
         assert trace.pi_lmin == pytest.approx(expected, abs=0.0)
 
     def test_estimates_match_importance_weighting(self):
         env = Environment(means=np.array([0.7, 0.2]))
         trace = run_game(env, horizon=50, seed=21)
-        sums = np.zeros(trace.n_arms)
-        for t in range(trace.horizon):
+        sums = np.zeros(env.n_arms)
+        for t in range(len(trace.actions)):
             a = int(trace.actions[t])
             w = trace.rewards[t] / trace.pi[t, a]
             sums[a] += w
@@ -433,10 +424,10 @@ class TestRunGame:
         warmup = k**3 if warmup_length is None else warmup_length
         with mock.patch.object(bandit, "_WINDOW", window):
             windows = list(_play_windows(env, horizon, seeds, warmup))
-        trace = _block_traces(k, horizon, warmup, windows)[position]
+        trace = _join(windows, position)
 
         def policy(t, state):
-            if t < trace.warmup_length:
+            if t < warmup:
                 return SimplexVector.uniform(k)
             if t == 1:
                 rho = SimplexVector.uniform(k)
@@ -452,7 +443,7 @@ class TestRunGame:
             state = update_estimates(state, pi, arm, reward)
             assert np.array_equal(state.rhat, trace.rhat[t - 1]), t
             assert state.pi_lmin == trace.pi_lmin[t - 1], t
-        assert np.array_equal(policy(horizon + 1, state).weights, trace.next_pi)
+        assert np.array_equal(policy(horizon + 1, state).weights, trace.pi[-1])
 
     def test_trace_is_read_only(self):
         env = Environment(means=np.array([0.5, 0.4]))
@@ -461,6 +452,9 @@ class TestRunGame:
             trace.pi[0, 0] = 9.0
         with pytest.raises(ValueError):
             trace.rewards[0] = 9.0
+        for arr in (trace.rho, trace.floor, trace.pi_lmin):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
 
     def test_validation(self):
         env = Environment(means=np.array([0.5, 0.4]))

@@ -103,7 +103,7 @@ class TestRewardGapRadius:
     @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 300), delta=st.floats(1e-6, 0.5))
     def test_drivers_column_equals_scalar_radius(self, seed, horizon, delta):
         trace = run_game(Environment(means=np.array([0.7, 0.3])), horizon=horizon, seed=seed)
-        gaps = gap_driver_report(trace.pi.min(axis=1), trace.pi_lmin, delta).kl_route_gap
+        gaps = gap_driver_report(trace.pi[:-1].min(axis=1), trace.pi_lmin, delta).kl_route_gap
         for t in range(1, horizon + 1):
             assert gaps[t - 1] == reward_gap_radius(0.0, t, delta, trace.pi_lmin[t - 1]), t
 
@@ -264,7 +264,7 @@ class TestGapDriverReport:
     def test_schedule_trace_keeps_drivers_comparable(self):
         env = Environment(means=np.array([0.7, 0.3]))
         trace = run_game(env, horizon=300, seed=11)
-        rep = gap_driver_report(trace.pi.min(axis=1), trace.pi_lmin, 0.05)
+        rep = gap_driver_report(trace.pi[:-1].min(axis=1), trace.pi_lmin, 0.05)
         ratio = rep.lmin_driver[49:] / rep.rms_driver[49:]
         assert np.all(ratio >= 1.0)
         assert np.all(ratio <= 1.5)

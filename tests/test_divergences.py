@@ -68,8 +68,9 @@ class TestBernoulliKl:
                     assert kl > 0.0
 
     def test_vectorized_matches_scalar(self):
-        p = np.array([0.0, 0.3, 0.5, 1.0, 0.999])
-        q = np.array([0.5, 0.3, 0.25, 0.75, 0.001])
+        # (0.5, 1e-310): p / q overflows, so the log ratio is split.
+        p = np.array([0.0, 0.3, 0.5, 1.0, 0.999, 0.5])
+        q = np.array([0.5, 0.3, 0.25, 0.75, 0.001, 1e-310])
         vec = bernoulli_kl_vec(p, q)
         for i in range(p.size):
             assert vec[i] == pytest.approx(

@@ -137,7 +137,7 @@ class TestSchedulePiMin:
         env = Environment(means=np.array([0.8, 0.4]))
         trace = run_game(env, horizon=150, seed=2)
         floor = schedule_pi_min(2, 150)
-        assert np.all(trace.pi.min(axis=1) >= floor - 1e-12)
+        assert np.all(trace.pi[:-1].min(axis=1) >= floor - 1e-12)
 
 
 _CAP = harness._MAX_ARRAY_ENTRIES
@@ -167,7 +167,6 @@ class TestLockstepBlocks:
             warmup_length=warmup_length,
         )
         env = cfg.environment()
-        warmup = k**3 if warmup_length is None else warmup_length
         played, offsets = [], []
         with mock.patch.object(harness, "_BLOCK", block), mock.patch.object(
             bandit, "_WINDOW", window
@@ -176,14 +175,13 @@ class TestLockstepBlocks:
                 windows = list(windows)
                 assert [w.start for w in windows] == list(range(0, horizon, window))
                 offsets.append(rows.start)
-                played += bandit._block_traces(k, horizon, warmup, windows)
+                played += [bandit._join(windows, j) for j in range(len(windows[0].actions))]
         assert offsets == list(range(0, trajectories, block))
         assert len(played) == trajectories
         for i, trace in enumerate(played):
             alone = run_game(env, horizon, trajectory_stream(seed, i), warmup_length=warmup_length)
-            for field in dataclasses.fields(trace):
-                a, b = getattr(trace, field.name), getattr(alone, field.name)
-                assert np.array_equal(a, b), (i, field.name)
+            for name in trace._fields:
+                assert np.array_equal(getattr(trace, name), getattr(alone, name)), (i, name)
             assert trace.pi.flags.c_contiguous and trace.rhat.flags.c_contiguous
 
     @given(
@@ -215,7 +213,7 @@ class TestLockstepBlocks:
         with mock.patch.object(bandit, "_WINDOW", 7):
             trace = run_game(env, horizon, trajectory_stream(2, 5))
         u = trajectory_stream(2, 5).random(2 * horizon)
-        assert np.array_equal(trace.actions, bandit._choose_arms(trace.pi, u[:horizon]))
+        assert np.array_equal(trace.actions, bandit._choose_arms(trace.pi[:-1], u[:horizon]))
         assert np.array_equal(trace.rewards, (u[horizon:] < env.means[trace.actions]).astype(float))
 
     def test_advanced_twin_draws_the_payout_uniforms(self):
@@ -264,14 +262,14 @@ class TestWindows:
                 assert outputs[name] == data, (window, block, name)
         # drivers.csv is trajectory 0's report.
         trace = run_game(ExperimentConfig(**self._VERIFY).environment(), 45, trajectory_stream(3, 0))
-        report = gap_driver_report(trace.pi.min(axis=1), trace.pi_lmin, 0.05)
+        report = gap_driver_report(trace.pi[:-1].min(axis=1), trace.pi_lmin, 0.05)
         rows = read_csv(tmp_path / "default" / "v" / "drivers.csv")[1:]
         assert [float(r[1]) for r in rows] == report.lmin_driver.tolist()
         assert [float(r[2]) for r in rows] == report.rms_driver.tolist()
 
     def test_verify_matches_one_sweep_per_trajectory(self, tmp_path):
-        # The campaign sweeps windows with the engine's rho and floors; the
-        # trace path forms both again from each trajectory.
+        # The campaign sweeps a chunk's windows, 7 rounds at a time; here
+        # each trajectory's record is played and swept alone.
         cfg = ExperimentConfig(outdir=str(tmp_path), **self._VERIFY)
         with mock.patch.object(bandit, "_WINDOW", 7):
             report = run_verify_bounds(cfg)
@@ -323,9 +321,9 @@ class TestPredictionRegret:
         pr = prediction_regret(trace, env)
         assert pr.shape == (40,)
         # The policy formed after round t is exactly the one the game plays
-        # at round t+1, so the regret columns must coincide shifted by one.
+        # at round t+1; the one formed after round T is the record's last.
         expected = env.best_mean - (trace.pi[1:] * env.means).sum(axis=1)
-        assert np.array_equal(pr[:-1], expected)
+        assert np.array_equal(pr, expected)
 
     def test_equal_means_give_zero_regret(self):
         env = Environment(means=np.array([0.5, 0.5]))
@@ -389,7 +387,7 @@ class TestCertificateSweep:
         det = schedule_pi_min(env.n_arms, horizon)
         sweep = certificate_sweep(trace, env, delta)
 
-        k = trace.n_arms
+        k = env.n_arms
         log_k = math.log(k)
         kl_viol = np.zeros(horizon, dtype=bool)
         w_viol = np.zeros(horizon, dtype=bool)
@@ -440,7 +438,7 @@ class TestCertificateSweep:
             env = Environment(means=rng.uniform(0.0, 1.0, k))
             traces = [run_game(game, horizon, seed=100 * case + j) for j in range(3)]
             gamma = np.array([schedules(t, k).gamma for t in range(1, horizon + 1)])
-            rho = np.stack([harness._gibbs_weights(t.rhat, gamma[:, None]) for t in traces])
+            rho = np.stack([bandit._gibbs_weights(t.rhat, gamma[:, None]) for t in traces])
             rhat = np.stack([t.rhat for t in traces])
             lmin = np.stack([t.pi_lmin for t in traces])
             windows = []
@@ -459,16 +457,14 @@ class TestCertificateSweep:
 
     @given(k=st.integers(2, 8), horizon=st.integers(1, 500), seed=st.integers(0, 2**16))
     def test_gibbs_comparator_uses_the_schedule(self, k, horizon, seed):
+        # The sweep reads rho and the floors from the record: rho must be
+        # the Gibbs distribution at gamma_t on every round, warmup included,
+        # and the floors the schedule's.
         env = Environment(means=np.linspace(0.9, 0.1, k), reward_kind="point")
         trace = run_game(env, horizon, seed=seed, warmup_length=1)
-        with mock.patch.object(
-            harness, "_gibbs_weights", wraps=harness._gibbs_weights
-        ) as spy:
-            certificate_sweep(trace, env, 0.05)
-        (rhat, gamma), _ = spy.call_args
-        assert rhat is trace.rhat
-        assert gamma.shape == (horizon, 1)
-        assert np.array_equal(gamma[:, 0], [schedules(t, k).gamma for t in range(1, horizon + 1)])
+        gamma, _ = bandit._schedule_arrays(k, range(1, horizon + 1))
+        assert np.array_equal(trace.rho, bandit._gibbs_weights(trace.rhat, gamma[:, None]))
+        assert np.array_equal(trace.floor, schedule_pi_min(k, horizon))
 
     def test_degenerate_environment_holds_everywhere(self):
         env = Environment(means=np.array([0.5, 0.5]))
