@@ -37,7 +37,6 @@ from .divergences import _check_delta, _check_pi_lmin, bernoulli_kl
 
 __all__ = [
     "CertificateResult",
-    "GapDriverReport",
     "RegretDecomposition",
     "expsum_ratio",
     "gap_driver_report",
@@ -182,7 +181,7 @@ def _check_pi_min_seq(pi_min_seq, t: int) -> np.ndarray:
     seq = np.asarray(pi_min_seq, dtype=float)
     if seq.ndim != 1 or seq.size != t:
         raise ValueError(f"pi_min_seq must be a vector of length t = {t}")
-    if np.any(seq <= 0.0) or np.any(seq > 1.0):
+    if not np.all((seq > 0.0) & (seq <= 1.0)):
         raise ValueError("pi_min_seq entries must lie in (0, 1]")
     return seq
 
@@ -214,6 +213,8 @@ def weighted_gap_bound(
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size != t:
         raise ValueError(f"weights must be a vector of length t = {t}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     total_w = float(w.sum())
@@ -239,37 +240,29 @@ def weighted_gap_bound_opt(prior_kl: float, t: int, delta: float, pi_min_seq) ->
     return float(_weighted_opt(prior_kl, _at(t), delta, cum_a)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class GapDriverReport:
-    """Per-round comparison of the two routes' gap radii and their drivers.
+def gap_driver_report(pi_min, pi_lmin, delta: float) -> dict:
+    """Per-round comparison of the two routes' gap radii and their drivers
+    for one trajectory, from two of its (T,) columns: the smallest entry of
+    each round's policy, and the running minimum of those (a record's
+    ``pi_lmin``).
 
-    ``lmin_driver`` is 1/pi_lmin (kl route); ``rms_driver`` is
-    sqrt((1/t) sum pi_min^-2) (weighted route).  Gap columns use prior
-    KL = 0 so the drivers alone separate the two routes.
+    Returns the ``drivers.csv`` columns: the round ``t``; ``lmin_driver``,
+    1/pi_lmin (kl route); ``rms_driver``, sqrt((1/t) sum pi_min^-2)
+    (weighted route); and the gap radii ``kl_route_gap`` and
+    ``weighted_route_gap``, at prior KL = 0 so that the drivers alone
+    separate the two routes.
     """
-
-    rounds: np.ndarray
-    lmin_driver: np.ndarray
-    rms_driver: np.ndarray
-    kl_route_gap: np.ndarray
-    weighted_route_gap: np.ndarray
-
-
-def gap_driver_report(pi_min, pi_lmin, delta: float) -> GapDriverReport:
-    """The report of one trajectory from two of its (T,) columns: the
-    smallest entry of each round's policy, and the running minimum of those
-    (a record's ``pi_lmin``)."""
     delta = _check_delta(delta)
     rounds = np.arange(1, len(pi_min) + 1)
     ts = rounds.astype(float)
     cum_inv_sq = np.cumsum(pi_min ** -2.0)
-    return GapDriverReport(
-        rounds=rounds,
-        lmin_driver=1.0 / pi_lmin,
-        rms_driver=np.sqrt(cum_inv_sq / ts),
-        kl_route_gap=_gap_radius(0.0, ts, delta, pi_lmin),
-        weighted_route_gap=_weighted_opt(0.0, ts, delta, cum_inv_sq),
-    )
+    return {
+        "t": rounds,
+        "lmin_driver": 1.0 / pi_lmin,
+        "rms_driver": np.sqrt(cum_inv_sq / ts),
+        "kl_route_gap": _gap_radius(0.0, ts, delta, pi_lmin),
+        "weighted_route_gap": _weighted_opt(0.0, ts, delta, cum_inv_sq),
+    }
 
 
 def regret_envelope(n_arms: int, t: int, delta: float) -> float:
@@ -348,7 +341,7 @@ def regret_decomposition(record: Window, env: Environment) -> RegretDecompositio
     a_star = env.best_arm
     r_star = env.best_mean
     rhat_star = rhat[:, a_star]
-    rhat_rho = np.sum(rho * rhat, axis=1)
+    rhat_rho = _expected_reward(rho, rhat)
     r_rho = _expected_reward(rho, means)
     r_rho_tilde = _expected_reward(rho_tilde, means)
 

@@ -162,14 +162,15 @@ class DependentChainSpec:
                     f"conditional at prefix {prefix} has wrong length "
                     f"{probs.size}, expected {len(support)}"
                 )
-            if np.any(probs < 0.0):
-                raise ValueError(f"negative probability at prefix {prefix}")
-            if abs(float(probs.sum()) - 1.0) > _SIMPLEX_TOL:
+            # Each check passes only in range, so a nan entry fails it.
+            if not (probs >= 0.0).all():
+                raise ValueError(f"negative or nan probability at prefix {prefix}")
+            if not abs(float(probs.sum()) - 1.0) <= _SIMPLEX_TOL:
                 raise ValueError(
                     f"conditional at prefix {prefix} sums to {probs.sum()!r}"
                 )
             cond_mean = float(np.dot(probs, values))
-            if abs(cond_mean - mean) > _MEAN_TOL:
+            if not abs(cond_mean - mean) <= _MEAN_TOL:
                 raise ValueError(
                     f"conditional mean {cond_mean!r} at prefix {prefix} "
                     f"deviates from {mean!r}: the constant-mean hypothesis fails"

@@ -4,13 +4,16 @@
   emit per-round regret quantiles against the theoretical envelope.
 * ``verify-bounds`` — check every bound route (``_ROUTES``) at every round
   of every trajectory and report trajectory-level violation rates.  A
-  sweep folds a worker's chunk, window by window, into one
-  ``CoverageReport``; the campaign's record is the chunks' combined by
-  ``_merge``.
+  sweep folds a lockstep block, window by window, into one record, a dict
+  from route name to ``BoundCoverage``; the campaign's record is the
+  blocks' combined by ``_merge``.
 * ``oracles`` — run the exact enumeration and algebraic identity suites.
 * ``compare-concentration`` — tabulate the kl-form tail bound against the
   classical Hoeffding-Azuma bound across range profiles, with empirical
   coverage.
+
+Both bandit modes split the trajectories once into lockstep blocks, in
+index order, and play them in process or in a pool of worker processes.
 
 Reproducibility contract: trajectory ``i`` of a campaign with master seed
 ``s`` always uses the generator seeded by ``SeedSequence(s,
@@ -54,7 +57,6 @@ from .divergences import bernoulli_kl_vec, pinsker_gap
 
 __all__ = [
     "BoundCoverage",
-    "CoverageReport",
     "ExperimentConfig",
     "OracleCheck",
     "OracleReport",
@@ -79,9 +81,9 @@ _PROBE_STREAM = 4
 # Cap on the entries of the largest array a campaign allocates (800 MB of
 # float64): simulate's (M, T) regret matrix at M = 1000, T = 10^5 just fits.
 _MAX_ARRAY_ENTRIES = 10**8
-# Trajectories the engine plays in lockstep.  A round of a block costs
-# little more than a round of one trajectory, and the engine holds (B, R, K)
-# windows (plus a Beta block's (B, T, K) payout table), so blocks are large.
+# Most trajectories the engine plays in lockstep, one block per task.  A
+# round of a block costs little more than a round of one trajectory, and the
+# engine holds (B, R, K) windows (plus a Beta block's (B, T, K) payout table).
 _BLOCK = 256
 # Table rows converted to text per write.
 _CSV_ROWS = 4096
@@ -301,20 +303,32 @@ def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
     return _pi_floor(n_arms, epsilon)
 
 
-def _block_size(chunk: int, horizon: int, n_arms: int) -> int:
-    """Trajectories per lockstep block: the whole chunk up to ``_BLOCK``, and
+def _block_size(share: int, horizon: int, n_arms: int) -> int:
+    """Trajectories per lockstep block: a worker's share up to ``_BLOCK``, and
     few enough that a Beta block's (B, T, K) payout table stays under the cap."""
-    return min(_BLOCK, chunk, _MAX_ARRAY_ENTRIES // (horizon * n_arms))
+    return min(_BLOCK, share, _MAX_ARRAY_ENTRIES // (horizon * n_arms))
 
 
-def _chunk_blocks(cfg: ExperimentConfig, env: Environment, indices):
-    """Split trajectories ``indices`` into lockstep blocks, in order; yield
-    each block's slice of the chunk and its stream of windows."""
-    size = _block_size(len(indices), cfg.horizon, env.n_arms)
-    for start in range(0, len(indices), size):
-        block = slice(start, start + size)
-        seeds = [trajectory_stream(cfg.seed, int(i)) for i in indices[block]]
-        yield block, _play_windows(env, cfg.horizon, seeds, cfg.warmup_length)
+def _blocks(cfg: ExperimentConfig) -> list[range]:
+    """The campaign's trajectories split once into lockstep blocks, in order."""
+    size = _block_size(-(-cfg.trajectories // cfg.workers), cfg.horizon, cfg.n_arms)
+    return [range(i, min(i + size, cfg.trajectories)) for i in range(0, cfg.trajectories, size)]
+
+
+def _block_windows(cfg: ExperimentConfig, env: Environment, block: range):
+    """The stream of ``Window``s of the trajectories in ``block``, played in lockstep."""
+    seeds = [trajectory_stream(cfg.seed, i) for i in block]
+    return _play_windows(env, cfg.horizon, seeds, cfg.warmup_length)
+
+
+def _map_blocks(cfg: ExperimentConfig, worker) -> list:
+    """Run ``worker`` on each block, in process at one worker, else in a pool
+    of no more processes than blocks; results come back in index order."""
+    tasks = [(cfg, block) for block in _blocks(cfg)]
+    if cfg.workers == 1:
+        return [worker(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+        return list(pool.map(worker, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -335,37 +349,25 @@ def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
     return env
 
 
-def _simulate_chunk(args) -> np.ndarray:
-    """Regret rows of trajectories ``indices``, filled a window at a time;
-    with ``store_traces``, each window is added to its trajectories' files,
-    which stay open while their block plays."""
-    cfg, indices = args
+def _simulate_block(args) -> np.ndarray:
+    """Regret rows of the trajectories in ``block``, filled a window at a
+    time; with ``store_traces``, each window is added to its trajectories'
+    files, which stay open while the block plays."""
+    cfg, block = args
     env = cfg.environment()
-    rows = np.empty((len(indices), cfg.horizon))
-    for block, windows in _chunk_blocks(cfg, env, indices):
-        with contextlib.ExitStack() as stack:
-            files = [
-                stack.enter_context(open(Path(cfg.outdir) / f"trace_{i:04d}.csv", "w", newline=""))
-                for i in indices[block]
-            ] if cfg.store_traces else []
-            for w in windows:
-                regret = prediction_regret(w, env)
-                rows[block, w.start : w.start + regret.shape[1]] = regret
-                for j, fh in enumerate(files):
-                    columns = _trace_columns(w.start, w.actions[j], w.rewards[j], w.pi[j, :-1], w.rhat[j])
-                    _write_csv(fh, columns, header=w.start == 0)
+    rows = np.empty((len(block), cfg.horizon))
+    with contextlib.ExitStack() as stack:
+        files = [
+            stack.enter_context(open(Path(cfg.outdir) / f"trace_{i:04d}.csv", "w", newline=""))
+            for i in block
+        ] if cfg.store_traces else []
+        for w in _block_windows(cfg, env, block):
+            regret = prediction_regret(w, env)
+            rows[:, w.start : w.start + regret.shape[1]] = regret
+            for j, fh in enumerate(files):
+                columns = _trace_columns(w.start, w.actions[j], w.rewards[j], w.pi[j, :-1], w.rhat[j])
+                _write_csv(fh, columns, header=w.start == 0)
     return rows
-
-
-def _run_chunked(cfg: ExperimentConfig, worker) -> list:
-    """Run ``worker`` on contiguous index chunks; results come back in index order."""
-    indices = np.arange(cfg.trajectories)
-    if cfg.workers == 1:
-        return [worker((cfg, indices))]
-    chunks = [c for c in np.array_split(indices, cfg.workers) if c.size]
-    # The pool starts all its workers at the first submit: one per chunk.
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(worker, [(cfg, c) for c in chunks]))
 
 
 def _loglog_slope(ts: np.ndarray, ys: np.ndarray) -> float:
@@ -377,7 +379,6 @@ def _loglog_slope(ts: np.ndarray, ys: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SimulateResult:
-    regret: np.ndarray              # (trajectories, horizon)
     envelope: np.ndarray            # (horizon,) with nan before K^3
     trajectory_covered: np.ndarray  # (trajectories,) bool, all rounds >= K^3
     summary: dict
@@ -387,29 +388,34 @@ class SimulateResult:
 def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     cfg.validate()
     outdir = _ensure_outdir(cfg)
-    env = cfg.environment()
-    k = env.n_arms
+    k = cfg.n_arms
 
-    regret = np.concatenate(_run_chunked(cfg, _simulate_chunk))
+    # One block's rows are the (M, T) matrix itself; several are joined once.
+    parts = _map_blocks(cfg, _simulate_block)
+    regret = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts
 
+    # Rounds t >= K^3, from column K^3 - 1 on, are the envelope's scope.
     envelope = _envelope_curve(k, cfg.horizon, cfg.delta)
-    scoped = np.isfinite(envelope)
+    scoped = slice(k**3 - 1, None)
     inside = regret[:, scoped] <= envelope[scoped]
     covered = inside.all(axis=1)
-
-    q10, q50, q90 = np.quantile(regret, [0.1, 0.5, 0.9], axis=0)
     within = np.full(cfg.horizon, np.nan)
     within[scoped] = inside.mean(axis=0)
+
+    # The quantiles partition the matrix in place: it is not read again.
+    q10, q50, q90 = np.quantile(regret, [0.1, 0.5, 0.9], axis=0, overwrite_input=True)
 
     ts = np.arange(1, cfg.horizon + 1)
     fit_lo = max(k**3, cfg.horizon // 10)
     fit_mask = ts >= fit_lo
+    scoped_rounds = inside.shape[1]
     summary = {
         "median_regret_final": float(q50[-1]),
         "regret_loglog_slope": _loglog_slope(ts[fit_mask], q50[fit_mask]),
         # No scoped round (horizon < K^3) leaves the coverage undefined: null.
-        "trajectory_coverage": float(np.mean(covered)) if scoped.any() else math.nan,
-        "scoped_rounds": int(scoped.sum()),
+        "trajectory_coverage": float(np.mean(covered)) if scoped_rounds else math.nan,
+        "scoped_rounds": scoped_rounds,
         "fit_window_start": int(fit_lo),
     }
 
@@ -418,13 +424,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
         "envelope": envelope, "slack_q50": envelope - q50, "within_fraction": within,
     })
     _write_manifest(outdir, cfg, summary)
-    return SimulateResult(
-        regret=regret,
-        envelope=envelope,
-        trajectory_covered=covered,
-        summary=summary,
-        outdir=outdir,
-    )
+    return SimulateResult(envelope=envelope, trajectory_covered=covered, summary=summary, outdir=outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -448,106 +448,93 @@ class BoundCoverage:
         return self.violated / self.trials
 
 
-@dataclass(frozen=True, eq=False)
-class CoverageReport:
-    entries: dict
-
-    def rate(self, name: str) -> float:
-        return self.entries[name].rate
-
-
-def _merge(a: CoverageReport, b: CoverageReport) -> CoverageReport:
-    """Pool two disjoint sets of trajectories: counts and per-round profiles
-    add, the worst slack is the smaller one.  Every operation is exact, so
-    the result does not depend on the merge order."""
-    entries = {}
-    for name, x in a.entries.items():
-        y = b.entries[name]
-        entries[name] = BoundCoverage(
+def _merge(a: dict, b: dict) -> dict:
+    """Pool the records of two disjoint sets of trajectories: counts and
+    per-round profiles add, the worst slack is the smaller one.  Every
+    operation is exact, so the result does not depend on the merge order."""
+    return {
+        name: BoundCoverage(
             name=name,
-            trials=x.trials + y.trials,
-            violated=x.violated + y.violated,
-            worst_slack=min(x.worst_slack, y.worst_slack),
-            per_round_violations=x.per_round_violations + y.per_round_violations,
+            trials=x.trials + b[name].trials,
+            violated=x.violated + b[name].violated,
+            worst_slack=min(x.worst_slack, b[name].worst_slack),
+            per_round_violations=x.per_round_violations + b[name].per_round_violations,
         )
-    return CoverageReport(entries=entries)
+        for name, x in a.items()
+    }
 
 
-def _coverage(blocks, env: Environment, delta: float, horizon: int) -> CoverageReport:
-    """Evaluate every bound route at every round of some trajectories.
+def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
+    """Evaluate every bound route at every round of one block of trajectories.
 
-    ``blocks`` yields one stream of ``Window``s per lockstep block; the
-    sweep reads each window's rho, rhat and pi_lmin.  Comparison
-    distributions, one row each of the stacked (3, B, R) arrays of
-    estimate, truth and prior KL: the Gibbs posterior rho on current
-    estimates, the point mass on the best arm, and uniform — all against
-    the uniform prior.  The kl route uses the realized running-minimum
-    probability (the tightest legal pi_lmin); the weighted route uses the
-    deterministic schedule lower bounds so that lambda stays
-    data-independent.  Windows fold in exactly: a trajectory's flag is the
-    OR of its windows', per-round counts add, and the worst
-    bound-minus-value slack is the minimum.
+    ``windows`` is the block's stream of ``Window``s; the sweep reads each
+    window's rho, rhat and pi_lmin.  Comparison distributions, one row each
+    of the stacked (3, B, R) arrays of estimate, truth and prior KL: the
+    Gibbs posterior rho on current estimates, the point mass on the best
+    arm, and uniform — all against the uniform prior.  The kl route uses
+    the realized running-minimum probability (the tightest legal pi_lmin);
+    the weighted route uses the deterministic schedule lower bounds so that
+    lambda stays data-independent.  Windows fold in exactly: a trajectory's
+    flag is the OR of its windows', per-round counts add, and the worst
+    bound-minus-value slack is the minimum.  Returns the block's record, a
+    dict from route name to ``BoundCoverage``.
     """
     log_k = math.log(env.n_arms)
     means = env.means
-    trials = 0
-    violated = dict.fromkeys(_ROUTES, 0)
+    hits = {}
     worst = dict.fromkeys(_ROUTES, math.inf)
     counts = {name: np.zeros(horizon, dtype=np.int64) for name in _ROUTES}
-    for windows in blocks:
-        hits = {}
-        carry = 0.0
-        for w in windows:
-            rho, rhat, lmin = w.rho, w.rhat, w.pi_lmin
-            shape = lmin.shape
-            rounds = slice(w.start, w.start + shape[1])
-            ts = np.arange(rounds.start + 1, rounds.stop + 1, dtype=float)
-            # The running sum of the schedule floors' pi_min^-2, continued
-            # from the last window: adding the carry to the first entry
-            # before the cumsum keeps the float order sequential.
-            inv_sq = w.floor ** -2.0
-            inv_sq[0] += carry
-            cum_a = np.cumsum(inv_sq)
-            carry = cum_a[-1]
-            # Arms the softmax underflowed to 0 contribute 0 to sum rho ln rho.
-            safe_rho = np.where(rho > 0.0, rho, 1.0)
-            r_hat_rho = np.stack((np.sum(rho * rhat, axis=-1), rhat[..., env.best_arm], rhat.mean(axis=-1)))
-            r_rho = np.stack(
-                (_expected_reward(rho, means), np.full(shape, env.best_mean), np.full(shape, means.mean()))
-            )
-            prior_kl = np.stack(
-                (log_k + np.sum(rho * np.log(safe_rho), axis=-1), np.full(shape, log_k), np.zeros(shape))
-            )
+    carry = 0.0
+    for w in windows:
+        rho, rhat, lmin = w.rho, w.rhat, w.pi_lmin
+        shape = lmin.shape
+        rounds = slice(w.start, w.start + shape[1])
+        ts = np.arange(rounds.start + 1, rounds.stop + 1, dtype=float)
+        # The running sum of the schedule floors' pi_min^-2, continued from
+        # the last window: adding the carry to the first entry before the
+        # cumsum keeps the float order sequential.
+        inv_sq = w.floor ** -2.0
+        inv_sq[0] += carry
+        cum_a = np.cumsum(inv_sq)
+        carry = cum_a[-1]
+        # Arms the softmax underflowed to 0 contribute 0 to sum rho ln rho.
+        safe_rho = np.where(rho > 0.0, rho, 1.0)
+        r_hat_rho = np.stack((_expected_reward(rho, rhat), rhat[..., env.best_arm], rhat.mean(axis=-1)))
+        r_rho = np.stack(
+            (_expected_reward(rho, means), np.full(shape, env.best_mean), np.full(shape, means.mean()))
+        )
+        prior_kl = np.stack(
+            (log_k + np.sum(rho * np.log(safe_rho), axis=-1), np.full(shape, log_k), np.zeros(shape))
+        )
 
-            scaled_hat = lmin * r_hat_rho
-            if scaled_hat.max() > 1.0 + _SCALE_TOL:
-                raise ValueError("pi_lmin scaling contract violated on the trace")
-            scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
-            scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
+        scaled_hat = lmin * r_hat_rho
+        if scaled_hat.max() > 1.0 + _SCALE_TOL:
+            raise ValueError("pi_lmin scaling contract violated on the trace")
+        scaled_hat = np.clip(scaled_hat, 0.0, 1.0)
+        scaled_true = np.clip(lmin * r_rho, 0.0, 1.0)
 
-            for name, value, bound in (
-                ("kl_route", bernoulli_kl_vec(scaled_hat, scaled_true), _kl_budget(prior_kl, ts, delta)),
-                ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a)),
-            ):
-                flags = (value > bound).any(axis=0)
-                hits[name] = flags.any(axis=1) | hits.get(name, False)
-                counts[name][rounds] += flags.sum(axis=0)
-                worst[name] = min(worst[name], float(np.min(bound - value)))
-        trials += shape[0]  # the block's trajectories
-        for name, hit in hits.items():
-            violated[name] += int(hit.sum())
-    return CoverageReport(entries={
-        name: BoundCoverage(name, trials, violated[name], worst[name], counts[name]) for name in _ROUTES
-    })
+        for name, value, bound in (
+            ("kl_route", bernoulli_kl_vec(scaled_hat, scaled_true), _kl_budget(prior_kl, ts, delta)),
+            ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a)),
+        ):
+            flags = (value > bound).any(axis=0)
+            hits[name] = flags.any(axis=1) | hits.get(name, False)
+            counts[name][rounds] += flags.sum(axis=0)
+            worst[name] = min(worst[name], float(np.min(bound - value)))
+    trials = shape[0]  # the block's trajectories
+    return {
+        name: BoundCoverage(name, trials, int(hits[name].sum()), worst[name], counts[name])
+        for name in _ROUTES
+    }
 
 
-def certificate_sweep(record: Window, env: Environment, delta: float) -> CoverageReport:
+def certificate_sweep(record: Window, env: Environment, delta: float) -> dict:
     """Evaluate every bound route at every round of ``run_game``'s record:
-    the one-window call of the sweep.  Returns a one-trajectory report: per
+    the one-window call of the sweep.  Returns a one-trajectory record: per
     route, whether any comparator broke its bound at each round, and the
     smallest slack."""
     window = record._replace(rhat=record.rhat[None], rho=record.rho[None], pi_lmin=record.pi_lmin[None])
-    return _coverage([[window]], env, delta, len(record.floor))
+    return _coverage([window], env, delta, len(record.floor))
 
 
 def _first_row_columns(windows, pi_min: np.ndarray, pi_lmin: np.ndarray):
@@ -560,29 +547,29 @@ def _first_row_columns(windows, pi_min: np.ndarray, pi_lmin: np.ndarray):
         yield w
 
 
-def _verify_chunk(args):
-    """Sweep trajectories ``indices`` into one report; the chunk holding
-    trajectory 0 also returns that trajectory's gap-driver report, the
-    others return None."""
-    cfg, indices = args
+def _verify_block(args):
+    """Sweep the trajectories in ``block`` into one record; the block that
+    starts at trajectory 0 also returns that trajectory's ``drivers.csv``
+    columns, the others return None."""
+    cfg, block = args
     env = cfg.environment()
-    columns = np.empty((2, cfg.horizon)) if indices[0] == 0 else None
-    blocks = (
-        _first_row_columns(windows, *columns) if block.start == 0 and columns is not None else windows
-        for block, windows in _chunk_blocks(cfg, env, indices)
-    )
-    record = _coverage(blocks, env, cfg.delta, cfg.horizon)
-    return record, None if columns is None else gap_driver_report(*columns, cfg.delta)
+    windows = _block_windows(cfg, env, block)
+    if block.start != 0:
+        return _coverage(windows, env, cfg.delta, cfg.horizon), None
+    columns = np.empty((2, cfg.horizon))
+    record = _coverage(_first_row_columns(windows, *columns), env, cfg.delta, cfg.horizon)
+    return record, gap_driver_report(*columns, cfg.delta)
 
 
-def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:
+def run_verify_bounds(cfg: ExperimentConfig) -> dict:
+    """Run the campaign; returns its record, a dict from route name to
+    ``BoundCoverage``."""
     cfg.validate()
     outdir = _ensure_outdir(cfg)
 
-    records, driver_reports = zip(*_run_chunked(cfg, _verify_chunk))
+    records, drivers = zip(*_map_blocks(cfg, _verify_block))
     report = functools.reduce(_merge, records)
-    drivers = driver_reports[0]  # the first chunk starts at trajectory 0
-    entries = report.entries.values()
+    entries = report.values()
 
     _write_csv(outdir / "coverage.csv", {
         "bound": [e.name for e in entries], "trajectories": [e.trials for e in entries],
@@ -590,12 +577,9 @@ def run_verify_bounds(cfg: ExperimentConfig) -> CoverageReport:
         "nominal_delta": [cfg.delta] * len(entries),
         "worst_slack": [e.worst_slack for e in entries],
     })
-    profiles = {n: report.entries[n].per_round_violations for n in _ROUTES}
+    profiles = {n: report[n].per_round_violations for n in _ROUTES}
     _write_csv(outdir / "violation_profile.csv", {"t": np.arange(1, cfg.horizon + 1), **profiles})
-    _write_csv(outdir / "drivers.csv", {
-        "t": drivers.rounds, "lmin_driver": drivers.lmin_driver, "rms_driver": drivers.rms_driver,
-        "kl_route_gap": drivers.kl_route_gap, "weighted_route_gap": drivers.weighted_route_gap,
-    })
+    _write_csv(outdir / "drivers.csv", drivers[0])  # the first block starts at trajectory 0
     summary = {}
     for e in entries:
         summary[f"{e.name}_rate"] = e.rate

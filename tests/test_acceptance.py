@@ -128,8 +128,8 @@ def test_criterion_05_certificate_coverage(tmp_path):
         outdir=str(tmp_path / "verify"),
     )
     report = run_verify_bounds(cfg)
-    kl_rate = report.rate("kl_route")
-    w_rate = report.rate("weighted_route")
+    kl_rate = report["kl_route"].rate
+    w_rate = report["weighted_route"].rate
     elapsed = time.perf_counter() - t0
     ok = kl_rate <= 0.05 and w_rate <= 0.05 and elapsed < 300.0
     _report(5, "certificate coverage", ok,

@@ -103,7 +103,7 @@ class TestRewardGapRadius:
     @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 300), delta=st.floats(1e-6, 0.5))
     def test_drivers_column_equals_scalar_radius(self, seed, horizon, delta):
         trace = run_game(Environment(means=np.array([0.7, 0.3])), horizon=horizon, seed=seed)
-        gaps = gap_driver_report(trace.pi[:-1].min(axis=1), trace.pi_lmin, delta).kl_route_gap
+        gaps = gap_driver_report(trace.pi[:-1].min(axis=1), trace.pi_lmin, delta)["kl_route_gap"]
         for t in range(1, horizon + 1):
             assert gaps[t - 1] == reward_gap_radius(0.0, t, delta, trace.pi_lmin[t - 1]), t
 
@@ -242,14 +242,33 @@ class TestWeightedGapBound:
         with pytest.raises(ValueError):
             weighted_gap_bound(0.0, t, 0.05, 1.0, np.full(t + 1, 0.1), seq)
 
+    def test_nan_inputs_are_rejected(self):
+        # A nan bound can never be violated, so each nan input must raise.
+        t = 10
+        seq = np.full(t, 0.5)
+        bad_seq = seq.copy()
+        bad_seq[3] = math.nan
+        w = np.full(t, 0.1)
+        with pytest.raises(ValueError, match="pi_min_seq"):
+            lambda_opt(t, 0.05, bad_seq)
+        with pytest.raises(ValueError, match="pi_min_seq"):
+            weighted_gap_bound(0.0, t, 0.05, 1.0, w, bad_seq)
+        with pytest.raises(ValueError, match="pi_min_seq"):
+            weighted_gap_bound_opt(0.0, t, 0.05, bad_seq)
+        for bad in (math.nan, math.inf):
+            bad_w = w.copy()
+            bad_w[3] = bad
+            with pytest.raises(ValueError, match="weights must be finite"):
+                weighted_gap_bound(0.0, t, 0.05, 1.0, bad_w, seq)
+
 
 class TestGapDriverReport:
     def test_constant_policy_drivers_coincide(self):
         pi = np.full((200, 2), 0.5)
         rep = gap_driver_report(*policy_columns(pi), 0.05)
-        assert np.allclose(rep.lmin_driver, 2.0)
-        assert np.allclose(rep.rms_driver, 2.0)
-        assert np.array_equal(rep.rounds, np.arange(1, 201))
+        assert np.allclose(rep["lmin_driver"], 2.0)
+        assert np.allclose(rep["rms_driver"], 2.0)
+        assert np.array_equal(rep["t"], np.arange(1, 201))
 
     def test_single_early_dip_separates_the_routes(self):
         # One round at floor 0.01 poisons the realized-minimum driver
@@ -257,15 +276,15 @@ class TestGapDriverReport:
         pi = np.full((400, 2), 0.5)
         pi[0] = (0.99, 0.01)
         rep = gap_driver_report(*policy_columns(pi), 0.05)
-        assert rep.lmin_driver[-1] == pytest.approx(100.0)
-        assert rep.rms_driver[-1] < 10.0
-        assert rep.kl_route_gap[-1] > 5.0 * rep.weighted_route_gap[-1]
+        assert rep["lmin_driver"][-1] == pytest.approx(100.0)
+        assert rep["rms_driver"][-1] < 10.0
+        assert rep["kl_route_gap"][-1] > 5.0 * rep["weighted_route_gap"][-1]
 
     def test_schedule_trace_keeps_drivers_comparable(self):
         env = Environment(means=np.array([0.7, 0.3]))
         trace = run_game(env, horizon=300, seed=11)
         rep = gap_driver_report(trace.pi[:-1].min(axis=1), trace.pi_lmin, 0.05)
-        ratio = rep.lmin_driver[49:] / rep.rms_driver[49:]
+        ratio = rep["lmin_driver"][49:] / rep["rms_driver"][49:]
         assert np.all(ratio >= 1.0)
         assert np.all(ratio <= 1.5)
 

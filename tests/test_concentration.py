@@ -140,6 +140,20 @@ class TestDependentChains:
                 mean=0.5,
             )
 
+    @pytest.mark.parametrize(
+        "support, transitions",
+        [
+            # Accepted unchecked, this chain's only path is (1, 1), and the
+            # domination gaps come out negative.
+            ((0.0, 0.5, 1.0), lambda prefix: (math.nan, 0.0, 1.0)),
+            # Accepted unchecked, this chain has no path at all.
+            ((0.0, 1.0), {(): (math.nan, math.nan)}),
+        ],
+    )
+    def test_rejects_nan_conditional(self, support, transitions):
+        with pytest.raises(ValueError, match=r"at prefix \(\)"):
+            DependentChainSpec(length=2, support=support, transitions=transitions, mean=0.5)
+
     def test_rejects_missing_prefix_and_wrong_shape(self):
         with pytest.raises(ValueError, match="missing conditional"):
             DependentChainSpec(

@@ -148,24 +148,6 @@ class TestPinskerGap:
 
 
 class TestSimplexVector:
-    def test_sum_tolerance_accepted_and_renormalized(self):
-        # Deviations inside 1e-12 are accepted as-is (contract: sum within
-        # 1e-12 of 1); deviations up to 1e-9 are renormalized.
-        v = SimplexVector([0.5, 0.5 + 5e-13])
-        assert abs(float(np.sum(v.weights)) - 1.0) <= 1e-12
-        v = SimplexVector([0.5, 0.5 + 5e-10])
-        assert abs(float(np.sum(v.weights)) - 1.0) <= 1e-12
-
-    def test_large_deviation_rejected(self):
-        with pytest.raises(ValueError):
-            SimplexVector([0.5, 0.6])
-
-    def test_tiny_negative_clipped_real_negative_rejected(self):
-        v = SimplexVector([1.0 + 5e-13, -5e-13])
-        assert float(v.weights[1]) == 0.0
-        with pytest.raises(ValueError):
-            SimplexVector([1.1, -0.1])
-
     def test_constructors_and_accessors(self):
         u = SimplexVector.uniform(4)
         assert u.n_arms == 4
@@ -175,10 +157,3 @@ class TestSimplexVector:
         u = SimplexVector.uniform(3)
         with pytest.raises(ValueError):
             u.weights[0] = 0.9
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=6))
-    def test_normalized_construction_property(self, raw):
-        w = np.asarray(raw) / np.sum(raw)
-        v = SimplexVector(w)
-        assert float(np.sum(v.weights)) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(v.weights >= 0.0)

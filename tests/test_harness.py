@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from banditbounds import (
     BoundCoverage,
-    CoverageReport,
     Environment,
     ExperimentConfig,
     OracleCheck,
@@ -171,8 +170,8 @@ class TestLockstepBlocks:
         with mock.patch.object(harness, "_BLOCK", block), mock.patch.object(
             bandit, "_WINDOW", window
         ):
-            for rows, windows in harness._chunk_blocks(cfg, env, np.arange(trajectories)):
-                windows = list(windows)
+            for rows in harness._blocks(cfg):
+                windows = list(harness._block_windows(cfg, env, rows))
                 assert [w.start for w in windows] == list(range(0, horizon, window))
                 offsets.append(rows.start)
                 played += [bandit._join(windows, j) for j in range(len(windows[0].actions))]
@@ -188,15 +187,15 @@ class TestLockstepBlocks:
         st.integers(2, 64).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, _CAP // k))),
         st.integers(1, 10**4),
     )
-    def test_block_size_rule(self, k_and_horizon, chunk):
+    def test_block_size_rule(self, k_and_horizon, share):
         k, horizon = k_and_horizon
-        size = harness._block_size(chunk, horizon, k)
-        assert 1 <= size <= min(chunk, harness._BLOCK)
+        size = harness._block_size(share, horizon, k)
+        assert 1 <= size <= min(share, harness._BLOCK)
         assert size * horizon * k <= _CAP
-        # The whole chunk, up to the block cap, whenever a Beta payout
-        # table of that many trajectories fits under the array cap.
-        if min(chunk, harness._BLOCK) * horizon * k <= _CAP:
-            assert size == min(chunk, harness._BLOCK)
+        # A worker's whole share, up to the block cap, whenever a Beta
+        # payout table of that many trajectories fits under the array cap.
+        if min(share, harness._BLOCK) * horizon * k <= _CAP:
+            assert size == min(share, harness._BLOCK)
 
     def test_block_size_at_the_cap(self):
         assert harness._block_size(50, _CAP // 2, 2) == 1
@@ -204,6 +203,23 @@ class TestLockstepBlocks:
         assert harness._block_size(50, 2000, 2) == 50
         assert harness._block_size(3, 2000, 2) == 3
         assert harness._block_size(1000, 10**5, 8) == _CAP // (8 * 10**5) < harness._BLOCK
+
+    @pytest.mark.parametrize(
+        "trajectories, workers, starts",
+        [
+            (600, 1, [0, 256, 512]),  # one worker: blocks of _BLOCK
+            (600, 2, [0, 256, 512]),  # a share of 300 is over the cap
+            (600, 3, [0, 200, 400]),  # shares of 200
+            (50, 2, [0, 25]),
+            (7, 3, [0, 3, 6]),  # shares of ceil(7 / 3) = 3; the last block is short
+            (2, 3, [0, 1]),
+        ],
+    )
+    def test_one_partition(self, trajectories, workers, starts):
+        cfg = ExperimentConfig(mode="verify-bounds", horizon=2000, trajectories=trajectories, workers=workers)
+        blocks = harness._blocks(cfg)
+        assert [b.start for b in blocks] == starts
+        assert [i for b in blocks for i in b] == list(range(trajectories))
 
     def test_game_reads_the_documented_stream(self):
         # Played a window at a time, a game's actions still read stream
@@ -264,11 +280,11 @@ class TestWindows:
         trace = run_game(ExperimentConfig(**self._VERIFY).environment(), 45, trajectory_stream(3, 0))
         report = gap_driver_report(trace.pi[:-1].min(axis=1), trace.pi_lmin, 0.05)
         rows = read_csv(tmp_path / "default" / "v" / "drivers.csv")[1:]
-        assert [float(r[1]) for r in rows] == report.lmin_driver.tolist()
-        assert [float(r[2]) for r in rows] == report.rms_driver.tolist()
+        assert [float(r[1]) for r in rows] == report["lmin_driver"].tolist()
+        assert [float(r[2]) for r in rows] == report["rms_driver"].tolist()
 
     def test_verify_matches_one_sweep_per_trajectory(self, tmp_path):
-        # The campaign sweeps a chunk's windows, 7 rounds at a time; here
+        # The campaign sweeps a block's windows, 7 rounds at a time; here
         # each trajectory's record is played and swept alone.
         cfg = ExperimentConfig(outdir=str(tmp_path), **self._VERIFY)
         with mock.patch.object(bandit, "_WINDOW", 7):
@@ -278,17 +294,20 @@ class TestWindows:
             certificate_sweep(run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i)), env, cfg.delta)
             for i in range(cfg.trajectories)
         ]
-        for name, entry in functools.reduce(harness._merge, sweeps).entries.items():
-            got = report.entries[name]
+        for name, entry in functools.reduce(harness._merge, sweeps).items():
+            got = report[name]
             assert (got.trials, got.violated, got.worst_slack) == (entry.trials, entry.violated, entry.worst_slack)
             assert np.array_equal(got.per_round_violations, entry.per_round_violations)
 
     def test_simulate_rows_are_prediction_regret(self, tmp_path):
+        # The block worker's rows, filled 7 rounds at a time, against each
+        # trajectory's record played alone.
         cfg = ExperimentConfig(outdir=str(tmp_path), **self._SIMULATE)
         with mock.patch.object(bandit, "_WINDOW", 7):
-            result = run_simulate(cfg)
+            rows = harness._simulate_block((cfg, range(1, cfg.trajectories)))
         env = cfg.environment()
-        for i, row in enumerate(result.regret):
+        assert rows.shape == (cfg.trajectories - 1, cfg.horizon)
+        for i, row in enumerate(rows, start=1):
             trace = run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i))
             assert np.array_equal(row, prediction_regret(trace, env)), i
 
@@ -304,10 +323,10 @@ class TestWindows:
                 mode="verify-bounds", horizon=horizon, trajectories=32, reward_kind=kind
             )
             if not peaks:  # a first call also allocates what later calls reuse
-                harness._verify_chunk((dataclasses.replace(cfg, horizon=10), np.arange(32)))
+                harness._verify_block((dataclasses.replace(cfg, horizon=10), range(32)))
             tracemalloc.start()
             try:
-                harness._verify_chunk((cfg, np.arange(32)))
+                harness._verify_block((cfg, range(32)))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -417,8 +436,8 @@ class TestCertificateSweep:
                 w_viol[t - 1] |= w_gap > w_bound
                 w_slack = min(w_slack, w_bound - w_gap)
 
-        kl_route = sweep.entries["kl_route"]
-        weighted_route = sweep.entries["weighted_route"]
+        kl_route = sweep["kl_route"]
+        weighted_route = sweep["weighted_route"]
         assert np.array_equal(kl_route.per_round_violations, kl_viol)
         assert np.array_equal(weighted_route.per_round_violations, w_viol)
         assert kl_route.worst_slack == pytest.approx(kl_slack, abs=1e-10)
@@ -446,10 +465,10 @@ class TestCertificateSweep:
                 cut = slice(start, start + window)
                 floor = schedule_pi_min(k, horizon)[cut]
                 windows.append(bandit.Window(start, None, None, None, rhat[:, cut], rho[:, cut], lmin[:, cut], floor))
-            folded = harness._coverage([windows], env, 0.05, horizon)
+            folded = harness._coverage(windows, env, 0.05, horizon)
             merged = functools.reduce(harness._merge, [certificate_sweep(t, env, 0.05) for t in traces])
-            for name, entry in merged.entries.items():
-                got = folded.entries[name]
+            for name, entry in merged.items():
+                got = folded[name]
                 assert (got.trials, got.violated, got.worst_slack) == (3, entry.violated, entry.worst_slack)
                 assert np.array_equal(got.per_round_violations, entry.per_round_violations), case
                 late_violations += int(entry.per_round_violations[window:].any())
@@ -470,7 +489,7 @@ class TestCertificateSweep:
         env = Environment(means=np.array([0.5, 0.5]))
         trace = run_game(env, horizon=50, seed=0)
         sweep = certificate_sweep(trace, env, 0.05)
-        for entry in sweep.entries.values():
+        for entry in sweep.values():
             assert entry.trials == 1
             assert entry.violated == 0
             assert not entry.per_round_violations.any()
@@ -480,25 +499,23 @@ class TestCertificateSweep:
 class TestMerge:
     @staticmethod
     def _record(**routes):
-        return CoverageReport(
-            entries={
-                name: BoundCoverage(
-                    name=name,
-                    trials=trials,
-                    violated=violated,
-                    worst_slack=slack,
-                    per_round_violations=np.array(profile, dtype=np.int64),
-                )
-                for name, (trials, violated, slack, profile) in routes.items()
-            },
-        )
+        return {
+            name: BoundCoverage(
+                name=name,
+                trials=trials,
+                violated=violated,
+                worst_slack=slack,
+                per_round_violations=np.array(profile, dtype=np.int64),
+            )
+            for name, (trials, violated, slack, profile) in routes.items()
+        }
 
     def test_counts_add_and_slack_is_the_minimum(self):
         a = self._record(kl_route=(3, 2, -0.25, [1, 2, 1]), weighted_route=(3, 0, 0.5, [0, 0, 0]))
         b = self._record(kl_route=(2, 1, 0.125, [1, 0, 1]), weighted_route=(2, 1, -1.5, [0, 1, 1]))
         for merged in (harness._merge(a, b), harness._merge(b, a)):
-            kl_route = merged.entries["kl_route"]
-            weighted_route = merged.entries["weighted_route"]
+            kl_route = merged["kl_route"]
+            weighted_route = merged["weighted_route"]
             assert (kl_route.trials, kl_route.violated, kl_route.worst_slack) == (5, 3, -0.25)
             assert (weighted_route.trials, weighted_route.violated, weighted_route.worst_slack) == (
                 5, 1, -1.5
@@ -506,7 +523,7 @@ class TestMerge:
             assert kl_route.per_round_violations.tolist() == [2, 2, 2]
             assert weighted_route.per_round_violations.tolist() == [0, 1, 1]
             assert kl_route.per_round_violations.dtype == np.int64
-            assert merged.rate("kl_route") == 0.6
+            assert kl_route.rate == 0.6
 
 
 class TestEnvelopeCurve:
@@ -595,7 +612,7 @@ class TestRunSimulate:
             store_traces=True,
         )
         result = run_simulate(cfg)
-        assert result.regret.shape == (6, 40)
+        assert result.trajectory_covered.shape == (6,)
         assert np.all(np.isnan(result.envelope[:7]))
         assert np.all(np.isfinite(result.envelope[7:]))
         assert set(result.summary) == {
@@ -621,7 +638,9 @@ class TestRunSimulate:
         # round-trip exactly through repr.
         assert rows[1][4] == ""
         assert float(rows[40][4]) == result.envelope[39]
-        q50 = np.quantile(result.regret, 0.5, axis=0)
+        env = cfg.environment()
+        regret = [prediction_regret(run_game(env, 40, trajectory_stream(1, i)), env) for i in range(6)]
+        q50 = np.quantile(regret, 0.5, axis=0)
         assert float(rows[40][2]) == q50[39]
 
         traces = sorted(p.name for p in (tmp_path / "sim").glob("trace_*.csv"))
@@ -690,8 +709,8 @@ class TestRunVerifyBounds:
                 tmp_path / "w2" / name
             ).read_bytes(), name
 
-        assert set(report.entries) == {"kl_route", "weighted_route"}
-        for entry in report.entries.values():
+        assert set(report) == {"kl_route", "weighted_route"}
+        for entry in report.values():
             assert entry.trials == 8
             assert 0 <= entry.violated <= 8
             assert entry.rate == entry.violated / 8
