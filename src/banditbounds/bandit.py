@@ -117,21 +117,21 @@ class Environment:
 
 # The two policy kernels take one row with a float parameter, or a (T, K)
 # matrix with a (T, 1) parameter column; every row of a matrix call equals
-# the 1-d call on that row bit for bit.
+# the 1-d call on that row bit for bit, and the same bytes written into ``out``.
 
 
-def _gibbs_weights(r_hat: np.ndarray, gamma) -> np.ndarray:
+def _gibbs_weights(r_hat: np.ndarray, gamma, out: np.ndarray | None = None) -> np.ndarray:
     # Working on the transpose lets the per-row max and sum broadcast back
     # without keepdims, which would add about 1 us to every game round; on
     # a single row .T is a no-op.
     z = (gamma * r_hat).T
     z = z - z.max(axis=0)
     w = np.exp(z)
-    return (w / w.sum(axis=0)).T
+    return np.divide(w, w.sum(axis=0), out=None if out is None else out.T).T
 
 
-def _smooth_weights(rho_w: np.ndarray, epsilon) -> np.ndarray:
-    return (1.0 - rho_w.shape[-1] * epsilon) * rho_w + epsilon
+def _smooth_weights(rho_w: np.ndarray, epsilon, out: np.ndarray | None = None) -> np.ndarray:
+    return np.add((1.0 - rho_w.shape[-1] * epsilon) * rho_w, epsilon, out=out)
 
 
 def _payouts(env: Environment, rounds: int, rngs) -> np.ndarray:
@@ -165,12 +165,12 @@ def _payouts(env: Environment, rounds: int, rngs) -> np.ndarray:
     return table
 
 
-def _choose_arms(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _choose_arms(pi: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Arm of each (K,) row of ``pi`` for its uniform in ``u``: the first j
     with u < pi_0 + ... + pi_j, or the last arm when u passes every partial
     sum.  The partial sums grow along the row, so that arm is the number of
     them at or below u."""
-    return (u[:, None] >= np.add.accumulate(pi[:, :-1], axis=1)).sum(axis=1)
+    return (u[:, None] >= np.add.accumulate(pi[:, :-1], axis=1)).sum(axis=1, out=out)
 
 
 def _expected_reward(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -239,30 +239,33 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
         gamma, epsilon = _schedule_arrays(k, range(start + 1, start + n + 2))
         floor = _pi_floor(k, epsilon)
         gammas, floors = gamma[:-1].tolist(), floor[1:].tolist()
-        pi = np.empty((size, n + 1, k))
-        actions = np.empty((size, n), dtype=np.int64)
-        rhat = np.empty((size, n, k))
-        rho = np.empty((size, n, k))
-        pi[:, 0] = pi_w
+        # Round-major buffers that each round writes in place; views go out.
+        pi = np.empty((n + 1, size, k))
+        actions = np.empty((n, size), dtype=np.int64)
+        rhat = np.empty((n, size, k))
+        rho = np.empty((n, size, k))
+        pi[0] = pi_w
         for r in range(n):
             t = start + r + 1
-            arm = _choose_arms(pi_w, uniforms[:, r])
+            arm = _choose_arms(pi[r], uniforms[:, r], out=actions[r])
             # Adding 0.0 to the arms not played leaves their sums exact.
-            sums += (payouts[:, r] / pi_w) * (arm[:, None] == arm_ids)
-            actions[:, r] = arm
-            rhat_w = np.divide(sums, t, out=rhat[:, r])
-            rho_w = _gibbs_weights(rhat_w, gammas[r])
-            rho[:, r] = rho_w
+            sums += (payouts[:, r] / pi[r]) * (arm[:, None] == arm_ids)
+            np.divide(sums, t, out=rhat[r])
+            _gibbs_weights(rhat[r], gammas[r], out=rho[r])
             # Before K^3 the floor is 1/K and the policy is uniform whatever
-            # rho_w is; from K^3 on it is epsilon_{t+1}.
-            pi_w = uniform_w if t + 1 < warmup else _smooth_weights(rho_w, floors[r])
-            pi[:, r + 1] = pi_w
-        rewards = payouts[np.arange(size)[:, None], np.arange(n), actions]
-        lmin = np.minimum(pi[:, :-1].min(axis=2), 1.0 / k)
-        np.minimum(lmin[:, 0], lmin_carry, out=lmin[:, 0])
-        np.minimum.accumulate(lmin, axis=1, out=lmin)
-        lmin_carry = lmin[:, -1].copy()
-        yield Window(start, pi, actions, rewards, rhat, rho, lmin, floor[:-1])
+            # rho is; from K^3 on it is epsilon_{t+1}.
+            if t + 1 < warmup:
+                pi[r + 1] = 1.0 / k
+            else:
+                _smooth_weights(rho[r], floors[r], out=pi[r + 1])
+        pi_w = pi[n]
+        rewards = payouts[np.arange(size)[:, None], np.arange(n), actions.T]
+        lmin = np.minimum(pi[:-1].min(axis=2), 1.0 / k)
+        np.minimum(lmin[0], lmin_carry, out=lmin[0])
+        np.minimum.accumulate(lmin, axis=0, out=lmin)
+        lmin_carry = lmin[-1].copy()
+        pi, rhat, rho = (a.transpose(1, 0, 2) for a in (pi, rhat, rho))
+        yield Window(start, pi, actions.T, rewards, rhat, rho, lmin.T, floor[:-1])
 
 
 def _join(windows: list[Window], j: int) -> Window:

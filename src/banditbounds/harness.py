@@ -26,7 +26,6 @@ output directory or worker count, which cannot affect results).
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -85,8 +84,8 @@ _MAX_ARRAY_ENTRIES = 10**8
 # round of a block costs little more than a round of one trajectory, and the
 # engine holds (B, R, K) windows (plus a Beta block's (B, T, K) payout table).
 _BLOCK = 256
-# Table rows converted to text per write.
-_CSV_ROWS = 4096
+# Table rows held as text at once: a chunk of a table, or of a window's traces.
+_CSV_ROWS = 1024
 # Exp-sum probes evaluated per kernel call.
 _PROBE_BLOCK = 1024
 
@@ -214,56 +213,74 @@ class ExperimentConfig:
 
 
 def _cell(x) -> str:
-    """Floats by ``repr``, ints by ``str``, booleans as true/false; nan and None are empty."""
+    """One csv cell: floats by ``repr``, ints by ``str``, booleans as
+    true/false, nan and None empty, and a cell that holds a comma, a double
+    quote or a line break quoted as csv's minimal quoting does it."""
     if isinstance(x, float):  # float.__repr__ writes a numpy float64 as a plain float too
         return float.__repr__(x) if x == x else ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    return "" if x is None else str(x)
+    text = "" if x is None else str(x)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _cells(part):
-    """One column part as ``csv`` cells.  ``csv`` writes a float by ``repr`` and an int
-    by ``str``, as ``_cell`` does, so int and nan-free float arrays go as they are."""
-    if not isinstance(part, np.ndarray):
-        return map(_cell, part)
-    if part.dtype.kind in "iu" or (part.dtype.kind == "f" and not np.isnan(part).any()):
-        return part.tolist()
-    return map(_cell, part.tolist())
+def _texts(values) -> list[str]:
+    """The cells of a 1-d array or list: int arrays by ``str``, nan-free float
+    arrays by ``float.__repr__`` (both as ``_cell`` writes them), else by ``_cell``."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu":
+            return list(map(str, values.tolist()))
+        if values.dtype.kind == "f" and not np.isnan(values).any():
+            return list(map(float.__repr__, values.tolist()))
+        values = values.tolist()
+    return list(map(_cell, values))
 
 
-def _write_csv(out, columns: dict, header: bool = True) -> None:
-    """Write one table whose header is the keys of ``columns`` to ``out``, a
-    path or an open text file; without ``header``, write only the rows, to
-    continue a table.  A column is a numpy array or a list of Python scalars,
-    ``_CSV_ROWS`` rows at a time; only nan-bearing float, bool and list columns
-    are formatted one cell at a time."""
+def _lines(columns: list[list[str]]) -> str:
+    """The text of a table given as one list of cells per column: cells joined
+    by commas, rows ended by CRLF, a row of one empty cell written as ``""``."""
+    return "\r\n".join([",".join(row) or '""' for row in zip(*columns)]) + "\r\n"
+
+
+def _write_csv(out, columns: dict) -> None:
+    """Write the table whose header is the keys of ``columns`` to ``out``, a
+    path or an open text file.  A column is a numpy array or a list of
+    Python scalars; each ``_CSV_ROWS`` rows are formatted and written at once."""
     if isinstance(out, (str, Path)):
         with open(out, "w", newline="") as fh:
-            return _write_csv(fh, columns, header)
+            return _write_csv(fh, columns)
     lengths = {len(c) for c in columns.values()}
     if len(lengths) != 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
-    writer = csv.writer(out)
-    if header:
-        writer.writerow(columns)
+    out.write(_lines([_texts([name]) for name in columns]))
     for start in range(0, lengths.pop(), _CSV_ROWS):
-        part = [c[start : start + _CSV_ROWS] for c in columns.values()]
-        writer.writerows(zip(*map(_cells, part)))
+        out.write(_lines([_texts(c[start : start + _CSV_ROWS]) for c in columns.values()]))
 
 
-def _trace_columns(start: int, actions, rewards, pi, rhat) -> dict:
-    """Rounds start+1.. of one trajectory: t, action, reward, policy entries, estimates."""
-    ts = np.arange(start + 1, start + len(actions) + 1)
-    return {"t": ts, "action": actions, "reward": rewards} | {
-        f"{name}_{a}": col[:, a] for name, col in (("pi", pi), ("rhat", rhat)) for a in range(pi.shape[1])
-    }
+def _write_traces(files, start: int, actions, rewards, pi, rhat) -> None:
+    """Add rounds start+1.. of a block's (B, R, K) window to its trajectories'
+    trace files, row j to ``files[j]`` in one ``write``, after the header at
+    round 1.  Columns are formatted ``_CSV_ROWS`` rows at a time."""
+    rounds, k = pi.shape[1:]
+    names = ["t", "action", "reward"] + [f"{name}_{a}" for name in ("pi", "rhat") for a in range(k)]
+    header = _lines([[name] for name in names]) if start == 0 else ""
+    step = max(1, _CSV_ROWS // rounds)  # trajectories formatted at once
+    for i in range(0, len(files), step):
+        part = slice(i, i + step)
+        columns = (actions[part], rewards[part], *pi[part].transpose(2, 0, 1), *rhat[part].transpose(2, 0, 1))
+        ts = _texts(np.arange(start + 1, start + rounds + 1))
+        cells = [_texts(c.ravel()) for c in columns]
+        for j, fh in enumerate(files[part]):
+            fh.write(header + _lines([ts] + [c[j * rounds : (j + 1) * rounds] for c in cells]))
 
 
 def write_trace_csv(record: Window, path) -> None:
     """One row per round of ``run_game``'s record: t, action, reward, policy
     entries, estimate entries."""
-    _write_csv(path, _trace_columns(0, record.actions, record.rewards, record.pi[:-1], record.rhat))
+    with open(path, "w", newline="") as fh:
+        _write_traces([fh], 0, *(a[None] for a in (record.actions, record.rewards, record.pi[:-1], record.rhat)))
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, summary: dict) -> Path:
@@ -321,14 +338,16 @@ def _block_windows(cfg: ExperimentConfig, env: Environment, block: range):
     return _play_windows(env, cfg.horizon, seeds, cfg.warmup_length)
 
 
-def _map_blocks(cfg: ExperimentConfig, worker) -> list:
+def _map_blocks(cfg: ExperimentConfig, worker):
     """Run ``worker`` on each block, in process at one worker, else in a pool
-    of no more processes than blocks; results come back in index order."""
+    of no more processes than blocks; yields the results in index order, each
+    as it is ready."""
     tasks = [(cfg, block) for block in _blocks(cfg)]
     if cfg.workers == 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
-        return list(pool.map(worker, tasks))
+        yield from map(worker, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+            yield from pool.map(worker, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +383,7 @@ def _simulate_block(args) -> np.ndarray:
         for w in _block_windows(cfg, env, block):
             regret = prediction_regret(w, env)
             rows[:, w.start : w.start + regret.shape[1]] = regret
-            for j, fh in enumerate(files):
-                columns = _trace_columns(w.start, w.actions[j], w.rewards[j], w.pi[j, :-1], w.rhat[j])
-                _write_csv(fh, columns, header=w.start == 0)
+            _write_traces(files, w.start, w.actions, w.rewards, w.pi[:, :-1], w.rhat)
     return rows
 
 
@@ -390,10 +407,16 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     outdir = _ensure_outdir(cfg)
     k = cfg.n_arms
 
-    # One block's rows are the (M, T) matrix itself; several are joined once.
-    parts = _map_blocks(cfg, _simulate_block)
-    regret = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    del parts
+    # One block's rows are the (M, T) matrix itself; several fill it as they
+    # arrive, bound to no name that would hold them while the next block plays.
+    blocks = _blocks(cfg)
+    with contextlib.closing(_map_blocks(cfg, _simulate_block)) as results:
+        if len(blocks) == 1:
+            regret = next(results)
+        else:
+            regret = np.empty((cfg.trajectories, cfg.horizon))
+            for block in blocks:
+                regret[block.start : block.stop] = next(results)
 
     # Rounds t >= K^3, from column K^3 - 1 on, are the envelope's scope.
     envelope = _envelope_curve(k, cfg.horizon, cfg.delta)

@@ -11,10 +11,14 @@
   depth-first walk of a chain's prefix tree, the loop over the 2^N bit
   paths, and the convex test family as functions of one path tuple.  The
   path-matrix kernel in ``concentration`` must match them.
+* The csv writer the harness's one joiner replaced: ``csv.writer`` rows of
+  ``cell`` strings, and trace files written one call per trajectory per
+  window.  Every table and trace file the harness writes must have its bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -152,3 +156,40 @@ def scalar_convex_test_functions(length: int, mean: float):
         return math.exp(exponent) if exponent < _EXP_CAP else math.inf
 
     return (("max", f_max), ("square_sum", f_square_sum), ("kl_moment", f_kl_moment))
+
+
+def cell(x) -> str:
+    """Floats by ``repr``, ints by ``str``, booleans as true/false; nan and None are empty."""
+    if isinstance(x, float):
+        return float.__repr__(x) if x == x else ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return "" if x is None else str(x)
+
+
+def write_csv(out, columns: dict, header: bool = True) -> None:
+    """One table to an open text file, a row at a time through ``csv.writer``;
+    without ``header`` only the rows, to continue a table."""
+    writer = csv.writer(out)
+    if header:
+        writer.writerow(columns)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    for row in zip(*cells):
+        writer.writerow([cell(x) for x in row])
+
+
+def trace_columns(start: int, actions, rewards, pi, rhat) -> dict:
+    """Rounds start+1.. of one trajectory: t, action, reward, policy entries, estimates."""
+    ts = np.arange(start + 1, start + len(actions) + 1)
+    return {"t": ts, "action": actions, "reward": rewards} | {
+        f"{name}_{a}": col[:, a] for name, col in (("pi", pi), ("rhat", rhat)) for a in range(pi.shape[1])
+    }
+
+
+def write_traces(files, windows) -> None:
+    """A block's windows added to its trajectories' trace files, row j to
+    ``files[j]``: one ``write_csv`` call per trajectory per window."""
+    for w in windows:
+        for j, fh in enumerate(files):
+            columns = trace_columns(w.start, w.actions[j], w.rewards[j], w.pi[j, :-1], w.rhat[j])
+            write_csv(fh, columns, header=w.start == 0)

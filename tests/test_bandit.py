@@ -133,6 +133,18 @@ class TestKernels:
             assert np.array_equal(rho[t], row_rho), t
             assert np.array_equal(pi[t], _smooth_weights(row_rho, float(epsilon[t, 0]))), t
 
+    @given(k=st.integers(2, 8), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_out_gives_the_same_bytes(self, k, size, seed):
+        # A 1-d row, a (B, K) block, and a transposed view of a (K, B) buffer.
+        rng = np.random.default_rng(seed)
+        rhat = rng.uniform(0.0, 2.0 * k, (size, k))
+        gamma, epsilon = rng.uniform(0.0, 60.0), rng.uniform(0.0, 1.0 / k)
+        for r_hat, out in ((rhat[0], np.empty(k)), (rhat, np.empty((size, k))), (rhat, np.empty((k, size)).T)):
+            rho = _gibbs_weights(r_hat, gamma)
+            assert _gibbs_weights(r_hat, gamma, out=out).tobytes() == out.tobytes() == rho.tobytes()
+            pi = _smooth_weights(rho, epsilon)
+            assert _smooth_weights(rho, epsilon, out=out).tobytes() == out.tobytes() == pi.tobytes()
+
     @given(k=st.integers(2, 8), horizon=st.integers(1, 500))
     def test_schedule_arrays_are_scalar_pow(self, k, horizon):
         # numpy's vectorized pow differs from libm's in the last ulp on some
@@ -175,6 +187,23 @@ class TestChooseArms:
             ))
             arms = _choose_arms(np.tile(row, (us.size, 1)), us)
             assert arms.tolist() == [_scan_arm(row.tolist(), u) for u in us.tolist()]
+
+    @given(k=st.integers(2, 8), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_out_gives_the_same_bytes(self, k, size, seed):
+        # One row, a (B, K) block, and a policy and arm buffer that are
+        # strided views, as the engine's round-major buffers hand them out.
+        rng = np.random.default_rng(seed)
+        pi = rng.dirichlet(np.ones(k), size)
+        u = rng.random(size)
+        buffer = np.empty((k, size)).T
+        buffer[...] = pi
+        for rows, us, out in (
+            (pi[:1], u[:1], np.empty(1, dtype=np.int64)),
+            (pi, u, np.empty(size, dtype=np.int64)),
+            (buffer, u, np.empty((size, 2), dtype=np.int64)[:, 1]),
+        ):
+            arms = _choose_arms(rows, us)
+            assert _choose_arms(rows, us, out=out).tobytes() == out.tobytes() == arms.tobytes()
 
     def test_boundary_and_last_partial_sum(self):
         # u on a partial sum is past it: 0.25 picks arm 1, not arm 0.

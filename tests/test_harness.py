@@ -46,7 +46,8 @@ from banditbounds import (
     weighted_gap_bound_opt,
 )
 import banditbounds
-from banditbounds import bandit, harness
+import reference
+from banditbounds import bandit, harness, write_trace_csv
 from banditbounds.cli import main
 from reference import gibbs_posterior
 
@@ -311,6 +312,32 @@ class TestWindows:
             trace = run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i))
             assert np.array_equal(row, prediction_regret(trace, env)), i
 
+    @pytest.mark.parametrize("rows", [10, harness._CSV_ROWS])
+    def test_store_traces_writes_once_per_trajectory_per_window(self, tmp_path, rows):
+        # A trajectory's window is one write whether the block's text is
+        # formatted at once or, with 10 rows per chunk, a trajectory at a time.
+        writes = {}
+
+        class CountingFile:
+            def __init__(self, path, *args, **kwargs):
+                self.name, self.fh = Path(path).name, open(path, *args, **kwargs)
+
+            def write(self, text):
+                writes[self.name] = writes.get(self.name, 0) + 1
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        cfg = ExperimentConfig(outdir=str(tmp_path), **self._SIMULATE)
+        with mock.patch.object(bandit, "_WINDOW", 7), mock.patch.object(harness, "_CSV_ROWS", rows), \
+                mock.patch.object(harness, "open", CountingFile, create=True):
+            harness._simulate_block((cfg, range(cfg.trajectories)))
+        assert writes == {f"trace_{i:04d}.csv": 7 for i in range(cfg.trajectories)}  # 45 rounds, 7 windows
+
     @pytest.mark.parametrize("kind", ["bernoulli", "point"])
     def test_chunk_memory_does_not_hold_the_horizon(self, kind):
         # From T = 1 000 to T = 8 000 the per-round outputs (counts, the
@@ -540,6 +567,10 @@ class TestEnvelopeCurve:
             assert curve[t - 1] == regret_envelope(k, t, delta), t
 
 
+# Text cells built from the characters csv quotes, plus plain ones.
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "a", " "]), max_size=4)
+
+
 class TestWriteCsv:
     def test_columns_become_the_table(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -600,6 +631,77 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             harness._write_csv(tmp_path / "table.csv", {"t": np.arange(3), "x": [0.5, 0.25]})
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                st.lists(_TEXT, min_size=n, max_size=n, unique=True),
+                st.lists(st.lists(_TEXT, min_size=n, max_size=n), max_size=6),
+            )
+        )
+    )
+    @example((["x"], [[""], ["a"]]))
+    @example(([""], []))
+    def test_text_cells_are_quoted_as_csv_writes_them(self, table):
+        # Cells holding commas, quotes and line breaks, and empty cells,
+        # which a one-column table must write as "".
+        names, rows = table
+        out = io.StringIO()
+        harness._write_csv(out, {name: [row[i] for row in rows] for i, name in enumerate(names)})
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(names)
+        writer.writerows(rows)
+        assert out.getvalue() == expected.getvalue()
+
+
+class TestReferenceWriter:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.sampled_from([2, 3, 8]),
+        kind=st.sampled_from(["bernoulli", "point", "beta"]),
+        horizon=st.integers(1, 200),
+        trajectories=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        window=st.sampled_from([1, 7, bandit._WINDOW]),
+        block=st.sampled_from([1, 7, harness._BLOCK]),
+        rows=st.sampled_from([1, 7, harness._CSV_ROWS]),
+    )
+    def test_outputs_are_the_reference_writers_bytes(
+        self, k, kind, horizon, trajectories, seed, window, block, rows
+    ):
+        # regret_curve.csv, every trace file and write_trace_csv against
+        # csv.writer rows written one call per trajectory per window, with
+        # text formatted a few rows or a trajectory at a time, or all at once.
+        cfg = ExperimentConfig(
+            mode="simulate", n_arms=k, horizon=horizon, trajectories=trajectories, seed=seed,
+            means=tuple(np.random.default_rng(seed).uniform(0.0, 1.0, k)), reward_kind=kind,
+            store_traces=True,
+        )
+        env = cfg.environment()
+        tables = {}
+        write_csv = harness._write_csv
+
+        def keep_columns(out, columns):
+            if isinstance(out, Path):
+                tables[out.name] = columns
+            write_csv(out, columns)
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(bandit, "_WINDOW", window), \
+                mock.patch.object(harness, "_BLOCK", block), mock.patch.object(harness, "_CSV_ROWS", rows), \
+                mock.patch.object(harness, "_write_csv", keep_columns):
+            out = Path(tmp)
+            run_simulate(dataclasses.replace(cfg, outdir=tmp))
+            expected = io.StringIO()
+            reference.write_csv(expected, tables["regret_curve.csv"])
+            assert (out / "regret_curve.csv").read_bytes() == expected.getvalue().encode()
+            for i in range(trajectories):
+                expected = io.StringIO()
+                reference.write_traces([expected], bandit._play_windows(env, horizon, [trajectory_stream(seed, i)]))
+                assert (out / f"trace_{i:04d}.csv").read_bytes() == expected.getvalue().encode(), i
+                write_trace_csv(run_game(env, horizon, trajectory_stream(seed, i)), out / "alone.csv")
+                assert (out / "alone.csv").read_bytes() == expected.getvalue().encode(), i
+
 
 class TestRunSimulate:
     def test_outputs(self, tmp_path):
@@ -653,6 +755,24 @@ class TestRunSimulate:
             float(np.mean(result.trajectory_covered))
         )
         assert manifest["summary"]["scoped_rounds"] == 40 - 8 + 1  # t = K^3..T
+
+    @pytest.mark.parametrize("kind, trajectories, horizon", [("point", 600, 3000), ("bernoulli", 1000, 2000)])
+    def test_regret_matrix_is_held_once(self, tmp_path, kind, trajectories, horizon):
+        # Several blocks fill one (M, T) matrix as their rows arrive; joining
+        # them once all have arrived holds the matrix twice, a peak of 2.00x.
+        cfg = ExperimentConfig(
+            mode="simulate", horizon=horizon, trajectories=trajectories, reward_kind=kind, outdir=str(tmp_path)
+        )
+        assert len(harness._blocks(cfg)) > 1
+        run_simulate(dataclasses.replace(cfg, horizon=10, trajectories=3))  # allocates what later calls reuse
+        tracemalloc.start()
+        try:
+            run_simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = trajectories * horizon * 8
+        assert peak < 1.7 * matrix, peak / matrix
 
     def test_byte_determinism_across_outdirs(self, tmp_path):
         base = dict(mode="simulate", horizon=30, trajectories=4, seed=7)
