@@ -104,12 +104,14 @@ class DependentChainSpec:
     the next value.  It is either a mapping from prefixes or a function of
     the prefix; after construction it is always a dict holding exactly the
     reachable prefixes.  Construction checks the path budget, then walks
-    every reachable prefix depth first (a function is called once per
-    prefix, in that order) and rejects the spec unless each conditional is
-    a probability vector whose mean equals ``mean`` to within 1e-12: the
-    constant-conditional-mean hypothesis is validated up front, not trusted.
-    The same walk records every reachable path: ``path_values`` holds one
-    row of values per path and ``path_probs`` its probability.
+    the reachable prefixes level by level (a function is called once per
+    prefix: a level's prefixes in path order, before any of the next level)
+    and rejects the spec unless each conditional is a probability vector
+    whose mean equals ``mean`` to within 1e-12: the constant-conditional-mean
+    hypothesis is validated up front, not trusted; an error names a level's
+    first prefix that fails.  The same walk records every reachable path, in
+    reverse lexicographic order: ``path_values`` holds one row of values per
+    path and ``path_probs`` its probability.
     """
 
     length: int
@@ -141,47 +143,42 @@ class DependentChainSpec:
             )
         source = self.transitions
         conditional = source if callable(source) else source.__getitem__
-        cleaned: dict[tuple[int, ...], tuple[float, ...]] = {}
-        paths: list[tuple[tuple[int, ...], float]] = []
-        stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+        m = len(support)
         values = np.asarray(support)
-        while stack:
-            prefix, mass = stack.pop()
-            if len(prefix) == self.length:
-                paths.append((prefix, mass))
-                continue
+        cleaned: dict[tuple[int, ...], tuple[float, ...]] = {}
+        prefixes: list[tuple[int, ...]] = [()]  # the live prefixes of one level, in path order
+        masses = np.ones(1)
+        for _ in range(self.length):
+            raw = []
             try:
-                raw = conditional(prefix)
+                for prefix in prefixes:
+                    raw.append(conditional(prefix))
             except KeyError:
-                raise ValueError(
-                    f"missing conditional distribution for reachable prefix {prefix}"
-                ) from None
-            probs = np.asarray(raw, dtype=float)
-            if probs.shape != (len(support),):
-                raise ValueError(
-                    f"conditional at prefix {prefix} has wrong length "
-                    f"{probs.size}, expected {len(support)}"
-                )
+                raise ValueError(f"missing conditional distribution for reachable prefix {prefix}") from None
+            try:
+                probs = np.array(raw, dtype=float)
+            except ValueError:  # ragged rows
+                probs = np.empty(0)
+            if probs.shape != (len(raw), m):
+                arrays = [np.asarray(r, dtype=float) for r in raw]
+                i = next(i for i, a in enumerate(arrays) if a.shape != (m,))
+                raise ValueError(f"conditional at prefix {prefixes[i]} has wrong length {arrays[i].size}, expected {m}")
             # Each check passes only in range, so a nan entry fails it.
-            if not (probs >= 0.0).all():
-                raise ValueError(f"negative or nan probability at prefix {prefix}")
-            if not abs(float(probs.sum()) - 1.0) <= _SIMPLEX_TOL:
-                raise ValueError(
-                    f"conditional at prefix {prefix} sums to {probs.sum()!r}"
-                )
-            cond_mean = float(np.dot(probs, values))
-            if not abs(cond_mean - mean) <= _MEAN_TOL:
-                raise ValueError(
-                    f"conditional mean {cond_mean!r} at prefix {prefix} "
-                    f"deviates from {mean!r}: the constant-mean hypothesis fails"
-                )
-            cleaned[prefix] = tuple(float(x) for x in probs)
-            for j, pr in enumerate(cleaned[prefix]):
-                if pr > 0.0:
-                    stack.append((prefix + (j,), mass * pr))
+            _check_rows((probs >= 0.0).all(axis=1), prefixes, "negative or nan probability at prefix {}")
+            sums = probs.sum(axis=1)
+            _check_rows(abs(sums - 1.0) <= _SIMPLEX_TOL, prefixes, "conditional at prefix {} sums to {!r}", sums)
+            cond_means = probs @ values
+            _check_rows(abs(cond_means - mean) <= _MEAN_TOL, prefixes, "conditional mean {1!r} at prefix {0} "
+                        f"deviates from {mean!r}: the constant-mean hypothesis fails", cond_means)
+            cleaned.update(zip(prefixes, map(tuple, probs.tolist())))
+            # Children in descending support index: the leaves come out in the
+            # order of a depth-first walk that pushes them in ascending order.
+            rows, cols = np.nonzero(probs[:, ::-1] > 0.0)
+            cols = m - 1 - cols
+            masses = masses[rows] * probs[rows, cols]
+            prefixes = [prefixes[r] + (j,) for r, j in zip(rows.tolist(), cols.tolist())]
         object.__setattr__(self, "transitions", cleaned)
-        indices, path_probs = zip(*paths)
-        for name, arr in (("path_values", values[np.array(indices)]), ("path_probs", np.array(path_probs))):
+        for name, arr in (("path_values", values[np.array(prefixes)]), ("path_probs", masses)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -197,8 +194,16 @@ class DependentChainSpec:
         return cls(length=length, support=(value,), transitions=lambda _: (1.0,), mean=value)
 
 
+def _check_rows(ok: np.ndarray, prefixes, message: str, *columns: np.ndarray) -> None:
+    """Reject a level unless ``ok`` holds on every row: ``message`` is formatted
+    with the first failing row's prefix and its entry of each column."""
+    if not ok.all():
+        i = int(ok.argmin())
+        raise ValueError(message.format(prefixes[i], *(float(c[i]) for c in columns)))
+
+
 def _conditional_vertices(support: Sequence[float], mean: float) -> list[np.ndarray]:
-    """Vertices of {q >= 0, sum q = 1, sum q*v = mean} for a small support."""
+    """Vertices of {q >= 0, sum q = 1, sum q*v = mean} for a small support, each once."""
     m = len(support)
     vertices: list[np.ndarray] = []
     for i in range(m):
@@ -216,24 +221,28 @@ def _conditional_vertices(support: Sequence[float], mean: float) -> list[np.ndar
                 q = np.zeros(m)
                 q[i] = qi
                 q[j] = 1.0 - qi
-                vertices.append(q)
+                if not any(np.array_equal(q, v) for v in vertices):  # a unit vector ends every pair through it
+                    vertices.append(q)
     return vertices
 
 
 def random_constant_mean_chain(length: int, rng: np.random.Generator) -> DependentChainSpec:
     """Draw a random chain satisfying the constant-conditional-mean hypothesis.
 
-    Each reachable prefix gets an independent random point of the feasible
-    polytope of conditionals.  With a 2-point support that polytope is a
-    single point (the chain degenerates to i.i.d.), so 3-point supports
-    dominate the mix.
+    Each reachable prefix gets an independent uniform point t*v0 + (1-t)*v1
+    of the feasible conditionals, a segment on m <= 3 support points.  With
+    2 points it is a single point (the chain degenerates to i.i.d.), so
+    3-point supports dominate the mix.  Stream: u picks the kind and a
+    constant chain draws its value; else come the sorted support (redrawn
+    until its gaps exceed 0.05), the mean, and n = sum_{d<N} m^d uniforms t,
+    entry r for the prefix of rank r in the full m-ary tree, level by level.
     """
     u = rng.random()
     if u < 0.1:
         return DependentChainSpec.constant(length, float(rng.random()))
-    support_size = 2 if u < 0.3 else 3
+    m = 2 if u < 0.3 else 3
     while True:
-        support = np.sort(rng.random(support_size))
+        support = np.sort(rng.random(m))
         if np.min(np.diff(support)) > 0.05:
             break
     spread = support[-1] - support[0]
@@ -241,20 +250,20 @@ def random_constant_mean_chain(length: int, rng: np.random.Generator) -> Depende
     vertices = _conditional_vertices(tuple(support), mean)
     if not vertices:
         raise RuntimeError("no feasible conditional; unreachable by construction")
+    v0, v1 = vertices[0], vertices[-1]
+    t = rng.random(sum(m**d for d in range(length)))[:, None]
+    rows = np.where(v0 == v1, v0, t * v0 + (1.0 - t) * v1).tolist()  # a point segment stays exact
 
-    def draw(_prefix: tuple[int, ...]) -> tuple[float, ...]:
-        if len(vertices) == 1:
-            q = vertices[0]
-        else:
-            a, b = rng.choice(len(vertices), size=2, replace=False)
-            t = rng.random()
-            q = t * vertices[a] + (1.0 - t) * vertices[b]
-        return tuple(float(x) for x in q)
+    def conditional(prefix: tuple[int, ...]) -> list[float]:
+        rank = 0
+        for j in prefix:
+            rank = rank * m + 1 + j
+        return rows[rank]
 
     return DependentChainSpec(
         length=length,
         support=tuple(float(v) for v in support),
-        transitions=draw,
+        transitions=conditional,
         mean=mean,
     )
 

@@ -248,12 +248,12 @@ def _write_csv(out, columns: dict) -> None:
     """Write the table whose header is the keys of ``columns`` to ``out``, a
     path or an open text file.  A column is a numpy array or a list of
     Python scalars; each ``_CSV_ROWS`` rows are formatted and written at once."""
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) != 1:  # before a path is opened, and so truncated
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     if isinstance(out, (str, Path)):
         with open(out, "w", newline="") as fh:
             return _write_csv(fh, columns)
-    lengths = {len(c) for c in columns.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     out.write(_lines([_texts([name]) for name in columns]))
     for start in range(0, lengths.pop(), _CSV_ROWS):
         out.write(_lines([_texts(c[start : start + _CSV_ROWS]) for c in columns.values()]))

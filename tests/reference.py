@@ -11,6 +11,8 @@
   depth-first walk of a chain's prefix tree, the loop over the 2^N bit
   paths, and the convex test family as functions of one path tuple.  The
   path-matrix kernel in ``concentration`` must match them.
+* The depth-first construction of a chain, one prefix checked at a time,
+  that ``DependentChainSpec``'s level-by-level walk must match bit for bit.
 * The csv writer the harness's one joiner replaced: ``csv.writer`` rows of
   ``cell`` strings, and trace files written one call per trajectory per
   window.  Every table and trace file the harness writes must have its bytes.
@@ -127,6 +129,32 @@ def tree_walk_expectation(chain, f) -> float:
             if pr > 0.0:
                 stack.append((prefix + (j,), prob * pr))
     return total
+
+
+def depth_first_chain(length: int, support, transitions, mean: float):
+    """The cleaned transitions, path values and path probabilities of a chain,
+    by a depth-first walk that checks one conditional at a time and pushes a
+    prefix's children in ascending support index."""
+    conditional = transitions if callable(transitions) else transitions.__getitem__
+    values = np.asarray(support, dtype=float)
+    cleaned = {}
+    paths = []
+    stack = [((), 1.0)]
+    while stack:
+        prefix, mass = stack.pop()
+        if len(prefix) == length:
+            paths.append((prefix, mass))
+            continue
+        probs = np.asarray(conditional(prefix), dtype=float)
+        assert probs.shape == (len(support),) and (probs >= 0.0).all(), prefix
+        assert abs(float(probs.sum()) - 1.0) <= 1e-12, prefix
+        assert abs(float(np.dot(probs, values)) - mean) <= 1e-12, prefix
+        cleaned[prefix] = tuple(float(x) for x in probs)
+        for j, pr in enumerate(cleaned[prefix]):
+            if pr > 0.0:
+                stack.append((prefix + (j,), mass * pr))
+    indices, path_probs = zip(*paths)
+    return cleaned, values[np.array(indices)], np.array(path_probs)
 
 
 def bit_loop_expectation(length: int, p: float, f) -> float:

@@ -12,6 +12,7 @@ direct enumeration on paper:
   1/4 * 0 + 1/2 * 1 + 1/4 * 4 = 3/2, so the dominance gap is 1/8.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -37,7 +38,7 @@ from banditbounds import (
     simulate_profile_walks,
 )
 from banditbounds.concentration import _PATH_BLOCK, _PROFILE_STREAM, _conditional_vertices, _stream
-from reference import bit_loop_expectation, scalar_convex_test_functions, tree_walk_expectation
+from reference import bit_loop_expectation, depth_first_chain, scalar_convex_test_functions, tree_walk_expectation
 
 
 class TestKlMoment:
@@ -200,6 +201,42 @@ class TestDependentChains:
         with pytest.raises(BudgetError):
             bernoulli_convex_expectation(21, 0.5, lambda xs: np.zeros(len(xs)))
 
+    def test_conditional_is_called_once_per_prefix_level_by_level(self):
+        calls = []
+
+        def conditional(prefix):
+            calls.append(prefix)
+            return (0.0, 1.0, 0.0) if prefix == (0,) else (0.5, 0.0, 0.5)
+
+        chain = DependentChainSpec(length=3, support=(0.0, 0.5, 1.0), transitions=conditional, mean=0.5)
+        # Each level in path order (descending support index), before the next.
+        assert calls == [(), (2,), (0,), (2, 2), (2, 0), (0, 1)]
+        assert chain.path_values.tolist() == [
+            [1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.5, 0.0],
+        ]
+        calls.clear()
+        DependentChainSpec(length=3, support=(0.0, 1.0), transitions=lambda p: calls.append(p) or (0.5, 0.5), mean=0.5)
+        assert calls == [(), (1,), (0,), (1, 1), (1, 0), (0, 1), (0, 0)]
+
+    def test_errors_name_the_first_bad_prefix_of_the_first_bad_level(self):
+        bad = (0.2, 0.8)  # mean 0.8, not 0.5
+        base = {(): (0.5, 0.5), (0,): (0.5, 0.5), (1,): (0.5, 0.5)}
+        base.update({p: (0.5, 0.5) for p in itertools.product(range(2), repeat=2)})
+        cases = [
+            ({(0,): bad, (1,): bad}, r"mean 0\.8.* at prefix \(1,\)"),  # path order: (1,) before (0,)
+            ({(0,): bad, (1, 1): bad}, r"at prefix \(0,\)"),  # a depth-first walk names (1, 1)
+            ({(0,): (-0.5, 1.5), (1,): (0.5, 0.6)}, r"negative or nan probability at prefix \(0,\)"),
+            ({(1,): (0.5, 0.6)}, r"prefix \(1,\) sums to 1\.1"),
+            ({(0,): (0.5,), (1,): (0.5, 0.5, 0.0)}, r"prefix \(1,\) has wrong length 3, expected 2"),
+            ({(0,): (0.5,), (1,): (0.5, 0.5)}, r"prefix \(0,\) has wrong length 1, expected 2"),
+        ]
+        for changes, message in cases:
+            with pytest.raises(ValueError, match=message):
+                DependentChainSpec(length=3, support=(0.0, 1.0), transitions={**base, **changes}, mean=0.5)
+        del base[(1, 0)]
+        with pytest.raises(ValueError, match=r"missing conditional distribution for reachable prefix \(1, 0\)"):
+            DependentChainSpec(length=3, support=(0.0, 1.0), transitions=base, mean=0.5)
+
     def test_function_and_mapping_build_the_same_chain(self):
         def conditional(prefix):
             # two_step_chain's rule: after a 0 the next value is surely 1/2.
@@ -224,11 +261,104 @@ class TestDependentChains:
                 assert convex_domination_gap(chain, f) >= -1e-12, name
         assert sizes == {1, 2, 3}
 
+    def test_chain_stream_layout(self):
+        # u, then the constant's value or the support, the mean and one
+        # random(n) for the n prefixes of the full m-ary tree.
+        length = 3
+        kinds = set()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            chain = random_constant_mean_chain(length, rng)
+            replay = np.random.default_rng(seed)
+            u = replay.random()
+            if u < 0.1:
+                assert chain.support == (replay.random(),)
+                kinds.add(1)
+            else:
+                m = 2 if u < 0.3 else 3
+                kinds.add(m)
+                support = np.sort(replay.random(m))
+                while np.min(np.diff(support)) <= 0.05:
+                    support = np.sort(replay.random(m))
+                spread = support[-1] - support[0]
+                mean = replay.uniform(support[0] + 0.05 * spread, support[-1] - 0.05 * spread)
+                t = replay.random(sum(m**d for d in range(length)))
+                assert chain.support == tuple(support) and chain.mean == mean
+                v0, v1 = (vertices := _conditional_vertices(chain.support, mean))[0], vertices[-1]
+                for prefix, q in chain.transitions.items():
+                    rank = sum(m**d for d in range(len(prefix))) + sum(j * m ** (len(prefix) - 1 - i) for i, j in enumerate(prefix))
+                    assert q == tuple(np.where(v0 == v1, v0, t[rank] * v0 + (1.0 - t[rank]) * v1))
+            assert rng.bit_generator.state == replay.bit_generator.state
+        assert kinds == {1, 2, 3}
+
     def test_midpoint_probe(self):
         for name, f in convex_test_functions(3, 0.4):
             assert midpoint_convexity_probe(f, 3), name
         concave = lambda xs: -(xs.sum(axis=1) ** 2)  # noqa: E731
         assert not midpoint_convexity_probe(concave, 3)
+
+
+class TestConditionalVertices:
+    @pytest.mark.parametrize(
+        "support, at, expected",
+        [
+            # Today's triple e_0: the unit vector and the two pairs through it.
+            ((0.1, 0.4, 0.8), 0, [[1.0, 0.0, 0.0]]),
+            # e_1, then the (0, 2) mix; e_1 came three times before.
+            ((0.1, 0.4, 0.8), 1, [[0.0, 1.0, 0.0], [0.4 / 0.7, 0.0, 1.0 - 0.4 / 0.7]]),
+            ((0.2, 0.7), 0, [[1.0, 0.0]]),
+            ((0.2, 0.7), 1, [[0.0, 1.0]]),
+        ],
+    )
+    def test_each_vertex_once_at_a_support_mean(self, support, at, expected):
+        vertices = _conditional_vertices(support, support[at])
+        assert len(vertices) == len(expected)
+        np.testing.assert_allclose(vertices, expected, rtol=0.0, atol=1e-15)
+        assert len({tuple(v.tolist()) for v in vertices}) == len(vertices)
+        for v in vertices:
+            assert float(v @ np.asarray(support)) == pytest.approx(support[at], abs=1e-15)
+
+    def test_interior_mean_on_three_points_has_two_vertices(self):
+        assert len(_conditional_vertices((0.1, 0.4, 0.8), 0.3)) == 2
+        assert len(_conditional_vertices((0.1, 0.4, 0.8), 0.6)) == 2
+
+
+@st.composite
+def pure_conditionals(draw):
+    """(length, support, conditional, mean) for a chain of length 1-6 on 1-3
+    support points whose conditional is a pure function of the prefix: points
+    of the feasible segment, the endpoints (which hold zeros) included."""
+    length = draw(st.integers(1, 6))
+    support = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True).map(sorted)
+        .filter(lambda v: len(v) == 1 or min(np.diff(v)) > 1e-3)
+    )
+    mean = draw(st.sampled_from(support) | st.floats(support[0], support[-1]))
+    vertices = _conditional_vertices(tuple(support), mean)
+    ts = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=12))
+    rows = [(t * vertices[0] + (1.0 - t) * vertices[-1]).tolist() for t in ts]
+
+    def conditional(prefix):
+        return rows[sum((j + 1) * 5**i for i, j in enumerate(prefix)) % len(rows)]
+
+    return length, tuple(support), conditional, mean
+
+
+class TestLevelWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(pure_conditionals(), st.booleans())
+    def test_matches_the_depth_first_reference(self, args, as_mapping):
+        length, support, conditional, mean = args
+        transitions = conditional
+        if as_mapping:
+            m = len(support)
+            transitions = {p: conditional(p) for d in range(length) for p in itertools.product(range(m), repeat=d)}
+        chain = DependentChainSpec(length=length, support=support, transitions=transitions, mean=mean)
+        cleaned, path_values, path_probs = depth_first_chain(length, support, transitions, mean)
+        assert chain.transitions == cleaned
+        assert chain.path_values.shape == path_values.shape
+        assert chain.path_values.tobytes() == path_values.tobytes()
+        assert chain.path_probs.tobytes() == path_probs.tobytes()
 
 
 @st.composite

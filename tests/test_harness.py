@@ -631,6 +631,16 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             harness._write_csv(tmp_path / "table.csv", {"t": np.arange(3), "x": [0.5, 0.25]})
 
+    def test_rejected_table_neither_creates_nor_truncates_its_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="unequal"):
+            harness._write_csv(path, {"t": [1, 2], "x": [1]})
+        assert not path.exists()
+        path.write_bytes(b"kept\r\n")
+        with pytest.raises(ValueError, match="unequal"):
+            harness._write_csv(str(path), {"t": [1, 2], "x": [1]})
+        assert path.read_bytes() == b"kept\r\n"
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 3).flatmap(
