@@ -34,20 +34,13 @@ from .divergences import _check_unit
 
 __all__ = [
     "Environment",
-    "ScheduleParams",
     "Window",
     "run_game",
-    "schedules",
 ]
 
 REWARD_KINDS = ("bernoulli", "point", "beta")
 BETA_CONCENTRATION = 4.0  # alpha + beta of the Beta reward distribution
 BETA_LEVELS = 21          # grid points the Beta draws are rounded onto
-
-
-class ScheduleParams(NamedTuple):
-    gamma: float
-    epsilon: float
 
 
 def _schedule_arrays(n_arms: int, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -64,18 +57,6 @@ def _pi_floor(n_arms: int, epsilon):
     """min(epsilon_t, 1/K): the smoothing amount a policy uses and the
     deterministic lower bound on its smallest entry, warmup included."""
     return np.minimum(epsilon, 1.0 / n_arms)
-
-
-def schedules(t: int, n_arms: int) -> ScheduleParams:
-    """Learning-rate and exploration schedules gamma_t = (K t)^(1/4), epsilon_t = (K t)^(-1/4)."""
-    t = int(t)
-    n_arms = int(n_arms)
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    if n_arms < 2:
-        raise ValueError("need at least two arms")
-    gamma, epsilon = _schedule_arrays(n_arms, (t,))
-    return ScheduleParams(gamma=float(gamma[0]), epsilon=float(epsilon[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +204,7 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
     table = _payouts(env, horizon, twins) if env.reward_kind == "beta" else None
 
     uniform_w = np.full((size, k), 1.0 / k)
-    floor_1 = float(_pi_floor(k, schedules(1, k).epsilon))
+    floor_1 = float(_pi_floor(k, _schedule_arrays(k, (1,))[1][0]))
     pi_w = uniform_w if warmup > 1 else _smooth_weights(uniform_w, floor_1)
     sums = np.zeros((size, k))
     lmin_carry = np.full(size, 1.0 / k)

@@ -12,8 +12,9 @@ Two complementary routes are implemented.
   data-independent lambda,
   |R_hat - R| <= (KL + (lambda^2/2) sum (w/pi_min)^2 + 2 ln(t+1)
   + ln(2/delta)) / (lambda * sum w).
-  ``lambda_opt`` minimizes the KL-free part; ``weighted_gap_bound_opt``
-  is the exact closed form of the uniform-weight bound at that lambda.
+  With uniform weights the lambda that minimizes the KL-free part is
+  sqrt(2 t^2 L / sum pi_min^-2); ``weighted_gap_bound_opt`` is the exact
+  closed form of the bound at that lambda.
 
 Both certificates below bound the rho-averaged gap |R_hat_t(rho) - R(rho)|
 (the form the proofs actually control); single-arm statements follow by
@@ -33,20 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandit import Environment, Window, _expected_reward, _gibbs_weights, _schedule_arrays, _smooth_weights
-from .divergences import _check_delta, _check_pi_lmin, bernoulli_kl
+from .divergences import _check_delta, _check_pi_lmin
 
 __all__ = [
-    "CertificateResult",
     "RegretDecomposition",
     "expsum_ratio",
     "gap_driver_report",
     "kl_budget",
-    "kl_certificate",
-    "lambda_opt",
     "regret_decomposition",
     "regret_envelope",
     "reward_gap_radius",
-    "weighted_gap_bound",
     "weighted_gap_bound_opt",
 ]
 
@@ -128,55 +125,6 @@ def reward_gap_radius(prior_kl: float, t: int, delta: float, pi_lmin: float) -> 
     return float(_gap_radius(prior_kl, _at(t), delta, pi_lmin)[0])
 
 
-@dataclass(frozen=True)
-class CertificateResult:
-    """Outcome of checking an empirical quantity against a bound.
-
-    ``slack = bound - value``; nonnegative slack means the bound holds.
-    """
-
-    holds: bool
-    slack: float
-    value: float
-    bound: float
-
-
-def _clip_unit(x: float, what: str) -> float:
-    if -_SCALE_TOL <= x < 0.0:
-        return 0.0
-    if 1.0 < x <= 1.0 + _SCALE_TOL:
-        return 1.0
-    if 0.0 <= x <= 1.0:
-        return x
-    raise ValueError(
-        f"{what} = {x!r} falls outside [0, 1]: the pi_lmin scaling "
-        "contract is violated"
-    )
-
-
-def kl_certificate(
-    r_hat_rho: float,
-    r_rho: float,
-    pi_lmin: float,
-    prior_kl: float,
-    t: int,
-    delta: float,
-) -> CertificateResult:
-    """Check the kl-route bound for one comparison distribution at round t.
-
-    ``r_hat_rho`` and ``r_rho`` are the rho-averaged estimate and truth;
-    both must land in [0, 1] after scaling by ``pi_lmin``.
-    """
-    pi_lmin = _check_pi_lmin(pi_lmin)
-    scaled_hat = _clip_unit(pi_lmin * float(r_hat_rho), "pi_lmin * r_hat_rho")
-    scaled_true = _clip_unit(pi_lmin * float(r_rho), "pi_lmin * r_rho")
-    value = bernoulli_kl(scaled_hat, scaled_true)
-    bound = kl_budget(prior_kl, t, delta)
-    return CertificateResult(
-        holds=value <= bound, slack=bound - value, value=value, bound=bound
-    )
-
-
 def _check_pi_min_seq(pi_min_seq, t: int) -> np.ndarray:
     seq = np.asarray(pi_min_seq, dtype=float)
     if seq.ndim != 1 or seq.size != t:
@@ -186,48 +134,8 @@ def _check_pi_min_seq(pi_min_seq, t: int) -> np.ndarray:
     return seq
 
 
-def lambda_opt(t: int, delta: float, pi_min_seq) -> float:
-    """sqrt(2 t^2 (2 ln(t+1) + ln(2/delta)) / sum pi_min^-2).
-
-    Minimizes the KL-free part of the weighted bound with uniform weights;
-    feed it a deterministic lower-bound sequence to keep it data-independent.
-    """
-    t = _check_t(t)
-    delta = _check_delta(delta)
-    seq = _check_pi_min_seq(pi_min_seq, t)
-    a = float(np.sum(seq**-2.0))
-    big_l = float(_big_l(_at(t), delta)[0])
-    return math.sqrt(2.0 * t * t * big_l / a)
-
-
-def weighted_gap_bound(
-    prior_kl: float, t: int, delta: float, lam: float, weights, pi_min_seq
-) -> float:
-    """The weighted-martingale route bound on |R_hat^w(rho) - R(rho)|."""
-    prior_kl = _check_prior_kl(prior_kl)
-    t = _check_t(t)
-    delta = _check_delta(delta)
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive")
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != t:
-        raise ValueError(f"weights must be a vector of length t = {t}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    total_w = float(w.sum())
-    if not total_w > 0.0:
-        raise ValueError("weights must not all vanish")
-    seq = _check_pi_min_seq(pi_min_seq, t)
-    quad = float(np.sum((w / seq) ** 2))
-    big_l = float(_big_l(_at(t), delta)[0])
-    return (prior_kl + 0.5 * lam * lam * quad + big_l) / (lam * total_w)
-
-
 def weighted_gap_bound_opt(prior_kl: float, t: int, delta: float, pi_min_seq) -> float:
-    """Uniform-weight bound evaluated exactly at lambda_opt.
+    """Uniform-weight bound evaluated exactly at the optimal lambda.
 
     Equals (KL + 2 L) * sqrt(A / (2 L)) / t with
     L = 2 ln(t+1) + ln(2/delta) and A = sum pi_min^-2.

@@ -32,7 +32,6 @@ from .divergences import bernoulli_kl, _check_delta, _check_unit
 __all__ = [
     "BudgetError",
     "DependentChainSpec",
-    "MartingaleRange",
     "azuma_alt_bound",
     "bernoulli_convex_expectation",
     "bernoulli_kl_moment",
@@ -102,16 +101,15 @@ class DependentChainSpec:
     ``transitions`` gives, for each reachable history prefix — a tuple of
     support indices — the conditional distribution (over ``support``) of
     the next value.  It is either a mapping from prefixes or a function of
-    the prefix; after construction it is always a dict holding exactly the
-    reachable prefixes.  Construction checks the path budget, then walks
-    the reachable prefixes level by level (a function is called once per
-    prefix: a level's prefixes in path order, before any of the next level)
-    and rejects the spec unless each conditional is a probability vector
-    whose mean equals ``mean`` to within 1e-12: the constant-conditional-mean
-    hypothesis is validated up front, not trusted; an error names a level's
-    first prefix that fails.  The same walk records every reachable path, in
-    reverse lexicographic order: ``path_values`` holds one row of values per
-    path and ``path_probs`` its probability.
+    the prefix, and is kept as given.  Construction checks the path budget,
+    then walks the reachable prefixes level by level (a function is called
+    once per prefix: a level's prefixes in path order, before any of the next
+    level) and rejects the spec unless each conditional is a probability
+    vector whose mean equals ``mean`` to within 1e-12: the
+    constant-conditional-mean hypothesis is validated up front, not trusted;
+    an error names a level's first prefix that fails.  The same walk records
+    every reachable path, in reverse lexicographic order: ``path_values``
+    holds one row of values per path and ``path_probs`` its probability.
     """
 
     length: int
@@ -145,7 +143,6 @@ class DependentChainSpec:
         conditional = source if callable(source) else source.__getitem__
         m = len(support)
         values = np.asarray(support)
-        cleaned: dict[tuple[int, ...], tuple[float, ...]] = {}
         prefixes: list[tuple[int, ...]] = [()]  # the live prefixes of one level, in path order
         masses = np.ones(1)
         for _ in range(self.length):
@@ -170,14 +167,12 @@ class DependentChainSpec:
             cond_means = probs @ values
             _check_rows(abs(cond_means - mean) <= _MEAN_TOL, prefixes, "conditional mean {1!r} at prefix {0} "
                         f"deviates from {mean!r}: the constant-mean hypothesis fails", cond_means)
-            cleaned.update(zip(prefixes, map(tuple, probs.tolist())))
             # Children in descending support index: the leaves come out in the
             # order of a depth-first walk that pushes them in ascending order.
             rows, cols = np.nonzero(probs[:, ::-1] > 0.0)
             cols = m - 1 - cols
             masses = masses[rows] * probs[rows, cols]
             prefixes = [prefixes[r] + (j,) for r, j in zip(rows.tolist(), cols.tolist())]
-        object.__setattr__(self, "transitions", cleaned)
         for name, arr in (("path_values", values[np.array(prefixes)]), ("path_probs", masses)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -269,14 +264,19 @@ def random_constant_mean_chain(length: int, rng: np.random.Generator) -> Depende
 
 
 def _fold_paths(count: int, rows_of, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sum over ``count`` paths of weight * f(path), ``_PATH_BLOCK`` paths at a
-    time; ``rows_of(start, stop)`` gives those paths' (B, N) rows and (B,)
-    weights.  Paths of zero weight (an underflowed product) are dropped."""
+    """Sum over ``count`` paths of positive probability of weight * f(path),
+    ``_PATH_BLOCK`` paths at a time; ``rows_of(start, stop)`` gives those
+    paths' (B, N) rows and (B,) weights.  A weight that underflowed to 0 drops
+    its path.  An infinite f raises ValueError before its block is added: f is
+    infinite past ``_EXP_CAP``, where the weight has underflowed against it."""
     total = 0.0
     for start in range(0, count, _PATH_BLOCK):
         rows, weights = rows_of(start, min(start + _PATH_BLOCK, count))
+        values = f(rows)
+        if np.isinf(values).any():
+            raise ValueError("f is infinite on a path of positive probability: no float sum is exact")
         keep = weights > 0.0
-        total += float(weights[keep] @ f(rows[keep]))
+        total += float(weights[keep] @ values[keep])
     return total
 
 
@@ -287,13 +287,15 @@ def dependent_convex_expectation(chain: DependentChainSpec, f: Callable[[np.ndar
 
 def bernoulli_convex_expectation(length: int, p: float, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """E[f(Y_1..Y_N)] for Y_i i.i.d. Bernoulli(p), over the 2^N paths whose
-    bits are (b >> i) & 1."""
+    bits are (b >> i) & 1 (over the constant path when p is 0 or 1)."""
     length = int(length)
     if length < 1:
         raise ValueError("length must be a positive integer")
     if 2**length > PATH_BUDGET:
         raise BudgetError("path count exceeds the enumeration budget")
     p = _check_unit(p, "p")
+    if p in (0.0, 1.0):  # the one path of positive probability
+        return _fold_paths(1, lambda s, e: (np.full((1, length), p), np.ones(1)), f)
     weight_of = np.array([p**k * (1.0 - p) ** (length - k) for k in range(length + 1)])
 
     def rows_of(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +319,8 @@ def convex_test_functions(length: int, mean: float) -> tuple[tuple[str, Callable
     (P, N) path rows to (P,) values.
 
     max, squared sum, and the exponentiated-kl moment function matched to
-    ``mean`` (infinite where the exponent reaches ``_EXP_CAP``); each is
-    convex on [0,1]^N.
+    ``mean`` (infinite where the exponent reaches ``_EXP_CAP``, which the
+    expectations reject); each is convex on [0,1]^N.
     """
     mean = _check_unit(mean, "mean")
 
@@ -348,39 +350,6 @@ def midpoint_convexity_probe(f: Callable[[np.ndarray], np.ndarray], length: int)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MartingaleRange:
-    """Per-step increment ranges [low_i, high_i] with low_i <= 0 <= high_i."""
-
-    lows: np.ndarray
-    highs: np.ndarray
-
-    def __post_init__(self) -> None:
-        lows = np.asarray(self.lows, dtype=float)
-        highs = np.asarray(self.highs, dtype=float)
-        if lows.ndim != 1 or lows.shape != highs.shape or lows.size == 0:
-            raise ValueError("lows and highs must be matching nonempty vectors")
-        if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs))):
-            raise ValueError("ranges must be finite")
-        # Zero-width ranges (a_i = b_i = 0) are legal: the step is a.s. 0.
-        if np.any(lows > 0.0) or np.any(highs < 0.0):
-            raise ValueError("each range must satisfy low <= 0 <= high")
-        lows = lows.copy()
-        highs = highs.copy()
-        lows.setflags(write=False)
-        highs.setflags(write=False)
-        object.__setattr__(self, "lows", lows)
-        object.__setattr__(self, "highs", highs)
-
-    @classmethod
-    def equal(cls, n_steps: int, low: float, high: float) -> "MartingaleRange":
-        return cls(np.full(n_steps, float(low)), np.full(n_steps, float(high)))
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.lows.size)
-
-
 def _check_global_range(low: float, high: float) -> tuple[float, float]:
     low = float(low)
     high = float(high)
@@ -403,10 +372,19 @@ def azuma_alt_bound(n_steps: int, low: float, high: float, delta: float) -> floa
     return (high - low) * math.sqrt(n_steps * math.log((n_steps + 1) / delta) / 2.0)
 
 
-def hoeffding_azuma_bound(ranges: MartingaleRange, delta: float) -> float:
-    """Classical tail radius: sqrt(0.5 * sum (high_i - low_i)^2 * ln(2/delta))."""
+def hoeffding_azuma_bound(widths, delta: float) -> float:
+    """Classical tail radius sqrt(0.5 * sum w_i^2 * ln(2/delta)) for the
+    widths w_i = high_i - low_i of the increment ranges [low_i, high_i].
+
+    A zero width is legal (that step is a.s. 0); an empty, non-1-d,
+    non-finite or negative vector is rejected.
+    """
+    widths = np.asarray(widths, dtype=float)
+    if widths.ndim != 1 or widths.size == 0:
+        raise ValueError("widths must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(widths)) or np.any(widths < 0.0):
+        raise ValueError("widths must be finite and nonnegative")
     delta = _check_delta(delta)
-    widths = ranges.highs - ranges.lows
     return math.sqrt(0.5 * float(np.sum(widths**2)) * math.log(2.0 / delta))
 
 

@@ -37,11 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandit import Environment, Window, _expected_reward, _pi_floor, _play_windows, _schedule_arrays
+from .bandit import Environment, Window, _expected_reward, _play_windows
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     BudgetError,
-    MartingaleRange,
     _stream,
     azuma_alt_bound,
     bernoulli_kl_moment,
@@ -66,7 +65,6 @@ __all__ = [
     "run_oracles",
     "run_simulate",
     "run_verify_bounds",
-    "schedule_pi_min",
     "trajectory_stream",
     "write_trace_csv",
 ]
@@ -306,18 +304,6 @@ def _ensure_outdir(cfg: ExperimentConfig) -> Path:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
-
-
-def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
-    """Deterministic per-round lower bounds on min_a pi_t(a).
-
-    Uniform warmup rounds have minimum exactly 1/K; smoothed rounds keep
-    every arm above epsilon_t.  min(epsilon_t, 1/K) lower-bounds both
-    phases regardless of the configured warmup length, and being
-    data-independent it is a legal choice wherever the bounds require one.
-    """
-    _, epsilon = _schedule_arrays(n_arms, range(1, horizon + 1))
-    return _pi_floor(n_arms, epsilon)
 
 
 def _block_size(share: int, horizon: int, n_arms: int) -> int:
@@ -791,14 +777,13 @@ def run_compare_concentration(cfg: ExperimentConfig) -> list[dict]:
     all_sums = simulate_profile_walks([steps for _, _, steps in cells], cfg.walk_trials, cfg.seed)
     rows: list[dict] = []
     for (profile, n, steps), sums in zip(cells, all_sums):
-        ranges = MartingaleRange(-steps, steps)
         low = float(-steps.max())
         high = float(steps.max())
         abs_sums = np.abs(sums)
         q50, q95 = (float(q) for q in np.quantile(abs_sums, [0.5, 0.95]))
         for delta in deltas:
             alt = azuma_alt_bound(n, low, high, delta)
-            classical = hoeffding_azuma_bound(ranges, delta)
+            classical = hoeffding_azuma_bound(2.0 * steps, delta)
             equal_ratio = (
                 math.sqrt(math.log((n + 1) / delta) / math.log(2.0 / delta))
                 if profile == "equal"

@@ -8,11 +8,19 @@
   them round by round, and the tests of each piece pin the rules they
   encode.
 * Both sides of the domination lemma, one scalar ``f`` call per path: the
-  depth-first walk of a chain's prefix tree, the loop over the 2^N bit
-  paths, and the convex test family as functions of one path tuple.  The
-  path-matrix kernel in ``concentration`` must match them.
+  depth-first walk of a chain's prefix tree, which asks the chain's own
+  conditional for each prefix, the loop over the 2^N bit paths, and the
+  convex test family as functions of one path tuple.  The path-matrix
+  kernel in ``concentration`` must match them.
 * The depth-first construction of a chain, one prefix checked at a time,
-  that ``DependentChainSpec``'s level-by-level walk must match bit for bit.
+  whose path values and probabilities ``DependentChainSpec``'s
+  level-by-level walk must match bit for bit.
+* The scalar bound references no campaign calls: ``kl_certificate`` (with
+  ``CertificateResult``), the per-round kl check that ``certificate_sweep``
+  must match; ``lambda_opt`` and the general-weight ``weighted_gap_bound``,
+  against which criterion 06 checks ``weighted_gap_bound_opt``; and
+  ``schedule_pi_min``, the schedule floors min(epsilon_t, 1/K) of rounds
+  1..T that those checks feed them.
 * The csv writer the harness's one joiner replaced: ``csv.writer`` rows of
   ``cell`` strings, and trace files written one call per trajectory per
   window.  Every table and trace file the harness writes must have its bytes.
@@ -26,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from banditbounds.bandit import _gibbs_weights, _smooth_weights
+from banditbounds.bandit import _gibbs_weights, _pi_floor, _schedule_arrays, _smooth_weights
+from banditbounds.bounds import _SCALE_TOL, _at, _big_l, _check_pi_min_seq, _check_prior_kl, _check_t, kl_budget
 from banditbounds.concentration import _EXP_CAP
-from banditbounds.divergences import bernoulli_kl
+from banditbounds.divergences import _check_delta, _check_pi_lmin, bernoulli_kl
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +123,10 @@ def smooth_policy(rho: SimplexVector, epsilon_next: float) -> SimplexVector:
 
 def tree_walk_expectation(chain, f) -> float:
     """E[f(X_1..X_N)] under the chain, by a depth-first walk of its prefix
-    tree; a path whose probability underflows to 0 is dropped, as in the
-    bit loop."""
+    tree that asks the chain's conditional for each prefix it reaches; a path
+    whose probability underflows to 0 is dropped, as in the bit loop."""
+    source = chain.transitions
+    conditional = source if callable(source) else source.__getitem__
     values = chain.support
     total = 0.0
     stack = [((), 1.0)]
@@ -125,19 +136,18 @@ def tree_walk_expectation(chain, f) -> float:
             if prob > 0.0:
                 total += prob * float(f(tuple(values[j] for j in prefix)))
             continue
-        for j, pr in enumerate(chain.transitions[prefix]):
+        for j, pr in enumerate(conditional(prefix)):
             if pr > 0.0:
                 stack.append((prefix + (j,), prob * pr))
     return total
 
 
 def depth_first_chain(length: int, support, transitions, mean: float):
-    """The cleaned transitions, path values and path probabilities of a chain,
-    by a depth-first walk that checks one conditional at a time and pushes a
-    prefix's children in ascending support index."""
+    """The path values and path probabilities of a chain, by a depth-first
+    walk that checks one conditional at a time and pushes a prefix's children
+    in ascending support index."""
     conditional = transitions if callable(transitions) else transitions.__getitem__
     values = np.asarray(support, dtype=float)
-    cleaned = {}
     paths = []
     stack = [((), 1.0)]
     while stack:
@@ -149,12 +159,11 @@ def depth_first_chain(length: int, support, transitions, mean: float):
         assert probs.shape == (len(support),) and (probs >= 0.0).all(), prefix
         assert abs(float(probs.sum()) - 1.0) <= 1e-12, prefix
         assert abs(float(np.dot(probs, values)) - mean) <= 1e-12, prefix
-        cleaned[prefix] = tuple(float(x) for x in probs)
-        for j, pr in enumerate(cleaned[prefix]):
+        for j, pr in enumerate(probs.tolist()):
             if pr > 0.0:
                 stack.append((prefix + (j,), mass * pr))
     indices, path_probs = zip(*paths)
-    return cleaned, values[np.array(indices)], np.array(path_probs)
+    return values[np.array(indices)], np.array(path_probs)
 
 
 def bit_loop_expectation(length: int, p: float, f) -> float:
@@ -221,3 +230,86 @@ def write_traces(files, windows) -> None:
         for j, fh in enumerate(files):
             columns = trace_columns(w.start, w.actions[j], w.rewards[j], w.pi[j, :-1], w.rhat[j])
             write_csv(fh, columns, header=w.start == 0)
+
+
+def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
+    """The schedule floors min(epsilon_t, 1/K) of rounds 1..T: deterministic
+    lower bounds on min_a pi_t(a) in both phases, whatever the warmup."""
+    _, epsilon = _schedule_arrays(n_arms, range(1, horizon + 1))
+    return _pi_floor(n_arms, epsilon)
+
+
+@dataclass(frozen=True)
+class CertificateResult:
+    """Outcome of checking an empirical quantity against a bound.
+
+    ``slack = bound - value``; nonnegative slack means the bound holds.
+    """
+
+    holds: bool
+    slack: float
+    value: float
+    bound: float
+
+
+def _clip_unit(x: float, what: str) -> float:
+    if -_SCALE_TOL <= x < 0.0:
+        return 0.0
+    if 1.0 < x <= 1.0 + _SCALE_TOL:
+        return 1.0
+    if 0.0 <= x <= 1.0:
+        return x
+    raise ValueError(
+        f"{what} = {x!r} falls outside [0, 1]: the pi_lmin scaling "
+        "contract is violated"
+    )
+
+
+def kl_certificate(r_hat_rho, r_rho, pi_lmin, prior_kl, t, delta) -> CertificateResult:
+    """The kl-route bound for one comparison distribution at round t.
+
+    ``r_hat_rho`` and ``r_rho`` are the rho-averaged estimate and truth;
+    both must land in [0, 1] after scaling by ``pi_lmin``.
+    """
+    pi_lmin = _check_pi_lmin(pi_lmin)
+    scaled_hat = _clip_unit(pi_lmin * float(r_hat_rho), "pi_lmin * r_hat_rho")
+    scaled_true = _clip_unit(pi_lmin * float(r_rho), "pi_lmin * r_rho")
+    value = bernoulli_kl(scaled_hat, scaled_true)
+    bound = kl_budget(prior_kl, t, delta)
+    return CertificateResult(holds=value <= bound, slack=bound - value, value=value, bound=bound)
+
+
+def lambda_opt(t: int, delta: float, pi_min_seq) -> float:
+    """sqrt(2 t^2 (2 ln(t+1) + ln(2/delta)) / sum pi_min^-2): the lambda that
+    minimizes the KL-free part of the uniform-weight bound."""
+    t = _check_t(t)
+    delta = _check_delta(delta)
+    seq = _check_pi_min_seq(pi_min_seq, t)
+    a = float(np.sum(seq**-2.0))
+    big_l = float(_big_l(_at(t), delta)[0])
+    return math.sqrt(2.0 * t * t * big_l / a)
+
+
+def weighted_gap_bound(prior_kl, t, delta, lam, weights, pi_min_seq) -> float:
+    """The weighted-martingale route bound on |R_hat^w(rho) - R(rho)| at any
+    lambda and nonnegative weights."""
+    prior_kl = _check_prior_kl(prior_kl)
+    t = _check_t(t)
+    delta = _check_delta(delta)
+    lam = float(lam)
+    if not lam > 0.0:
+        raise ValueError("lambda must be positive")
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size != t:
+        raise ValueError(f"weights must be a vector of length t = {t}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be nonnegative")
+    total_w = float(w.sum())
+    if not total_w > 0.0:
+        raise ValueError("weights must not all vanish")
+    seq = _check_pi_min_seq(pi_min_seq, t)
+    quad = float(np.sum((w / seq) ** 2))
+    big_l = float(_big_l(_at(t), delta)[0])
+    return (prior_kl + 0.5 * lam * lam * quad + big_l) / (lam * total_w)

@@ -13,13 +13,11 @@ import numpy as np
 
 from banditbounds import (
     ExperimentConfig,
-    MartingaleRange,
     azuma_alt_bound,
     bernoulli_kl_moment,
     convex_domination_gap,
     convex_test_functions,
     hoeffding_azuma_bound,
-    lambda_opt,
     pinsker_gap,
     random_constant_mean_chain,
     regret_decomposition,
@@ -28,13 +26,12 @@ from banditbounds import (
     run_game,
     run_simulate,
     run_verify_bounds,
-    schedule_pi_min,
-    schedules,
     simulate_profile_walks,
-    weighted_gap_bound,
     weighted_gap_bound_opt,
 )
+from banditbounds.bandit import _schedule_arrays
 from banditbounds.harness import _expsum_checks
+from reference import lambda_opt, schedule_pi_min, weighted_gap_bound
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -86,7 +83,7 @@ def test_criterion_03_martingale_tail_coverage():
     n_steps, trials, delta = 100, 10_000, 0.05
     (sums,) = simulate_profile_walks([np.ones(n_steps)], trials, seed=11)
     alt = azuma_alt_bound(n_steps, -1.0, 1.0, delta)
-    classical = hoeffding_azuma_bound(MartingaleRange.equal(n_steps, -1.0, 1.0), delta)
+    classical = hoeffding_azuma_bound(np.full(n_steps, 2.0), delta)  # ranges [-1, 1]
     rate_alt = float(np.mean(np.abs(sums) > alt))
     rate_classical = float(np.mean(np.abs(sums) > classical))
     elapsed = time.perf_counter() - t0
@@ -293,11 +290,12 @@ def test_criterion_11_envelope_dominates_its_term_bounds():
     points = 0
     for k in range(2, 17):
         ts = np.rint(np.geomspace(k**3, 1e15, 400)).astype(np.int64).tolist()
+        gamma, epsilon = (a.tolist() for a in _schedule_arrays(k, ts))
+        eps_next = _schedule_arrays(k, [t + 1 for t in ts])[1].tolist()
         for delta in (0.3, 0.05, 1e-4, 1e-12):
-            for t in ts:
-                now, after = schedules(t, k), schedules(t + 1, k)
-                radius = reward_gap_radius(math.log(k), t, delta, min(now.epsilon, 1.0 / k))
-                terms = k / now.gamma + k * after.epsilon + 2.0 * radius
+            for t, g, e, e_next in zip(ts, gamma, epsilon, eps_next):
+                radius = reward_gap_radius(math.log(k), t, delta, min(e, 1.0 / k))
+                terms = k / g + k * e_next + 2.0 * radius
                 ratio = regret_envelope(k, t, delta) / terms
                 if ratio < worst_ratio:
                     worst_ratio, worst_at = ratio, (k, delta, t)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from banditbounds import Environment, run_game, schedules, write_trace_csv
+from banditbounds import Environment, run_game, write_trace_csv
 from banditbounds import bandit
 from banditbounds.bandit import (
     BETA_LEVELS,
@@ -32,31 +32,25 @@ from reference import (
 
 class TestSchedules:
     def test_frozen_values(self):
-        params = schedules(16, 2)
+        (gamma,), (epsilon,) = _schedule_arrays(2, (16,))
         # (K t)^(1/4) with K t = 32, i.e. 2^(5/4).
-        assert params.gamma == pytest.approx(2.378414230005442, rel=1e-15)
-        assert params.epsilon == pytest.approx(0.42044820762685725, rel=1e-15)
-        assert params.gamma * params.epsilon == pytest.approx(1.0, rel=1e-14)
+        assert gamma == pytest.approx(2.378414230005442, rel=1e-15)
+        assert epsilon == pytest.approx(0.42044820762685725, rel=1e-15)
+        assert gamma * epsilon == pytest.approx(1.0, rel=1e-14)
 
     def test_smoothing_fits_simplex_from_warmup_end(self):
         # At t = K^3 the exploration mass K * epsilon hits exactly 1 and
         # shrinks afterwards, so the smoothed policy stays on the simplex.
         for k in (2, 3, 5):
-            assert k * schedules(k**3, k).epsilon == pytest.approx(1.0, rel=1e-12)
-            for t in (k**3 + 1, 4 * k**3, 100 * k**3):
-                assert k * schedules(t, k).epsilon < 1.0 + 1e-12
+            _, (at_handoff, *later) = _schedule_arrays(k, (k**3, k**3 + 1, 4 * k**3, 100 * k**3))
+            assert k * at_handoff == pytest.approx(1.0, rel=1e-12)
+            for epsilon in later:
+                assert k * epsilon < 1.0 + 1e-12
 
     def test_monotone(self):
-        gammas = [schedules(t, 3).gamma for t in range(1, 50)]
-        epsilons = [schedules(t, 3).epsilon for t in range(1, 50)]
+        gammas, epsilons = (a.tolist() for a in _schedule_arrays(3, range(1, 50)))
         assert gammas == sorted(gammas)
         assert epsilons == sorted(epsilons, reverse=True)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            schedules(0, 2)
-        with pytest.raises(ValueError):
-            schedules(5, 1)
 
 
 class TestGibbsPosterior:
@@ -320,13 +314,14 @@ class TestRunGame:
         env = Environment(means=np.array([0.75, 0.25]))
         trace = run_game(env, horizon=40, seed=5, warmup_length=2)
         k = env.n_arms
+        gamma, epsilon = _schedule_arrays(k, range(1, len(trace.actions) + 1))
         for t in range(2, len(trace.actions) + 1):
             if t == 1:
                 rho_w = np.full(k, 1.0 / k)
             else:
-                gamma_prev = schedules(t - 1, k).gamma
+                gamma_prev = gamma[t - 2]
                 rho_w = _gibbs_weights(trace.rhat[t - 2], gamma_prev)
-            eps_t = min(schedules(t, k).epsilon, 1.0 / k)
+            eps_t = min(epsilon[t - 1], 1.0 / k)
             expected = _smooth_weights(rho_w, eps_t)
             assert trace.pi[t - 1] == pytest.approx(expected, abs=1e-13), t
 
@@ -334,12 +329,13 @@ class TestRunGame:
         env = Environment(means=np.array([0.9, 0.1]))
         trace = run_game(env, horizon=100, seed=3)
         k = env.n_arms
+        _, epsilon = _schedule_arrays(k, range(1, 101))
         for t in range(1, 101):
             row = trace.pi[t - 1]
             if t < k**3:
                 assert np.allclose(row, 0.5)
             else:
-                eps_t = min(schedules(t, k).epsilon, 1.0 / k)
+                eps_t = min(epsilon[t - 1], 1.0 / k)
                 assert row.min() >= eps_t - 1e-12
         # The policies sum to one every round.
         assert np.allclose(trace.pi.sum(axis=1), 1.0, atol=1e-12)
@@ -352,6 +348,17 @@ class TestRunGame:
         trace = run_game(env, horizon=10, seed=1, warmup_length=1)
         assert np.allclose(trace.pi.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(trace.pi[0], 0.5)  # capped eps = 1/K, uniform rho
+
+    @pytest.mark.parametrize("k", [49, 50, 64])
+    def test_round_one_smooths_by_the_first_floor(self, k):
+        # With a one-round warmup, round 1 plays the uniform policy smoothed
+        # by the floor min(eps_1, 1/K).  At K = 49, K * (1/K) rounds below 1,
+        # so that policy is not exactly uniform, and only this pins it.
+        env = Environment(means=np.linspace(0.9, 0.1, k))
+        trace = run_game(env, horizon=1, seed=k, warmup_length=1)
+        expected = _smooth_weights(np.full(k, 1.0 / k), min(float(k) ** -0.25, 1.0 / k))
+        assert trace.pi[0].tobytes() == expected.tobytes()
+        assert np.array_equal(expected, np.full(k, 1.0 / k)) == (k != 49)
 
     @pytest.mark.parametrize("kind", ["bernoulli", "point", "beta"])
     @pytest.mark.parametrize("k", [2, 3])
@@ -423,14 +430,16 @@ class TestRunGame:
             windows = list(_play_windows(env, horizon, seeds, warmup))
         trace = _join(windows, position)
 
+        gamma, epsilon = _schedule_arrays(k, range(1, horizon + 2))  # rounds 1..T+1
+
         def policy(t, state):
             if t < warmup:
                 return SimplexVector.uniform(k)
             if t == 1:
                 rho = SimplexVector.uniform(k)
             else:
-                rho = gibbs_posterior(state.rhat, schedules(t - 1, k).gamma)
-            return smooth_policy(rho, min(schedules(t, k).epsilon, 1.0 / k))
+                rho = gibbs_posterior(state.rhat, gamma[t - 2])
+            return smooth_policy(rho, min(epsilon[t - 1], 1.0 / k))
 
         state = PolicyState.initial(k)
         for t in range(1, horizon + 1):

@@ -13,18 +13,16 @@ from banditbounds import (
     expsum_ratio,
     gap_driver_report,
     kl_budget,
-    kl_certificate,
-    lambda_opt,
     pinsker_gap,
     regret_decomposition,
     regret_envelope,
     reward_gap_radius,
     run_game,
-    schedules,
-    weighted_gap_bound,
     weighted_gap_bound_opt,
 )
+from banditbounds.bandit import _schedule_arrays
 from banditbounds.bounds import _gap_radius
+from reference import kl_certificate, lambda_opt, weighted_gap_bound
 
 
 def policy_columns(pi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,13 +328,11 @@ class TestRegretDecomposition:
         trace = run_game(env, horizon=60, seed=3)
         decomp = regret_decomposition(trace, env)
         k = env.n_arms
-        for i, t in enumerate(decomp.rounds):
-            assert decomp.gibbs_shift_bound[i] == pytest.approx(
-                k / schedules(int(t), k).gamma, rel=1e-14
-            )
-            assert decomp.smoothing_bound[i] == pytest.approx(
-                k * min(schedules(int(t) + 1, k).epsilon, 1.0), rel=1e-14
-            )
+        for i, t in enumerate(decomp.rounds.tolist()):
+            (gamma,), _ = _schedule_arrays(k, (t,))
+            _, (eps_next,) = _schedule_arrays(k, (t + 1,))
+            assert decomp.gibbs_shift_bound[i] == pytest.approx(k / gamma, rel=1e-14)
+            assert decomp.smoothing_bound[i] == pytest.approx(k * min(eps_next, 1.0), rel=1e-14)
 
     def test_validation(self):
         env = Environment(means=np.array([0.8, 0.4]))

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from banditbounds import (
     BudgetError,
     DependentChainSpec,
-    MartingaleRange,
     azuma_alt_bound,
     bernoulli_convex_expectation,
     bernoulli_kl_moment,
@@ -173,9 +172,9 @@ class TestDependentChains:
 
     def test_unreachable_prefixes_are_not_required(self):
         # two_step_chain never reaches prefix (1,), so its conditional may be
-        # omitted; construction already succeeded above, just re-affirm.
+        # omitted: no path starts with the value 1/2.
         chain = two_step_chain()
-        assert (1,) not in chain.transitions
+        assert 0.5 not in chain.path_values[:, 0]
 
     def test_path_budget(self):
         class CountingChain(DependentChainSpec):
@@ -245,7 +244,9 @@ class TestDependentChains:
         from_function = DependentChainSpec(
             length=2, support=(0.0, 0.5, 1.0), transitions=conditional, mean=0.5
         )
-        assert from_function.transitions == two_step_chain().transitions
+        from_mapping = two_step_chain()
+        assert from_function.path_values.tobytes() == from_mapping.path_values.tobytes()
+        assert from_function.path_probs.tobytes() == from_mapping.path_probs.tobytes()
 
     def test_random_chains_are_valid_and_dominated(self):
         rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(900, 0)))
@@ -285,9 +286,13 @@ class TestDependentChains:
                 t = replay.random(sum(m**d for d in range(length)))
                 assert chain.support == tuple(support) and chain.mean == mean
                 v0, v1 = (vertices := _conditional_vertices(chain.support, mean))[0], vertices[-1]
-                for prefix, q in chain.transitions.items():
+                prefixes = [p for d in range(length) for p in itertools.product(range(m), repeat=d)]
+                for prefix in prefixes:
                     rank = sum(m**d for d in range(len(prefix))) + sum(j * m ** (len(prefix) - 1 - i) for i, j in enumerate(prefix))
+                    q = tuple(chain.transitions(prefix))
                     assert q == tuple(np.where(v0 == v1, v0, t[rank] * v0 + (1.0 - t[rank]) * v1))
+                _, path_probs = depth_first_chain(length, chain.support, chain.transitions, mean)
+                assert chain.path_probs.tobytes() == path_probs.tobytes()
             assert rng.bit_generator.state == replay.bit_generator.state
         assert kinds == {1, 2, 3}
 
@@ -354,8 +359,8 @@ class TestLevelWalk:
             m = len(support)
             transitions = {p: conditional(p) for d in range(length) for p in itertools.product(range(m), repeat=d)}
         chain = DependentChainSpec(length=length, support=support, transitions=transitions, mean=mean)
-        cleaned, path_values, path_probs = depth_first_chain(length, support, transitions, mean)
-        assert chain.transitions == cleaned
+        path_values, path_probs = depth_first_chain(length, support, transitions, mean)
+        assert chain.transitions is transitions
         assert chain.path_values.shape == path_values.shape
         assert chain.path_values.tobytes() == path_values.tobytes()
         assert chain.path_probs.tobytes() == path_probs.tobytes()
@@ -364,7 +369,8 @@ class TestLevelWalk:
 @st.composite
 def small_chains(draw):
     """Constant-mean chains of length <= 5 on <= 3 support points; each
-    reachable prefix mixes two vertices of the feasible conditionals."""
+    reachable prefix mixes two vertices of the feasible conditionals, drawn
+    at its first call and the same at every later one."""
     length = draw(st.integers(1, 5))
     support = draw(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True).map(sorted)
@@ -374,11 +380,14 @@ def small_chains(draw):
     if len(support) == 1:
         return DependentChainSpec.constant(length, mean)
     vertices = _conditional_vertices(tuple(support), mean)
+    drawn = {}
 
-    def conditional(_prefix):
-        a, b = draw(st.integers(0, len(vertices) - 1)), draw(st.integers(0, len(vertices) - 1))
-        t = draw(st.floats(0.0, 1.0))
-        return tuple(t * vertices[a] + (1.0 - t) * vertices[b])
+    def conditional(prefix):
+        if prefix not in drawn:
+            a, b = draw(st.integers(0, len(vertices) - 1)), draw(st.integers(0, len(vertices) - 1))
+            t = draw(st.floats(0.0, 1.0))
+            drawn[prefix] = tuple(t * vertices[a] + (1.0 - t) * vertices[b])
+        return drawn[prefix]
 
     return DependentChainSpec(length=length, support=tuple(support), transitions=conditional, mean=mean)
 
@@ -392,16 +401,29 @@ class TestPathKernel:
 
     def _check(self, chain):
         scalar = dict(scalar_convex_test_functions(chain.length, chain.mean))
-        for name, f in convex_test_functions(chain.length, chain.mean):
+        n, mean = chain.length, chain.mean
+        bits = _bit_rows(n)
+        # The Bernoulli paths of positive probability: all 2^N, or the
+        # constant one when the mean is 0 or 1.
+        live_bits = bits if 0.0 < mean < 1.0 else np.full((1, n), mean)
+        for name, f in convex_test_functions(n, mean):
             g = scalar[name]
-            assert dependent_convex_expectation(chain, f) == pytest.approx(
-                tree_walk_expectation(chain, g), rel=1e-12, abs=1e-12
-            ), name
-            assert bernoulli_convex_expectation(chain.length, chain.mean, f) == pytest.approx(
-                bit_loop_expectation(chain.length, chain.mean, g), rel=1e-12, abs=1e-12
-            ), name
+            sides = (
+                (chain.path_values, lambda: dependent_convex_expectation(chain, f),
+                 lambda: tree_walk_expectation(chain, g)),
+                (live_bits, lambda: bernoulli_convex_expectation(n, mean, f),
+                 lambda: bit_loop_expectation(n, mean, g)),
+            )
+            for rows, kernel, reference in sides:
+                if np.isinf(f(rows)).any():
+                    # kl_moment passed the cap on a possible path, where the
+                    # path's weight has underflowed: the kernel refuses.
+                    with pytest.raises(ValueError, match="infinite"):
+                        kernel()
+                else:
+                    assert kernel() == pytest.approx(reference(), rel=1e-12, abs=1e-12), name
             # Row by row, the array function is the scalar one.
-            for rows in (chain.path_values, _bit_rows(chain.length)):
+            for rows in (chain.path_values, bits):
                 np.testing.assert_allclose(f(rows), [g(tuple(r)) for r in rows], rtol=1e-12, atol=0.0)
 
     @settings(max_examples=100, deadline=None)
@@ -431,6 +453,38 @@ class TestPathKernel:
         assert f(np.array([[1.0], [1e-305]])).tolist() == [math.inf, 1.0]
         f = dict(convex_test_functions(2, 0.0))["kl_moment"]
         assert f(np.array([[1.0, 1.0], [0.0, 0.0]])).tolist() == [math.inf, 1.0]
+
+    @pytest.mark.parametrize("p", [4.497e-191, 1e-160])
+    def test_kl_moment_at_a_tiny_mean_raises_instead_of_losing_mass(self, p):
+        # exp(2 kl(1 || p)) passes the cap where p^2 underflows, to 0 at the
+        # first mean and to a subnormal at the second; the folds once gave
+        # 1.5 and inf where the exact moment is 2.5.
+        assert bernoulli_kl_moment(2, p) == pytest.approx(2.5, rel=1e-12)
+        f = dict(convex_test_functions(2, p))["kl_moment"]
+        with pytest.raises(ValueError, match="infinite"):
+            bernoulli_convex_expectation(2, p, f)
+        with pytest.raises(ValueError, match="infinite"):
+            dependent_convex_expectation(DependentChainSpec.iid_bernoulli(2, p), f)
+
+    def test_kl_moment_expectation_is_exact_or_raises(self):
+        # Around the cap, each Bernoulli fold of kl_moment matches the exact
+        # moment to 1e-12 or raises; both outcomes occur.
+        outcomes = set()
+        for length in (1, 2, 3, 7, 16):
+            for c in (600.0, 699.0, 699.99, 700.01, 705.0, 760.0):
+                for p in (math.exp(-c / length), 1.0 - 2.0**-52):
+                    f = dict(convex_test_functions(length, p))["kl_moment"]
+                    try:
+                        got = bernoulli_convex_expectation(length, p, f)
+                    except ValueError:
+                        outcomes.add("raised")
+                        continue
+                    assert got == pytest.approx(bernoulli_kl_moment(length, p), rel=1e-12), (length, p)
+                    outcomes.add("matched")
+        assert outcomes == {"raised", "matched"}
+        # Just inside the cap, 2 kl(1 || 1e-150) = 690.8: exact.
+        f = dict(convex_test_functions(2, 1e-150))["kl_moment"]
+        assert bernoulli_convex_expectation(2, 1e-150, f) == pytest.approx(2.5, rel=1e-12)
 
     def test_bernoulli_side_at_the_budget_folds_in_blocks(self):
         # The whole (2^19, 19) path matrix would take 80 MB; blocks of
@@ -483,37 +537,41 @@ class TestMartingaleBounds:
             azuma_alt_bound(0, -1.0, 1.0, 0.05)
 
     def test_hoeffding_frozen_value(self):
-        ranges = MartingaleRange.equal(100, -1.0, 1.0)
-        assert hoeffding_azuma_bound(ranges, 0.05) == pytest.approx(
+        widths = np.full(100, 2.0)  # ranges [-1, 1]
+        assert hoeffding_azuma_bound(widths, 0.05) == pytest.approx(
             27.16203031481239, rel=1e-12
         )
 
     def test_hoeffding_zero_width_ranges(self):
-        ranges = MartingaleRange(np.zeros(5), np.zeros(5))
-        assert hoeffding_azuma_bound(ranges, 0.05) == 0.0
+        assert hoeffding_azuma_bound(np.zeros(5), 0.05) == 0.0
 
     def test_equal_range_ratio(self):
         # With identical per-step ranges the two radii differ exactly by
         # sqrt(ln((N+1)/delta) / ln(2/delta)).
         for n, delta in ((10, 0.1), (100, 0.05), (1000, 0.01)):
             alt = azuma_alt_bound(n, -1.0, 1.0, delta)
-            classical = hoeffding_azuma_bound(MartingaleRange.equal(n, -1.0, 1.0), delta)
+            classical = hoeffding_azuma_bound(np.full(n, 2.0), delta)
             expected = math.sqrt(math.log((n + 1) / delta) / math.log(2.0 / delta))
             assert alt / classical == pytest.approx(expected, rel=1e-13)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            MartingaleRange(np.array([0.5]), np.array([1.0]))  # low > 0
-        with pytest.raises(ValueError):
-            MartingaleRange(np.array([-1.0]), np.array([-0.5]))  # high < 0
-        with pytest.raises(ValueError):
-            MartingaleRange(np.array([-1.0, -1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            MartingaleRange(np.array([-np.inf]), np.array([1.0]))
-        ranges = MartingaleRange.equal(3, -1.0, 2.0)
-        assert ranges.n_steps == 3
-        with pytest.raises(ValueError):
-            ranges.lows[0] = 5.0  # read-only
+        for bad in ([1.0, -0.5], [2.0, np.nan], [np.inf, 1.0], [], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="widths"):
+                hoeffding_azuma_bound(np.array(bad), 0.05)
+        # A zero-width step is a.s. 0 and adds nothing.
+        assert hoeffding_azuma_bound(np.array([0.0, 3.0, 0.0]), 0.05) == hoeffding_azuma_bound(np.array([3.0]), 0.05)
+
+    @pytest.mark.parametrize("profile", ["equal", "one_spike"])
+    def test_walk_profile_widths_keep_the_range_form(self, profile):
+        # compare-concentration passes 2 * steps for the ranges [-steps, steps]:
+        # steps - (-steps) is exactly 2 * steps, so every cell keeps its bytes.
+        for n in (25, 100, 400, 1600):
+            steps = np.ones(n)
+            if profile == "one_spike":
+                steps[0] = 5.0
+            for delta in (0.2, 0.1, 0.05, 0.01):
+                range_form = math.sqrt(0.5 * float(np.sum((steps - -steps) ** 2)) * math.log(2.0 / delta))
+                assert hoeffding_azuma_bound(2.0 * steps, delta) == range_form
 
 
 def _walks_one_profile_at_a_time(profiles, trials, seed):

@@ -31,7 +31,6 @@ from banditbounds import (
     certificate_sweep,
     expsum_ratio,
     gap_driver_report,
-    kl_certificate,
     prediction_regret,
     regret_decomposition,
     regret_envelope,
@@ -40,8 +39,6 @@ from banditbounds import (
     run_oracles,
     run_simulate,
     run_verify_bounds,
-    schedule_pi_min,
-    schedules,
     trajectory_stream,
     weighted_gap_bound_opt,
 )
@@ -49,7 +46,7 @@ import banditbounds
 import reference
 from banditbounds import bandit, harness, write_trace_csv
 from banditbounds.cli import main
-from reference import gibbs_posterior
+from reference import gibbs_posterior, kl_certificate, schedule_pi_min
 
 
 def read_csv(path):
@@ -130,7 +127,7 @@ class TestSchedulePiMin:
     @given(k=st.integers(2, 8), horizon=st.integers(1, 500))
     def test_equals_schedules_entry_by_entry(self, k, horizon):
         floor = schedule_pi_min(k, horizon)
-        expected = [min(schedules(t, k).epsilon, 1.0 / k) for t in range(1, horizon + 1)]
+        expected = [min(float(k * t) ** -0.25, 1.0 / k) for t in range(1, horizon + 1)]
         assert np.array_equal(floor, expected)
 
     def test_lower_bounds_realized_minima(self):
@@ -434,6 +431,7 @@ class TestCertificateSweep:
         sweep = certificate_sweep(trace, env, delta)
 
         k = env.n_arms
+        gamma, _ = bandit._schedule_arrays(k, range(1, horizon + 1))
         log_k = math.log(k)
         kl_viol = np.zeros(horizon, dtype=bool)
         w_viol = np.zeros(horizon, dtype=bool)
@@ -442,7 +440,7 @@ class TestCertificateSweep:
         for t in range(1, horizon + 1):
             rhat = trace.rhat[t - 1]
             lmin = float(trace.pi_lmin[t - 1])
-            rho = gibbs_posterior(rhat, schedules(t, k).gamma).weights
+            rho = gibbs_posterior(rhat, gamma[t - 1]).weights
             kl_rho = log_k + float(
                 np.sum(np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0))
             )
@@ -483,7 +481,7 @@ class TestCertificateSweep:
             game = Environment(means=rng.uniform(0.0, 1.0, k))
             env = Environment(means=rng.uniform(0.0, 1.0, k))
             traces = [run_game(game, horizon, seed=100 * case + j) for j in range(3)]
-            gamma = np.array([schedules(t, k).gamma for t in range(1, horizon + 1)])
+            gamma, _ = bandit._schedule_arrays(k, range(1, horizon + 1))
             rho = np.stack([bandit._gibbs_weights(t.rhat, gamma[:, None]) for t in traces])
             rhat = np.stack([t.rhat for t in traces])
             lmin = np.stack([t.pi_lmin for t in traces])
