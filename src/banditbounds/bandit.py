@@ -1,17 +1,15 @@
 """Importance-weighted bandit game: environments, the smoothed Gibbs
 strategy, estimate updates, and full-trace simulation.
 
-Strategy timeline: rounds t < K^3 play the uniform warmup policy; from
-round K^3 onward the policy is the Gibbs distribution over running
-importance-weighted estimates, smoothed so every arm keeps probability at
-least epsilon_t.  At the handoff round K*epsilon_t equals 1, which makes
-the first smoothed policy uniform regardless of the estimates, so the two
-phases join seamlessly.  Every smoothed round uses the floor
-min(epsilon_t, 1/K), which keeps K*epsilon <= 1.  Before round K^3 that cap
-is active and smooths any estimates to exactly the uniform policy (for
-K < 49, where K*(1/K) rounds to 1), so a configured warmup shorter than K^3
-plays the default game bit for bit; only a longer warmup changes the game,
-by extending the uniform phase.
+One policy rule: round t plays the Gibbs distribution over the running
+importance-weighted estimates (uniform before any estimate), smoothed so
+every arm keeps at least the round's floor.  The floor is 1/K in the warmup,
+the rounds t < warmup_length (K^3 by default), and min(epsilon_t, 1/K)
+after it, which keeps K*floor <= 1.  Smoothing by 1/K gives the uniform
+policy whatever the estimates (exactly wherever K*(1/K) rounds to 1, as it
+does for every K <= 48), and min(epsilon_t, 1/K) is already 1/K before round
+K^3, so any warmup up to K^3 plays the default game bit for bit; a longer
+one extends the uniform phase.
 
 Engine: ``_play_windows`` plays a block of B trajectories in lockstep, with
 the trajectory index as a numpy axis, and hands them out ``_WINDOW`` = R
@@ -30,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergences import _check_unit
+from .divergences import _check_count, _check_unit
 
 __all__ = [
     "Environment",
@@ -54,8 +52,9 @@ def _schedule_arrays(n_arms: int, ts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pi_floor(n_arms: int, epsilon):
-    """min(epsilon_t, 1/K): the smoothing amount a policy uses and the
-    deterministic lower bound on its smallest entry, warmup included."""
+    """min(epsilon_t, 1/K): the floor a round's policy is smoothed by once
+    the warmup has ended, and a deterministic lower bound on the smallest
+    entry of every round's policy, warmup included."""
     return np.minimum(epsilon, 1.0 / n_arms)
 
 
@@ -169,9 +168,10 @@ class Window(NamedTuple):
     """Rounds start+1..start+R of a block of B trajectories, row j for seed j.
     ``pi`` also holds the policy formed for round start+R+1; ``rho`` is each
     round's Gibbs distribution on its estimates, before smoothing; ``floor``
-    is each round's schedule floor min(epsilon_t, 1/K).  ``run_game``'s
-    record is one trajectory's windows joined, with no block axis: start 0,
-    ``pi`` (T+1, K), ``rhat`` and ``rho`` (T, K), the rest (T,)."""
+    is the floor each round's policy was smoothed by: 1/K in the warmup,
+    min(epsilon_t, 1/K) after it.  ``run_game``'s record is one trajectory's
+    windows joined, with no block axis: start 0, ``pi`` (T+1, K), ``rhat``
+    and ``rho`` (T, K), the rest (T,)."""
 
     start: int
     pi: np.ndarray       # (B, R+1, K)
@@ -195,7 +195,7 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
     what seed j played alone gives, whatever the block and the window.
     """
     k = env.n_arms
-    warmup = int(warmup_length) if warmup_length is not None else k**3
+    warmup = warmup_length if warmup_length is not None else k**3
     size = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     twins = [np.random.Generator(copy.copy(rng.bit_generator)) for rng in rngs]
@@ -203,9 +203,9 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
         twin.bit_generator.advance(horizon)
     table = _payouts(env, horizon, twins) if env.reward_kind == "beta" else None
 
-    uniform_w = np.full((size, k), 1.0 / k)
-    floor_1 = float(_pi_floor(k, _schedule_arrays(k, (1,))[1][0]))
-    pi_w = uniform_w if warmup > 1 else _smooth_weights(uniform_w, floor_1)
+    # Each window forms its first policy from the last rho of the window
+    # before; before any estimate the Gibbs distribution is uniform.
+    rho_w = np.full((size, k), 1.0 / k)
     sums = np.zeros((size, k))
     lmin_carry = np.full(size, 1.0 / k)
     arm_ids = np.arange(k)
@@ -217,29 +217,24 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
         payouts = _payouts(env, n, twins) if table is None else table[:, start : start + n]
         # gamma_t and the floors of rounds t = start+1..start+n+1; the round
         # loop reads them as Python floats, which keep numpy scalars out.
-        gamma, epsilon = _schedule_arrays(k, range(start + 1, start + n + 2))
-        floor = _pi_floor(k, epsilon)
+        ts = range(start + 1, start + n + 2)
+        gamma, epsilon = _schedule_arrays(k, ts)
+        floor = np.where(np.array(ts) < warmup, 1.0 / k, _pi_floor(k, epsilon))
         gammas, floors = gamma[:-1].tolist(), floor[1:].tolist()
         # Round-major buffers that each round writes in place; views go out.
         pi = np.empty((n + 1, size, k))
         actions = np.empty((n, size), dtype=np.int64)
         rhat = np.empty((n, size, k))
         rho = np.empty((n, size, k))
-        pi[0] = pi_w
+        _smooth_weights(rho_w, floor[0], out=pi[0])
         for r in range(n):
-            t = start + r + 1
             arm = _choose_arms(pi[r], uniforms[:, r], out=actions[r])
             # Adding 0.0 to the arms not played leaves their sums exact.
             sums += (payouts[:, r] / pi[r]) * (arm[:, None] == arm_ids)
-            np.divide(sums, t, out=rhat[r])
+            np.divide(sums, start + r + 1, out=rhat[r])
             _gibbs_weights(rhat[r], gammas[r], out=rho[r])
-            # Before K^3 the floor is 1/K and the policy is uniform whatever
-            # rho is; from K^3 on it is epsilon_{t+1}.
-            if t + 1 < warmup:
-                pi[r + 1] = 1.0 / k
-            else:
-                _smooth_weights(rho[r], floors[r], out=pi[r + 1])
-        pi_w = pi[n]
+            _smooth_weights(rho[r], floors[r], out=pi[r + 1])
+        rho_w = rho[-1].copy()
         rewards = payouts[np.arange(size)[:, None], np.arange(n), actions.T]
         lmin = np.minimum(pi[:-1].min(axis=2), 1.0 / k)
         np.minimum(lmin[0], lmin_carry, out=lmin[0])
@@ -272,18 +267,16 @@ def run_game(
 ) -> Window:
     """Play the smoothed Gibbs strategy for ``horizon`` rounds.
 
-    The uniform warmup lasts ``warmup_length`` rounds (default K^3).  Fully
-    deterministic given ``seed`` (an int, a SeedSequence, or a Generator
-    whose bit generator can ``advance``, as numpy's default PCG64 can): the
-    game plays as if it drew its T action uniforms and then its payouts
-    before the first round.  This is the one-trajectory block of the
+    Rounds before ``warmup_length`` (default K^3) are smoothed by the floor
+    1/K and so play the uniform policy.  Fully deterministic given ``seed``
+    (an int, a SeedSequence, or a Generator whose bit generator can
+    ``advance``, as numpy's default PCG64 can): the game plays as if it drew
+    its T action uniforms and then its payouts before the first round.  This is the one-trajectory block of the
     lockstep engine; its record is the windows joined (see ``Window``).
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be a positive integer")
+    horizon = _check_count(horizon, "horizon", 1)
     if env.n_arms < 2:
         raise ValueError("need at least two arms")
-    if warmup_length is not None and int(warmup_length) < 1:
-        raise ValueError("warmup_length must be a positive integer")
+    if warmup_length is not None:
+        warmup_length = _check_count(warmup_length, "warmup_length", 1)
     return _join(list(_play_windows(env, horizon, [seed], warmup_length)), 0)

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import Environment, Window, _expected_reward, _gibbs_weights, _schedule_arrays, _smooth_weights
-from .divergences import _check_delta, _check_pi_lmin
+from .bandit import Environment, Window, _expected_reward, _gibbs_weights, _schedule_arrays
+from .divergences import _check_count, _check_delta, _check_pi_lmin
 
 __all__ = [
     "RegretDecomposition",
@@ -94,13 +94,6 @@ def _at(t: int) -> np.ndarray:
     return np.array([float(t)])
 
 
-def _check_t(t: int) -> int:
-    t = int(t)
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    return t
-
-
 def _check_prior_kl(prior_kl: float) -> float:
     prior_kl = float(prior_kl)
     if math.isnan(prior_kl) or prior_kl < 0.0:
@@ -111,7 +104,7 @@ def _check_prior_kl(prior_kl: float) -> float:
 def kl_budget(prior_kl: float, t: int, delta: float) -> float:
     """(KL(rho||mu) + 3 ln(t+1) - ln delta) / t, the kl-route budget at round t."""
     prior_kl = _check_prior_kl(prior_kl)
-    t = _check_t(t)
+    t = _check_count(t, "t", 1)
     delta = _check_delta(delta)
     return float(_kl_budget(prior_kl, _at(t), delta)[0])
 
@@ -120,7 +113,7 @@ def reward_gap_radius(prior_kl: float, t: int, delta: float, pi_lmin: float) -> 
     """L1 relaxation of the kl route: Pinsker radius divided by pi_lmin."""
     pi_lmin = _check_pi_lmin(pi_lmin)
     prior_kl = _check_prior_kl(prior_kl)
-    t = _check_t(t)
+    t = _check_count(t, "t", 1)
     delta = _check_delta(delta)
     return float(_gap_radius(prior_kl, _at(t), delta, pi_lmin)[0])
 
@@ -141,7 +134,7 @@ def weighted_gap_bound_opt(prior_kl: float, t: int, delta: float, pi_min_seq) ->
     L = 2 ln(t+1) + ln(2/delta) and A = sum pi_min^-2.
     """
     prior_kl = _check_prior_kl(prior_kl)
-    t = _check_t(t)
+    t = _check_count(t, "t", 1)
     delta = _check_delta(delta)
     seq = _check_pi_min_seq(pi_min_seq, t)
     cum_a = np.cumsum(seq**-2.0)[-1:]  # summed in the sweep's order
@@ -187,10 +180,8 @@ def regret_envelope(n_arms: int, t: int, delta: float) -> float:
     decays exactly as t^(-1/4).  Vacuous (above 1) at small t; correctness,
     not tightness, is the contract.
     """
-    n_arms = int(n_arms)
-    if n_arms < 2:
-        raise ValueError("need at least two arms")
-    t = _check_t(t)
+    n_arms = _check_count(n_arms, "n_arms", 2)
+    t = _check_count(t, "t", 1)
     if t < n_arms**3:
         raise ValueError(f"the envelope needs t >= K^3 = {n_arms**3}, got {t}")
     delta = _check_delta(delta)
@@ -201,15 +192,17 @@ def regret_envelope(n_arms: int, t: int, delta: float) -> float:
 class RegretDecomposition:
     """Exact four-term split of per-round regret, for rounds t >= K^3.
 
-    At each t: rho is the Gibbs distribution on R_hat_t, rho_tilde its
-    smoothed version (the policy for round t+1), and
+    At each t: rho is the Gibbs distribution on R_hat_t, rho_tilde the
+    policy the game played at round t+1 (rho smoothed by that round's
+    floor), and
 
     regret_t = R(a*) - R(rho_tilde)
              = [R(a*) - R_hat(a*)] + [R_hat(a*) - R_hat(rho)]
              + [R_hat(rho) - R(rho)] + [R(rho) - R(rho_tilde)].
 
-    ``gibbs_shift_bound`` (K/gamma_t) dominates the second term and
-    ``smoothing_bound`` (K*epsilon_{t+1}) the fourth, deterministically.
+    ``gibbs_shift_bound`` (K/gamma_t) dominates the second term, and
+    ``smoothing_bound`` (K*epsilon_{t+1}) the fourth from the round the
+    warmup ends (K^3 by default), deterministically.
     """
 
     rounds: np.ndarray
@@ -231,7 +224,8 @@ class RegretDecomposition:
 
 
 def regret_decomposition(record: Window, env: Environment) -> RegretDecomposition:
-    """The split of ``run_game``'s record, with rho as the game formed it."""
+    """The split of ``run_game``'s record, with rho and rho_tilde as the game
+    formed them: ``regret`` is the record's prediction regret from round K^3."""
     horizon, k = record.rhat.shape
     if env.n_arms != k:
         raise ValueError("environment and record disagree on the number of arms")
@@ -241,9 +235,9 @@ def regret_decomposition(record: Window, env: Environment) -> RegretDecompositio
     ts = np.arange(start, horizon + 1)
     rhat = record.rhat[start - 1 :]
     rho = record.rho[start - 1 :]
+    rho_tilde = record.pi[start:]
     gamma, epsilon = _schedule_arrays(k, range(start, horizon + 2))
     gamma, eps_next = gamma[:-1], epsilon[1:]
-    rho_tilde = _smooth_weights(rho, eps_next[:, None])
 
     means = env.means
     a_star = env.best_arm

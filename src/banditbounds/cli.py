@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    # The namespace holds exactly the subcommand's fields, each None unless
-    # given on the command line (the mode is always given).
+    # The namespace holds the mode and exactly the subcommand's fields, each
+    # None unless given on the command line; a file may set only the fields.
     flags = {name: value for name, value in vars(args).items() if name != "config"}
     values: dict = {}
     if args.config:
@@ -123,7 +123,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(flags)
+        unknown = set(loaded) - (set(flags) - {"mode"})
         if unknown:
             raise ValueError(f"unknown config keys for {args.mode}: {sorted(unknown)}")
         values.update(loaded)

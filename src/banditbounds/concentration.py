@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .divergences import bernoulli_kl, _check_delta, _check_unit
+from .divergences import bernoulli_kl, _check_count, _check_delta, _check_unit
 
 __all__ = [
     "BudgetError",
@@ -68,9 +68,7 @@ def bernoulli_kl_moment(length: int, p: float) -> float:
     with binomial weights (each term assembled in log space).  The value is
     bounded by N+1.
     """
-    length = int(length)
-    if length < 1:
-        raise ValueError("length must be a positive integer")
+    length = _check_count(length, "length", 1)
     if length > MOMENT_MAX_LENGTH:
         raise BudgetError(
             f"exact moment enumeration capped at length {MOMENT_MAX_LENGTH}"
@@ -123,9 +121,7 @@ class DependentChainSpec:
     path_probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if int(self.length) < 1:
-            raise ValueError("length must be a positive integer")
-        object.__setattr__(self, "length", int(self.length))
+        object.__setattr__(self, "length", _check_count(self.length, "length", 1))
         support = tuple(float(v) for v in self.support)
         if not support:
             raise ValueError("support must be nonempty")
@@ -197,28 +193,25 @@ def _check_rows(ok: np.ndarray, prefixes, message: str, *columns: np.ndarray) ->
         raise ValueError(message.format(prefixes[i], *(float(c[i]) for c in columns)))
 
 
-def _conditional_vertices(support: Sequence[float], mean: float) -> list[np.ndarray]:
-    """Vertices of {q >= 0, sum q = 1, sum q*v = mean} for a small support, each once."""
+def _conditional_segment(support: Sequence[float], mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two ends of the feasible conditionals {q >= 0, sum q = 1,
+    sum q*v = mean} on m <= 3 sorted, distinct support points with the mean
+    in their range; on one point both ends are that unit vector."""
     m = len(support)
-    vertices: list[np.ndarray] = []
-    for i in range(m):
-        if support[i] == mean:
-            q = np.zeros(m)
-            q[i] = 1.0
-            vertices.append(q)
-    for i in range(m):
-        for j in range(i + 1, m):
-            vi, vj = support[i], support[j]
-            if vi == vj:
-                continue
-            qi = (vj - mean) / (vj - vi)
-            if 0.0 <= qi <= 1.0:
-                q = np.zeros(m)
-                q[i] = qi
-                q[j] = 1.0 - qi
-                if not any(np.array_equal(q, v) for v in vertices):  # a unit vector ends every pair through it
-                    vertices.append(q)
-    return vertices
+
+    def pair(i: int, j: int) -> np.ndarray:
+        q = np.zeros(m)
+        q[i] = (support[j] - mean) / (support[j] - support[i])
+        q[j] = 1.0 - q[i]
+        return q
+
+    if m == 1:
+        return np.ones(1), np.ones(1)
+    if m == 2:
+        return pair(0, 1), pair(0, 1)
+    if mean <= support[1]:
+        return pair(0, 1), pair(0, 2)
+    return pair(0, 2), pair(1, 2)
 
 
 def random_constant_mean_chain(length: int, rng: np.random.Generator) -> DependentChainSpec:
@@ -232,6 +225,7 @@ def random_constant_mean_chain(length: int, rng: np.random.Generator) -> Depende
     until its gaps exceed 0.05), the mean, and n = sum_{d<N} m^d uniforms t,
     entry r for the prefix of rank r in the full m-ary tree, level by level.
     """
+    length = _check_count(length, "length", 1)
     u = rng.random()
     if u < 0.1:
         return DependentChainSpec.constant(length, float(rng.random()))
@@ -242,10 +236,7 @@ def random_constant_mean_chain(length: int, rng: np.random.Generator) -> Depende
             break
     spread = support[-1] - support[0]
     mean = float(rng.uniform(support[0] + 0.05 * spread, support[-1] - 0.05 * spread))
-    vertices = _conditional_vertices(tuple(support), mean)
-    if not vertices:
-        raise RuntimeError("no feasible conditional; unreachable by construction")
-    v0, v1 = vertices[0], vertices[-1]
+    v0, v1 = _conditional_segment(support, mean)
     t = rng.random(sum(m**d for d in range(length)))[:, None]
     rows = np.where(v0 == v1, v0, t * v0 + (1.0 - t) * v1).tolist()  # a point segment stays exact
 
@@ -288,9 +279,7 @@ def dependent_convex_expectation(chain: DependentChainSpec, f: Callable[[np.ndar
 def bernoulli_convex_expectation(length: int, p: float, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """E[f(Y_1..Y_N)] for Y_i i.i.d. Bernoulli(p), over the 2^N paths whose
     bits are (b >> i) & 1 (over the constant path when p is 0 or 1)."""
-    length = int(length)
-    if length < 1:
-        raise ValueError("length must be a positive integer")
+    length = _check_count(length, "length", 1)
     if 2**length > PATH_BUDGET:
         raise BudgetError("path count exceeds the enumeration budget")
     p = _check_unit(p, "p")
@@ -364,9 +353,7 @@ def _check_global_range(low: float, high: float) -> tuple[float, float]:
 
 def azuma_alt_bound(n_steps: int, low: float, high: float, delta: float) -> float:
     """kl-form tail radius: (high-low) * sqrt(N * ln((N+1)/delta) / 2)."""
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be a positive integer")
+    n_steps = _check_count(n_steps, "n_steps", 1)
     low, high = _check_global_range(low, high)
     delta = _check_delta(delta)
     return (high - low) * math.sqrt(n_steps * math.log((n_steps + 1) / delta) / 2.0)
@@ -414,11 +401,10 @@ def simulate_profile_walks(profiles, trials: int, seed: int) -> np.ndarray:
             raise ValueError("each profile must be a nonempty 1-d vector")
         if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
             raise ValueError("step sizes must be positive and finite")
-    if int(trials) < 1:
-        raise ValueError("trials must be positive")
+    trials = _check_count(trials, "trials", 1)
     longest = max(c.size for c in steps)
-    sums = np.empty((len(steps), int(trials)))
-    for i in range(int(trials)):
+    sums = np.empty((len(steps), trials))
+    for i in range(trials):
         rng = _stream(seed, _PROFILE_STREAM, i)
         signs = 2.0 * rng.integers(0, 2, size=longest) - 1.0
         for j, c in enumerate(steps):

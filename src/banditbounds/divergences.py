@@ -10,6 +10,7 @@ than silently wrong.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -24,6 +25,14 @@ __all__ = [
 _BISECT_TOL = 1e-12
 _BISECT_LOG_TOL = 1e-14
 _BISECT_MAX_ITER = 200
+
+
+def _check_count(x, name: str, minimum: int) -> int:
+    """An integer count of at least ``minimum``: any ``numbers.Integral``
+    but a bool, never a float that would be truncated."""
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool) or x < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {x!r}")
+    return int(x)
 
 
 def _check_unit(x: float, name: str) -> float:

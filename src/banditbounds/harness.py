@@ -51,7 +51,7 @@ from .concentration import (
     random_constant_mean_chain,
     simulate_profile_walks,
 )
-from .divergences import bernoulli_kl_vec, pinsker_gap
+from .divergences import _check_count, bernoulli_kl_vec, pinsker_gap
 
 __all__ = [
     "BoundCoverage",
@@ -87,14 +87,11 @@ _CSV_ROWS = 1024
 # Exp-sum probes evaluated per kernel call.
 _PROBE_BLOCK = 1024
 
-_INT_FIELDS = (
-    "n_arms", "horizon", "trajectories", "seed", "warmup_length", "workers",
-    "chain_count", "probe_count", "walk_trials", "walk_steps",
-)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+# Each integer field and its least value; warmup_length may also be None.
+_COUNT_FIELDS = {
+    "n_arms": 2, "horizon": 1, "trajectories": 1, "seed": 0, "warmup_length": 1, "workers": 1,
+    "chain_count": 1, "probe_count": 1, "walk_trials": 1, "walk_steps": 1,
+}
 
 
 def _is_real(x) -> bool:
@@ -130,10 +127,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in _INT_FIELDS:
+        for name, minimum in _COUNT_FIELDS.items():
             value = getattr(self, name)
-            if not (_is_int(value) or (value is None and name == "warmup_length")):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value is not None or name != "warmup_length":
+                _check_count(value, name, minimum)
         if not _is_real(self.delta):
             raise ValueError(f"delta must be a number, got {self.delta!r}")
         if self.means is not None and (
@@ -145,26 +142,12 @@ class ExperimentConfig:
             raise ValueError(f"store_traces must be true or false, got {self.store_traces!r}")
         if not isinstance(self.outdir, str):
             raise ValueError(f"outdir must be a path string, got {self.outdir!r}")
-        if self.n_arms < 2:
-            raise ValueError("n_arms must be at least 2")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
-        if self.trajectories < 1:
-            raise ValueError("trajectories must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.means is not None and len(self.means) != self.n_arms:
             raise ValueError(
                 f"{len(self.means)} means given for {self.n_arms} arms"
             )
-        if self.warmup_length is not None and self.warmup_length < 1:
-            raise ValueError("warmup_length must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-        if min(self.chain_count, self.probe_count, self.walk_trials, self.walk_steps) < 1:
-            raise ValueError("campaign sizes must be positive")
         # Entries of each large array the campaign allocates, checked before
         # the environment builds its K means.
         sizes = [self.n_arms]
@@ -482,8 +465,8 @@ def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
     Gibbs posterior rho on current estimates, the point mass on the best
     arm, and uniform — all against the uniform prior.  The kl route uses
     the realized running-minimum probability (the tightest legal pi_lmin);
-    the weighted route uses the deterministic schedule lower bounds so that
-    lambda stays data-independent.  Windows fold in exactly: a trajectory's
+    the weighted route uses the deterministic floors the policies were
+    smoothed by, so that lambda stays data-independent.  Windows fold in exactly: a trajectory's
     flag is the OR of its windows', per-round counts add, and the worst
     bound-minus-value slack is the minimum.  Returns the block's record, a
     dict from route name to ``BoundCoverage``.
@@ -499,7 +482,7 @@ def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
         shape = lmin.shape
         rounds = slice(w.start, w.start + shape[1])
         ts = np.arange(rounds.start + 1, rounds.stop + 1, dtype=float)
-        # The running sum of the schedule floors' pi_min^-2, continued from
+        # The running sum of the floors' pi_min^-2, continued from
         # the last window: adding the carry to the first entry before the
         # cumsum keeps the float order sequential.
         inv_sq = w.floor ** -2.0

@@ -19,8 +19,8 @@
   ``CertificateResult``), the per-round kl check that ``certificate_sweep``
   must match; ``lambda_opt`` and the general-weight ``weighted_gap_bound``,
   against which criterion 06 checks ``weighted_gap_bound_opt``; and
-  ``schedule_pi_min``, the schedule floors min(epsilon_t, 1/K) of rounds
-  1..T that those checks feed them.
+  ``schedule_pi_min``, the floors of rounds 1..T that those checks feed
+  them: 1/K in the warmup, min(epsilon_t, 1/K) after it.
 * The csv writer the harness's one joiner replaced: ``csv.writer`` rows of
   ``cell`` strings, and trace files written one call per trajectory per
   window.  Every table and trace file the harness writes must have its bytes.
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from banditbounds.bandit import _gibbs_weights, _pi_floor, _schedule_arrays, _smooth_weights
-from banditbounds.bounds import _SCALE_TOL, _at, _big_l, _check_pi_min_seq, _check_prior_kl, _check_t, kl_budget
+from banditbounds.bounds import _SCALE_TOL, _at, _big_l, _check_pi_min_seq, _check_prior_kl, kl_budget
 from banditbounds.concentration import _EXP_CAP
-from banditbounds.divergences import _check_delta, _check_pi_lmin, bernoulli_kl
+from banditbounds.divergences import _check_count, _check_delta, _check_pi_lmin, bernoulli_kl
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,11 +232,13 @@ def write_traces(files, windows) -> None:
             write_csv(fh, columns, header=w.start == 0)
 
 
-def schedule_pi_min(n_arms: int, horizon: int) -> np.ndarray:
-    """The schedule floors min(epsilon_t, 1/K) of rounds 1..T: deterministic
-    lower bounds on min_a pi_t(a) in both phases, whatever the warmup."""
+def schedule_pi_min(n_arms: int, horizon: int, warmup_length: int | None = None) -> np.ndarray:
+    """The floors of rounds 1..T: 1/K before ``warmup_length`` (default K^3),
+    the schedule's min(epsilon_t, 1/K) after it.  Each is a deterministic
+    lower bound on min_a pi_t(a); min(epsilon_t, 1/K) is one at every round."""
     _, epsilon = _schedule_arrays(n_arms, range(1, horizon + 1))
-    return _pi_floor(n_arms, epsilon)
+    warmup = n_arms**3 if warmup_length is None else warmup_length
+    return np.where(np.arange(1, horizon + 1) < warmup, 1.0 / n_arms, _pi_floor(n_arms, epsilon))
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ def kl_certificate(r_hat_rho, r_rho, pi_lmin, prior_kl, t, delta) -> Certificate
 def lambda_opt(t: int, delta: float, pi_min_seq) -> float:
     """sqrt(2 t^2 (2 ln(t+1) + ln(2/delta)) / sum pi_min^-2): the lambda that
     minimizes the KL-free part of the uniform-weight bound."""
-    t = _check_t(t)
+    t = _check_count(t, "t", 1)
     delta = _check_delta(delta)
     seq = _check_pi_min_seq(pi_min_seq, t)
     a = float(np.sum(seq**-2.0))
@@ -294,7 +296,7 @@ def weighted_gap_bound(prior_kl, t, delta, lam, weights, pi_min_seq) -> float:
     """The weighted-martingale route bound on |R_hat^w(rho) - R(rho)| at any
     lambda and nonnegative weights."""
     prior_kl = _check_prior_kl(prior_kl)
-    t = _check_t(t)
+    t = _check_count(t, "t", 1)
     delta = _check_delta(delta)
     lam = float(lam)
     if not lam > 0.0:

@@ -351,9 +351,9 @@ class TestRunGame:
 
     @pytest.mark.parametrize("k", [49, 50, 64])
     def test_round_one_smooths_by_the_first_floor(self, k):
-        # With a one-round warmup, round 1 plays the uniform policy smoothed
-        # by the floor min(eps_1, 1/K).  At K = 49, K * (1/K) rounds below 1,
-        # so that policy is not exactly uniform, and only this pins it.
+        # Round 1 plays the uniform policy smoothed by its floor, 1/K.  At
+        # K = 49, K * (1/K) rounds below 1, so that policy is not exactly
+        # uniform.
         env = Environment(means=np.linspace(0.9, 0.1, k))
         trace = run_game(env, horizon=1, seed=k, warmup_length=1)
         expected = _smooth_weights(np.full(k, 1.0 / k), min(float(k) ** -0.25, 1.0 / k))
@@ -361,18 +361,31 @@ class TestRunGame:
         assert np.array_equal(expected, np.full(k, 1.0 / k)) == (k != 49)
 
     @pytest.mark.parametrize("kind", ["bernoulli", "point", "beta"])
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 49, 98])
     def test_warmup_up_to_k_cubed_plays_the_default_game(self, k, kind):
-        # Before round K^3 the floor is 1/K, and smoothing by 1/K turns any
-        # Gibbs policy into the uniform one the default warmup plays.
+        # Before round K^3 the floor is 1/K whatever the warmup, so every
+        # such round smooths its Gibbs policy the same way; at K = 49 and 98,
+        # where K * (1/K) != 1, that policy is uniform only to within an ulp.
         env = Environment(means=np.linspace(0.8, 0.2, k), reward_kind=kind)
-        horizon = k**3 + 30
+        horizon = 60
         default = run_game(env, horizon, seed=k)
         for warmup in (1, k**3 - 1):
             short = run_game(env, horizon, seed=k, warmup_length=warmup)
             for field in ("pi", "actions", "rewards", "rhat", "rho", "pi_lmin", "floor"):
                 same = np.array_equal(getattr(short, field), getattr(default, field))
                 assert same, (warmup, field)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_long_warmup_smooths_by_one_over_k(self, k):
+        # A warmup past K^3 holds the floor at 1/K, where the schedule's
+        # floor has already dropped below it; every policy keeps its floor.
+        env = Environment(means=np.linspace(0.8, 0.2, k))
+        warmup, horizon = k**3 + 20, k**3 + 40
+        trace = run_game(env, horizon, seed=k, warmup_length=warmup)
+        _, epsilon = _schedule_arrays(k, range(1, horizon + 1))
+        assert np.all(trace.floor[: warmup - 1] == 1.0 / k)
+        assert np.array_equal(trace.floor[warmup - 1 :], np.minimum(epsilon, 1.0 / k)[warmup - 1 :])
+        assert np.all(trace.pi[:-1] >= trace.floor[:, None])
 
     def test_running_lmin(self):
         env = Environment(means=np.array([0.9, 0.5, 0.1]))

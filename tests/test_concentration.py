@@ -36,7 +36,7 @@ from banditbounds import (
     random_constant_mean_chain,
     simulate_profile_walks,
 )
-from banditbounds.concentration import _PATH_BLOCK, _PROFILE_STREAM, _conditional_vertices, _stream
+from banditbounds.concentration import _PATH_BLOCK, _PROFILE_STREAM, _conditional_segment, _stream
 from reference import bit_loop_expectation, depth_first_chain, scalar_convex_test_functions, tree_walk_expectation
 
 
@@ -285,7 +285,7 @@ class TestDependentChains:
                 mean = replay.uniform(support[0] + 0.05 * spread, support[-1] - 0.05 * spread)
                 t = replay.random(sum(m**d for d in range(length)))
                 assert chain.support == tuple(support) and chain.mean == mean
-                v0, v1 = (vertices := _conditional_vertices(chain.support, mean))[0], vertices[-1]
+                v0, v1 = _conditional_segment(chain.support, mean)
                 prefixes = [p for d in range(length) for p in itertools.product(range(m), repeat=d)]
                 for prefix in prefixes:
                     rank = sum(m**d for d in range(len(prefix))) + sum(j * m ** (len(prefix) - 1 - i) for i, j in enumerate(prefix))
@@ -304,28 +304,38 @@ class TestDependentChains:
 
 
 class TestConditionalVertices:
+    """On m <= 3 points the feasible conditionals form a segment, whose
+    vertices are the two ends ``_conditional_segment`` returns."""
+
     @pytest.mark.parametrize(
         "support, at, expected",
         [
-            # Today's triple e_0: the unit vector and the two pairs through it.
+            # A mean at an end of the support: both ends are its unit vector.
             ((0.1, 0.4, 0.8), 0, [[1.0, 0.0, 0.0]]),
-            # e_1, then the (0, 2) mix; e_1 came three times before.
+            # At the middle point: e_1, then the (0, 2) mix.
             ((0.1, 0.4, 0.8), 1, [[0.0, 1.0, 0.0], [0.4 / 0.7, 0.0, 1.0 - 0.4 / 0.7]]),
             ((0.2, 0.7), 0, [[1.0, 0.0]]),
             ((0.2, 0.7), 1, [[0.0, 1.0]]),
+            ((0.1, 0.4, 0.8), 2, [[0.0, 0.0, 1.0]]),
+            ((0.3,), 0, [[1.0]]),
         ],
     )
     def test_each_vertex_once_at_a_support_mean(self, support, at, expected):
-        vertices = _conditional_vertices(support, support[at])
+        v0, v1 = _conditional_segment(support, support[at])
+        vertices = [v0] if np.array_equal(v0, v1) else [v0, v1]
         assert len(vertices) == len(expected)
         np.testing.assert_allclose(vertices, expected, rtol=0.0, atol=1e-15)
-        assert len({tuple(v.tolist()) for v in vertices}) == len(vertices)
         for v in vertices:
             assert float(v @ np.asarray(support)) == pytest.approx(support[at], abs=1e-15)
 
     def test_interior_mean_on_three_points_has_two_vertices(self):
-        assert len(_conditional_vertices((0.1, 0.4, 0.8), 0.3)) == 2
-        assert len(_conditional_vertices((0.1, 0.4, 0.8), 0.6)) == 2
+        for mean, expected in (
+            (0.3, [[1.0 / 3.0, 2.0 / 3.0, 0.0], [5.0 / 7.0, 0.0, 2.0 / 7.0]]),
+            (0.6, [[2.0 / 7.0, 0.0, 5.0 / 7.0], [0.0, 0.5, 0.5]]),
+        ):
+            v0, v1 = _conditional_segment((0.1, 0.4, 0.8), mean)
+            assert not np.array_equal(v0, v1)
+            np.testing.assert_allclose([v0, v1], expected, rtol=0.0, atol=1e-15)
 
 
 @st.composite
@@ -339,9 +349,9 @@ def pure_conditionals(draw):
         .filter(lambda v: len(v) == 1 or min(np.diff(v)) > 1e-3)
     )
     mean = draw(st.sampled_from(support) | st.floats(support[0], support[-1]))
-    vertices = _conditional_vertices(tuple(support), mean)
+    v0, v1 = _conditional_segment(tuple(support), mean)
     ts = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=12))
-    rows = [(t * vertices[0] + (1.0 - t) * vertices[-1]).tolist() for t in ts]
+    rows = [(t * v0 + (1.0 - t) * v1).tolist() for t in ts]
 
     def conditional(prefix):
         return rows[sum((j + 1) * 5**i for i, j in enumerate(prefix)) % len(rows)]
@@ -369,8 +379,8 @@ class TestLevelWalk:
 @st.composite
 def small_chains(draw):
     """Constant-mean chains of length <= 5 on <= 3 support points; each
-    reachable prefix mixes two vertices of the feasible conditionals, drawn
-    at its first call and the same at every later one."""
+    reachable prefix mixes two ends of the feasible segment, drawn at its
+    first call and the same at every later one."""
     length = draw(st.integers(1, 5))
     support = draw(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True).map(sorted)
@@ -379,14 +389,14 @@ def small_chains(draw):
     mean = draw(st.floats(support[0], support[-1]))
     if len(support) == 1:
         return DependentChainSpec.constant(length, mean)
-    vertices = _conditional_vertices(tuple(support), mean)
+    ends = _conditional_segment(tuple(support), mean)
     drawn = {}
 
     def conditional(prefix):
         if prefix not in drawn:
-            a, b = draw(st.integers(0, len(vertices) - 1)), draw(st.integers(0, len(vertices) - 1))
+            a, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
             t = draw(st.floats(0.0, 1.0))
-            drawn[prefix] = tuple(t * vertices[a] + (1.0 - t) * vertices[b])
+            drawn[prefix] = tuple(t * ends[a] + (1.0 - t) * ends[b])
         return drawn[prefix]
 
     return DependentChainSpec(length=length, support=tuple(support), transitions=conditional, mean=mean)

@@ -389,6 +389,16 @@ class TestPredictionRegret:
             regret_decomposition(trace, env).regret, prediction_regret(trace, env)[k**3 - 1 :]
         )
 
+    def test_equals_decomposition_regret_past_a_long_warmup(self):
+        # Rounds K^3 to the warmup's end play the uniform policy, not rho
+        # smoothed by epsilon: the decomposition splits the policy played.
+        env = Environment(means=np.array([0.8, 0.3]))
+        trace = run_game(env, horizon=60, seed=3, warmup_length=30)
+        decomp = regret_decomposition(trace, env)
+        played = prediction_regret(trace, env)[7:]
+        assert decomp.regret.tobytes() == played.tobytes()
+        assert decomp.total() == pytest.approx(played, abs=1e-12)
+
 
 def _unit_lists(k):
     return st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
@@ -417,6 +427,13 @@ class TestCertificateSweep:
         warmup_length=None,
         seed=9,
     )
+    @example(
+        means=([0.75, 0.25], [0.75, 0.25]),
+        horizon=25,
+        reward_kind="bernoulli",
+        warmup_length=12,
+        seed=9,
+    )
     def test_matches_scalar_bounds_round_by_round(
         self, means, horizon, reward_kind, warmup_length, seed
     ):
@@ -427,7 +444,7 @@ class TestCertificateSweep:
         trace = run_game(game, horizon, seed=seed, warmup_length=warmup_length)
         env = Environment(means=np.array(checked), reward_kind=reward_kind)
         delta = 0.05
-        det = schedule_pi_min(env.n_arms, horizon)
+        det = schedule_pi_min(env.n_arms, horizon, warmup_length)
         sweep = certificate_sweep(trace, env, delta)
 
         k = env.n_arms
@@ -1096,6 +1113,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "store_traces" in err and "walk_trials" in err
         assert not outdir.exists()
+
+        # The subcommand names the mode; a file may not set it.
+        for mode in ("oracles", 5):
+            config.write_text(json.dumps({"mode": mode}))
+            outdir = tmp_path / f"mode_{mode}"
+            code = main(["simulate", "--config", str(config), "--outdir", str(outdir)])
+            assert code == 2
+            assert "mode" in capsys.readouterr().err
+            assert not outdir.exists()
 
     def test_unusable_outdir_exits_two(self, tmp_path, capsys):
         occupied = tmp_path / "a_file"

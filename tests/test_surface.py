@@ -1,5 +1,6 @@
 """The public surface against what reads it: the benchmark's imports and
-traced entry points, and the README's Layout table.
+traced entry points, and the README's Layout table; and the one count rule
+every entry point applies.
 
 The benchmark files are only read here, never changed or run.
 """
@@ -9,8 +10,26 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import banditbounds
-from banditbounds import harness
+from banditbounds import (
+    DependentChainSpec,
+    Environment,
+    ExperimentConfig,
+    azuma_alt_bound,
+    bernoulli_convex_expectation,
+    bernoulli_kl_moment,
+    harness,
+    kl_budget,
+    random_constant_mean_chain,
+    regret_envelope,
+    reward_gap_radius,
+    run_game,
+    simulate_profile_walks,
+    weighted_gap_bound_opt,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,3 +85,38 @@ def test_readme_layout_names_the_public_surface():
         assert names == set(importlib.import_module(f"banditbounds.{module}").__all__), module
     exported = set().union(*(names for module, names in rows.items() if module != "cli"))
     assert exported == set(banditbounds.__all__)
+
+
+_ENV = Environment(means=np.array([0.7, 0.2]))
+
+# Each entry point that takes a count, as a function of that count, and a
+# count it accepts.
+_COUNTS = {
+    "run_game.horizon": (lambda n: run_game(_ENV, n, 0).actions, 5),
+    "run_game.warmup_length": (lambda n: run_game(_ENV, 12, 0, warmup_length=n).pi, 10),
+    "kl_budget.t": (lambda n: kl_budget(0.0, n, 0.05), 3),
+    "reward_gap_radius.t": (lambda n: reward_gap_radius(0.0, n, 0.05, 0.5), 3),
+    "weighted_gap_bound_opt.t": (lambda n: weighted_gap_bound_opt(0.0, n, 0.05, np.full(3, 0.5)), 3),
+    "regret_envelope.n_arms": (lambda n: regret_envelope(n, 30, 0.05), 3),
+    "regret_envelope.t": (lambda n: regret_envelope(2, n, 0.05), 9),
+    "bernoulli_kl_moment.length": (lambda n: bernoulli_kl_moment(n, 0.3), 4),
+    "bernoulli_convex_expectation.length": (
+        lambda n: bernoulli_convex_expectation(n, 0.3, lambda xs: xs.sum(axis=1) ** 2), 4
+    ),
+    "DependentChainSpec.length": (lambda n: DependentChainSpec.iid_bernoulli(n, 0.3).path_probs, 3),
+    "random_constant_mean_chain.length": (
+        lambda n: random_constant_mean_chain(n, np.random.default_rng(4)).path_probs, 3
+    ),
+    "azuma_alt_bound.n_steps": (lambda n: azuma_alt_bound(n, -1.0, 1.0, 0.05), 7),
+    "simulate_profile_walks.trials": (lambda n: simulate_profile_walks([[1.0, 2.0]], n, 0), 3),
+    "ExperimentConfig.horizon": (lambda n: ExperimentConfig(mode="simulate", horizon=n).validate(), 5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNTS))
+def test_counts_are_integers_never_truncated(entry):
+    call, good = _COUNTS[entry]
+    for bad in (2.5, True):
+        with pytest.raises(ValueError):
+            call(bad)
+    assert np.array_equal(call(np.int64(good)), call(good))
