@@ -168,10 +168,10 @@ class Window(NamedTuple):
     """Rounds start+1..start+R of a block of B trajectories, row j for seed j.
     ``pi`` also holds the policy formed for round start+R+1; ``rho`` is each
     round's Gibbs distribution on its estimates, before smoothing; ``floor``
-    is the floor each round's policy was smoothed by: 1/K in the warmup,
+    is the floor each policy in ``pi`` was smoothed by: 1/K in the warmup,
     min(epsilon_t, 1/K) after it.  ``run_game``'s record is one trajectory's
     windows joined, with no block axis: start 0, ``pi`` (T+1, K), ``rhat``
-    and ``rho`` (T, K), the rest (T,)."""
+    and ``rho`` (T, K), ``floor`` (T+1,), the rest (T,)."""
 
     start: int
     pi: np.ndarray       # (B, R+1, K)
@@ -180,7 +180,7 @@ class Window(NamedTuple):
     rhat: np.ndarray     # (B, R, K)
     rho: np.ndarray      # (B, R, K)
     pi_lmin: np.ndarray  # (B, R)
-    floor: np.ndarray    # (R,)
+    floor: np.ndarray    # (R+1,)
 
 
 def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | None = None):
@@ -241,18 +241,18 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
         np.minimum.accumulate(lmin, axis=0, out=lmin)
         lmin_carry = lmin[-1].copy()
         pi, rhat, rho = (a.transpose(1, 0, 2) for a in (pi, rhat, rho))
-        yield Window(start, pi, actions.T, rewards, rhat, rho, lmin.T, floor[:-1])
+        yield Window(start, pi, actions.T, rewards, rhat, rho, lmin.T, floor)
 
 
 def _join(windows: list[Window], j: int) -> Window:
     """Row j of a block's windows joined along the rounds axis into one
-    read-only record; ``pi`` ends with the policy formed after the last round."""
+    read-only record; ``pi`` and ``floor`` end with round T+1's entry."""
     rows = {
         name: np.concatenate([getattr(w, name)[j] for w in windows])
         for name in ("actions", "rewards", "rhat", "rho", "pi_lmin")
     }
     rows["pi"] = np.concatenate([w.pi[j, :-1] for w in windows] + [windows[-1].pi[j, -1:]])
-    rows["floor"] = np.concatenate([w.floor for w in windows])
+    rows["floor"] = np.concatenate([w.floor[:-1] for w in windows] + [windows[-1].floor[-1:]])
     for arr in rows.values():
         arr.setflags(write=False)
     return Window(start=0, **rows)

@@ -201,8 +201,8 @@ class RegretDecomposition:
              + [R_hat(rho) - R(rho)] + [R(rho) - R(rho_tilde)].
 
     ``gibbs_shift_bound`` (K/gamma_t) dominates the second term, and
-    ``smoothing_bound`` (K*epsilon_{t+1}) the fourth from the round the
-    warmup ends (K^3 by default), deterministically.
+    ``smoothing_bound`` (K times round t+1's floor: K*epsilon_{t+1} after
+    the warmup, 1 in it) the fourth, deterministically.
     """
 
     rounds: np.ndarray
@@ -232,12 +232,10 @@ def regret_decomposition(record: Window, env: Environment) -> RegretDecompositio
     start = k**3
     if horizon < start:
         raise ValueError(f"record of length {horizon} never reaches round K^3 = {start}")
-    ts = np.arange(start, horizon + 1)
     rhat = record.rhat[start - 1 :]
     rho = record.rho[start - 1 :]
     rho_tilde = record.pi[start:]
-    gamma, epsilon = _schedule_arrays(k, range(start, horizon + 2))
-    gamma, eps_next = gamma[:-1], epsilon[1:]
+    gamma, _ = _schedule_arrays(k, range(start, horizon + 1))
 
     means = env.means
     a_star = env.best_arm
@@ -248,14 +246,14 @@ def regret_decomposition(record: Window, env: Environment) -> RegretDecompositio
     r_rho_tilde = _expected_reward(rho_tilde, means)
 
     return RegretDecomposition(
-        rounds=ts,
+        rounds=np.arange(start, horizon + 1),
         estimate_gap_best=r_star - rhat_star,
         gibbs_shift=rhat_star - rhat_rho,
         estimate_gap_gibbs=rhat_rho - r_rho,
         smoothing_loss=r_rho - r_rho_tilde,
         regret=r_star - r_rho_tilde,
         gibbs_shift_bound=k / gamma,
-        smoothing_bound=k * eps_next,
+        smoothing_bound=k * record.floor[start:],
     )
 
 

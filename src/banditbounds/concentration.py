@@ -13,10 +13,10 @@ Three layers, all backed by exact finite computations where possible:
   and the classical Hoeffding-Azuma bound driven by ln(2/delta) — plus a
   seeded walk simulator used to measure their empirical coverage.
 
-RNG discipline: every seeded stream in the package comes from ``_stream``,
+RNG discipline: every seeded stream in the package is ``_stream``'s
 ``SeedSequence(seed, spawn_key=(STREAM_TAG, ...))``; the walk simulator
-takes one per trajectory, so results do not depend on execution order and
-can be reproduced trajectory by trajectory.
+spawns one per trajectory, a block at a time, so results do not depend on
+execution order and can be reproduced trajectory by trajectory.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ _PROBE_SEED = 0                  # their generator seed,
 _PROBE_TOL = 1e-9                # and the slack allowed at a midpoint
 
 _PROFILE_STREAM = 103
+_WALK_BLOCK = 16                 # walk trials spawned and summed at once: memory stays flat in trials
 
 
 class BudgetError(ValueError):
@@ -385,13 +386,24 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _walk_signs(children, length: int) -> np.ndarray:
+    """(B, 2*ceil(length/2)) +-1 signs, row b from one ``random_raw`` call on a bare PCG64
+    of children[b]: bit 31, then bit 63, of each word, as ``integers(0, 2)`` reads them."""
+    raw = np.array([np.random.PCG64(child).random_raw((length + 1) // 2) for child in children])
+    return 2.0 * np.stack(((raw >> 31) & 1, raw >> 63), axis=-1).reshape(len(children), -1) - 1.0
+
+
 def simulate_profile_walks(profiles, trials: int, seed: int) -> np.ndarray:
     """Final sums of symmetric walks, one row per step-magnitude profile c_j.
 
     Entry [j, i] is sum_k c_jk s_ik, with the signs s_i of trajectory i drawn
-    once at the longest profile's length.  A shorter draw from the same
-    stream is a prefix of that one, so row j is what profile j drawn alone
-    gives.  Profile j's increment ranges are [-c_jk, c_jk].
+    once at the longest profile's length by ``_walk_signs`` from ``_stream(seed,
+    _PROFILE_STREAM, i)``'s bit generator.  A shorter draw is a prefix of
+    that one, so row j is what profile j drawn alone gives.  Trials are
+    spawned ``_WALK_BLOCK`` at a time; a profile's sums for a block are one
+    stacked matmul of (1, n) by (n,) products, each numpy's dot loop, so
+    each equals ``np.dot`` on its row bit for bit.  Profile j's increment
+    ranges are [-c_jk, c_jk].
     """
     steps = [np.asarray(p, dtype=float) for p in profiles]
     if not steps:
@@ -403,10 +415,10 @@ def simulate_profile_walks(profiles, trials: int, seed: int) -> np.ndarray:
             raise ValueError("step sizes must be positive and finite")
     trials = _check_count(trials, "trials", 1)
     longest = max(c.size for c in steps)
+    parent = np.random.SeedSequence(seed, spawn_key=(_PROFILE_STREAM,))
     sums = np.empty((len(steps), trials))
-    for i in range(trials):
-        rng = _stream(seed, _PROFILE_STREAM, i)
-        signs = 2.0 * rng.integers(0, 2, size=longest) - 1.0
+    for start in range(0, trials, _WALK_BLOCK):
+        signs = _walk_signs(parent.spawn(min(_WALK_BLOCK, trials - start)), longest)
         for j, c in enumerate(steps):
-            sums[j, i] = float(np.dot(c, signs[: c.size]))
+            sums[j, start : start + len(signs)] = np.matmul(signs[:, None, : c.size], c)[:, 0]
     return sums

@@ -30,7 +30,6 @@ import functools
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -315,6 +314,7 @@ def _map_blocks(cfg: ExperimentConfig, worker):
     if cfg.workers == 1:
         yield from map(worker, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
             yield from pool.map(worker, tasks)
 
@@ -485,7 +485,7 @@ def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
         # The running sum of the floors' pi_min^-2, continued from
         # the last window: adding the carry to the first entry before the
         # cumsum keeps the float order sequential.
-        inv_sq = w.floor ** -2.0
+        inv_sq = w.floor[:-1] ** -2.0
         inv_sq[0] += carry
         cum_a = np.cumsum(inv_sq)
         carry = cum_a[-1]
@@ -526,7 +526,7 @@ def certificate_sweep(record: Window, env: Environment, delta: float) -> dict:
     route, whether any comparator broke its bound at each round, and the
     smallest slack."""
     window = record._replace(rhat=record.rhat[None], rho=record.rho[None], pi_lmin=record.pi_lmin[None])
-    return _coverage([window], env, delta, len(record.floor))
+    return _coverage([window], env, delta, len(record.actions))
 
 
 def _first_row_columns(windows, pi_min: np.ndarray, pi_lmin: np.ndarray):

@@ -378,14 +378,15 @@ class TestRunGame:
     @pytest.mark.parametrize("k", [2, 3])
     def test_long_warmup_smooths_by_one_over_k(self, k):
         # A warmup past K^3 holds the floor at 1/K, where the schedule's
-        # floor has already dropped below it; every policy keeps its floor.
+        # floor has already dropped below it; every policy keeps its floor,
+        # round T+1's included.
         env = Environment(means=np.linspace(0.8, 0.2, k))
         warmup, horizon = k**3 + 20, k**3 + 40
         trace = run_game(env, horizon, seed=k, warmup_length=warmup)
-        _, epsilon = _schedule_arrays(k, range(1, horizon + 1))
+        _, epsilon = _schedule_arrays(k, range(1, horizon + 2))
         assert np.all(trace.floor[: warmup - 1] == 1.0 / k)
         assert np.array_equal(trace.floor[warmup - 1 :], np.minimum(epsilon, 1.0 / k)[warmup - 1 :])
-        assert np.all(trace.pi[:-1] >= trace.floor[:, None])
+        assert np.all(trace.pi >= trace.floor[:, None])
 
     def test_running_lmin(self):
         env = Environment(means=np.array([0.9, 0.5, 0.1]))

@@ -334,6 +334,19 @@ class TestRegretDecomposition:
             assert decomp.gibbs_shift_bound[i] == pytest.approx(k / gamma, rel=1e-14)
             assert decomp.smoothing_bound[i] == pytest.approx(k * min(eps_next, 1.0), rel=1e-14)
 
+    def test_smoothing_bound_holds_through_a_long_warmup(self):
+        # Past K^3 a long warmup still smooths by 1/K, not epsilon_{t+1}:
+        # the bound reads each played policy's floor.  K*epsilon_{t+1} would
+        # fall below the smoothing loss on 168 rounds of this game.
+        env = Environment(means=np.array([0.8, 0.3]))
+        warmup, horizon = 2500, 3000
+        trace = run_game(env, horizon, seed=3, warmup_length=warmup)
+        decomp = regret_decomposition(trace, env)
+        assert not np.any(decomp.smoothing_loss > decomp.smoothing_bound)
+        _, epsilon = _schedule_arrays(2, range(warmup, horizon + 2))
+        assert np.all(decomp.smoothing_bound[: warmup - 9] == 2 * 0.5)  # rounds t + 1 < warmup
+        assert np.array_equal(decomp.smoothing_bound[warmup - 9 :], 2 * epsilon)
+
     def test_validation(self):
         env = Environment(means=np.array([0.8, 0.4]))
         trace = run_game(env, horizon=30, seed=0)

@@ -15,6 +15,7 @@ direct enumeration on paper:
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,15 @@ from banditbounds import (
     random_constant_mean_chain,
     simulate_profile_walks,
 )
-from banditbounds.concentration import _PATH_BLOCK, _PROFILE_STREAM, _conditional_segment, _stream
+from banditbounds import concentration
+from banditbounds.concentration import (
+    _PATH_BLOCK,
+    _PROFILE_STREAM,
+    _WALK_BLOCK,
+    _conditional_segment,
+    _stream,
+    _walk_signs,
+)
 from reference import bit_loop_expectation, depth_first_chain, scalar_convex_test_functions, tree_walk_expectation
 
 
@@ -603,6 +612,9 @@ class TestSimulators:
         small = simulate_profile_walks(steps, trials=5, seed=9)
         large = simulate_profile_walks(steps, trials=12, seed=9)
         assert np.array_equal(small, large[:, :5])
+        # Across block boundaries too: 40 trials span three blocks.
+        assert 40 > 2 * _WALK_BLOCK
+        assert np.array_equal(small, simulate_profile_walks(steps, trials=40, seed=9)[:, :5])
 
     def test_profile_walks(self):
         steps = np.array([1.0, 2.0, 5.0])
@@ -628,12 +640,60 @@ class TestSimulators:
 
     def test_shorter_sign_draw_is_a_prefix(self):
         # The walk simulator draws each trial once, at the longest profile,
-        # and relies on this numpy behaviour, which its API does not promise.
+        # as raw words whose bits ``integers(0, 2)`` reads; that a shorter
+        # ``integers`` draw is their prefix is numpy behaviour its API does
+        # not promise.
         for i in range(300):
             longest = _stream(0, _PROFILE_STREAM, i).integers(0, 2, size=1600)
             for n in (1, 25, 100, 400):
                 draw = _stream(0, _PROFILE_STREAM, i).integers(0, 2, size=n)
                 assert np.array_equal(draw, longest[:n]), (i, n)
+
+    def test_raw_bit_signs_are_the_integers_draw(self):
+        # Bit 31, then bit 63, of each raw word is what integers(0, 2) reads
+        # from the same bit generator, at odd and even lengths.
+        for seed in range(50):
+            children = np.random.SeedSequence(seed, spawn_key=(_PROFILE_STREAM,)).spawn(2)
+            for n in (1, 2, 3, 25, 1599, 1600):
+                signs = _walk_signs(children, n)
+                assert signs.shape == (2, n + n % 2)
+                for child, row in zip(children, signs):
+                    bits = np.random.Generator(np.random.PCG64(child)).integers(0, 2, size=n)
+                    assert np.array_equal(row[:n], 2.0 * bits - 1.0), (seed, n)
+
+    @pytest.mark.parametrize("trials", [15, 16, 17, 33])
+    def test_blocks_spawn_the_documented_streams(self, trials):
+        # Each block spawns its children from one parent: trial i's bit
+        # generator starts where _stream(seed, _PROFILE_STREAM, i)'s does.
+        blocks = []
+
+        def recording(children, length):
+            blocks.append(children)
+            return _walk_signs(children, length)
+
+        with mock.patch.object(concentration, "_walk_signs", recording):
+            simulate_profile_walks([np.ones(3)], trials, seed=4)
+        assert [len(b) for b in blocks] == [min(_WALK_BLOCK, trials - s) for s in range(0, trials, _WALK_BLOCK)]
+        children = [child for block in blocks for child in block]
+        for i, child in enumerate(children):
+            expected = _stream(4, _PROFILE_STREAM, i).bit_generator.state
+            assert np.random.PCG64(child).state == expected, i
+
+    def test_walk_memory_does_not_grow_with_trials(self):
+        # Streams are spawned a block at a time: past the (P, trials) output,
+        # the peak is the same at 2 000 and at 20 000 trials.
+        steps = [np.ones(n) for n in (25, 100, 400, 1600)]
+        steps += [np.concatenate(([5.0], np.ones(n - 1))) for n in (25, 100, 400, 1600)]
+        simulate_profile_walks(steps, 1, seed=0)  # first-call allocations stay out
+        extra = []
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                simulate_profile_walks(steps, trials, seed=0)
+                extra.append(tracemalloc.get_traced_memory()[1] - len(steps) * trials * 8)
+            finally:
+                tracemalloc.stop()
+        assert abs(extra[1] - extra[0]) <= 0.1 * extra[0], extra
 
     @given(
         profiles=st.lists(

@@ -5,6 +5,7 @@ using the scalar bound functions round by round, so the harness cannot
 drift away from the library's own definitions.
 """
 
+import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -12,6 +13,9 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -505,7 +509,7 @@ class TestCertificateSweep:
             windows = []
             for start in range(0, horizon, window):
                 cut = slice(start, start + window)
-                floor = schedule_pi_min(k, horizon)[cut]
+                floor = schedule_pi_min(k, horizon + 1)[start : start + window + 1]
                 windows.append(bandit.Window(start, None, None, None, rhat[:, cut], rho[:, cut], lmin[:, cut], floor))
             folded = harness._coverage(windows, env, 0.05, horizon)
             merged = functools.reduce(harness._merge, [certificate_sweep(t, env, 0.05) for t in traces])
@@ -525,7 +529,7 @@ class TestCertificateSweep:
         trace = run_game(env, horizon, seed=seed, warmup_length=1)
         gamma, _ = bandit._schedule_arrays(k, range(1, horizon + 1))
         assert np.array_equal(trace.rho, bandit._gibbs_weights(trace.rhat, gamma[:, None]))
-        assert np.array_equal(trace.floor, schedule_pi_min(k, horizon))
+        assert np.array_equal(trace.floor, schedule_pi_min(k, horizon + 1))
 
     def test_degenerate_environment_holds_everywhere(self):
         env = Environment(means=np.array([0.5, 0.5]))
@@ -887,17 +891,25 @@ class TestRunVerifyBounds:
     def test_pool_has_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
         sizes = []
 
-        class RecordingPool(harness.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = ExperimentConfig(
             mode="verify-bounds", horizon=10, trajectories=2, workers=3, outdir=str(tmp_path)
         )
         run_verify_bounds(cfg)
         assert sizes == [2]
+
+    def test_cli_import_loads_no_process_pool(self):
+        # The pool's modules load only when a campaign asks for workers.
+        code = "import sys, banditbounds.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+        src = str(Path(banditbounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestRunOracles:
