@@ -13,11 +13,11 @@ one extends the uniform phase.
 
 Engine: ``_play_windows`` plays a block of B trajectories in lockstep, with
 the trajectory index as a numpy axis, and hands them out ``_WINDOW`` = R
-rounds at a time.  A trajectory's rounds do not depend on the block it is
-played in or on where the windows break.  Bernoulli and point games hold
-O(B R K) memory whatever the horizon; a Beta game also holds its (B, T, K)
-payout table.  ``run_game`` is the block of one, its windows joined into
-one ``Window`` with no block axis: the record of play.
+rounds at a time, drawing each window's action uniforms and payouts as it
+goes.  A trajectory's rounds do not depend on the block it is played in or
+on where the windows break, and a game of any reward kind holds O(B R K)
+memory whatever the horizon.  ``run_game`` is the block of one, its windows
+joined into one ``Window`` with no block axis: the record of play.
 """
 
 from __future__ import annotations
@@ -114,15 +114,15 @@ def _smooth_weights(rho_w: np.ndarray, epsilon, out: np.ndarray | None = None) -
     return np.add((1.0 - rho_w.shape[-1] * epsilon) * rho_w, epsilon, out=out)
 
 
-def _payouts(env: Environment, rounds: int, rngs) -> np.ndarray:
+def _payouts(env: Environment, rounds: int, rngs, rounders) -> np.ndarray:
     """(B, R, K) table whose entry [j, r, a] is what arm a pays in round r+1
-    of the R rounds generator j draws.
+    of the R rounds ``rngs[j]`` draws.
 
     Bernoulli rewards compare one uniform per round with every mean; point
     rewards are the means themselves (a read-only view).  Beta rewards take
-    one Beta draw per arm per round, then one uniform per arm per round that
-    rounds it stochastically onto the BETA_LEVELS-point grid of [0, 1],
-    which keeps the mean exact; an arm whose mean is 0 or 1 pays its mean.
+    one Beta draw per arm per round, and one uniform per arm per round from
+    ``rounders[j]`` rounds it stochastically onto the BETA_LEVELS-point grid
+    of [0, 1], which keeps the mean exact; a mean of 0 or 1 is paid as is.
     """
     means = env.means
     shape = (len(rngs), rounds, means.size)
@@ -135,14 +135,14 @@ def _payouts(env: Environment, rounds: int, rngs) -> np.ndarray:
         return (uniforms[:, :, None] < means).astype(float)
     inner = (means > 0.0) & (means < 1.0)
     m = np.where(inner, means, 0.5)  # any valid shape; those draws go unused
+    a, b = BETA_CONCENTRATION * m, BETA_CONCENTRATION * (1.0 - m)
     step = 1.0 / (BETA_LEVELS - 1)
-    table = np.empty(shape)
-    for rng, rows in zip(rngs, table):
-        x = rng.beta(BETA_CONCENTRATION * m, BETA_CONCENTRATION * (1.0 - m), size=shape[1:])
-        g = np.minimum(np.floor(x / step), BETA_LEVELS - 2) * step
-        up = rng.random(shape[1:]) < (x - g) / step
-        rows[:] = np.where(inner, g + step * up, means)
-    return table
+    x, u = np.empty(shape), np.empty(shape)
+    for rng, rounder, xj, uj in zip(rngs, rounders, x, u):
+        xj[:] = rng.beta(a, b, size=shape[1:])
+        rounder.random(out=uj)
+    g = np.minimum(np.floor(x / step), BETA_LEVELS - 2) * step
+    return np.where(inner, g + step * (u < (x - g) / step), means)
 
 
 def _choose_arms(pi: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -186,10 +186,10 @@ class Window(NamedTuple):
 def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | None = None):
     """Play one trajectory per seed, all in lockstep, and yield ``Window``s.
 
-    Seed j's generator draws the action uniforms, R per window, and a copy
-    of it advanced by T the payouts: the stream positions a game that drew
-    all its uniforms first would read.  Beta draws take a variable share of
-    the stream, so a Beta trajectory draws its whole (T, K) table first.
+    Each window, seed j's stream draws the R action uniforms, a copy of it
+    advanced by T the Bernoulli uniforms or Beta variates, and a copy
+    advanced by 2^64 the Beta rounding uniforms.  Each copy draws one kind
+    of variate, so every window reads the positions one up-front draw would.
     Between windows only (B, K) state is kept.  Each round is played with
     (B, K) operations that act on each row alone, so row j is bit for bit
     what seed j played alone gives, whatever the block and the window.
@@ -198,10 +198,10 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
     warmup = warmup_length if warmup_length is not None else k**3
     size = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    twins = [np.random.Generator(copy.copy(rng.bit_generator)) for rng in rngs]
-    for twin in twins:
-        twin.bit_generator.advance(horizon)
-    table = _payouts(env, horizon, twins) if env.reward_kind == "beta" else None
+    twins, rounders = (
+        [np.random.Generator(copy.copy(rng.bit_generator).advance(delta)) for rng in rngs]
+        for delta in (horizon, 2**64)
+    )
 
     # Each window forms its first policy from the last rho of the window
     # before; before any estimate the Gibbs distribution is uniform.
@@ -214,7 +214,7 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
         uniforms = np.empty((size, n))
         for rng, row in zip(rngs, uniforms):
             rng.random(out=row)
-        payouts = _payouts(env, n, twins) if table is None else table[:, start : start + n]
+        payouts = _payouts(env, n, twins, rounders)
         # gamma_t and the floors of rounds t = start+1..start+n+1; the round
         # loop reads them as Python floats, which keep numpy scalars out.
         ts = range(start + 1, start + n + 2)
@@ -270,9 +270,9 @@ def run_game(
     Rounds before ``warmup_length`` (default K^3) are smoothed by the floor
     1/K and so play the uniform policy.  Fully deterministic given ``seed``
     (an int, a SeedSequence, or a Generator whose bit generator can
-    ``advance``, as numpy's default PCG64 can): the game plays as if it drew
-    its T action uniforms and then its payouts before the first round.  This is the one-trajectory block of the
-    lockstep engine; its record is the windows joined (see ``Window``).
+    ``advance``, as numpy's default PCG64 can; ``_play_windows`` says which
+    stream positions each draw reads).  This is the one-trajectory block of
+    the lockstep engine; its record is the windows joined (see ``Window``).
     """
     horizon = _check_count(horizon, "horizon", 1)
     if env.n_arms < 2:

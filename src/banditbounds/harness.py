@@ -79,7 +79,7 @@ _PROBE_STREAM = 4
 _MAX_ARRAY_ENTRIES = 10**8
 # Most trajectories the engine plays in lockstep, one block per task.  A
 # round of a block costs little more than a round of one trajectory, and the
-# engine holds (B, R, K) windows (plus a Beta block's (B, T, K) payout table).
+# engine holds (B, R, K) windows.
 _BLOCK = 256
 # Table rows held as text at once: a chunk of a table, or of a window's traces.
 _CSV_ROWS = 1024
@@ -288,15 +288,10 @@ def _ensure_outdir(cfg: ExperimentConfig) -> Path:
     return outdir
 
 
-def _block_size(share: int, horizon: int, n_arms: int) -> int:
-    """Trajectories per lockstep block: a worker's share up to ``_BLOCK``, and
-    few enough that a Beta block's (B, T, K) payout table stays under the cap."""
-    return min(_BLOCK, share, _MAX_ARRAY_ENTRIES // (horizon * n_arms))
-
-
 def _blocks(cfg: ExperimentConfig) -> list[range]:
-    """The campaign's trajectories split once into lockstep blocks, in order."""
-    size = _block_size(-(-cfg.trajectories // cfg.workers), cfg.horizon, cfg.n_arms)
+    """The campaign's trajectories split once into lockstep blocks, in order:
+    a worker's share, up to ``_BLOCK`` trajectories."""
+    size = min(_BLOCK, -(-cfg.trajectories // cfg.workers))
     return [range(i, min(i + size, cfg.trajectories)) for i in range(0, cfg.trajectories, size)]
 
 
@@ -466,10 +461,10 @@ def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
     arm, and uniform — all against the uniform prior.  The kl route uses
     the realized running-minimum probability (the tightest legal pi_lmin);
     the weighted route uses the deterministic floors the policies were
-    smoothed by, so that lambda stays data-independent.  Windows fold in exactly: a trajectory's
-    flag is the OR of its windows', per-round counts add, and the worst
-    bound-minus-value slack is the minimum.  Returns the block's record, a
-    dict from route name to ``BoundCoverage``.
+    smoothed by, so that lambda stays data-independent.  Windows fold in
+    exactly: a trajectory's flag is the OR of its windows', per-round counts
+    add, and the worst bound-minus-value slack is the minimum.  Returns the
+    block's record, a dict from route name to ``BoundCoverage``.
     """
     log_k = math.log(env.n_arms)
     means = env.means

@@ -271,7 +271,7 @@ class TestEnvironment:
     def test_beta_rewards_live_on_grid(self):
         env = Environment(means=np.array([0.35, 0.0, 1.0]), reward_kind="beta")
         step = 1.0 / (BETA_LEVELS - 1)
-        table = _payouts(env, 500, [np.random.default_rng(1)])[0]
+        table = _payouts(env, 500, [np.random.default_rng(1)], [np.random.default_rng(2)])[0]
         assert table.shape == (500, 3)
         draws = table[:, 0]
         assert np.all((draws >= 0.0) & (draws <= 1.0))

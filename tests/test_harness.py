@@ -185,27 +185,6 @@ class TestLockstepBlocks:
                 assert np.array_equal(getattr(trace, name), getattr(alone, name)), (i, name)
             assert trace.pi.flags.c_contiguous and trace.rhat.flags.c_contiguous
 
-    @given(
-        st.integers(2, 64).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, _CAP // k))),
-        st.integers(1, 10**4),
-    )
-    def test_block_size_rule(self, k_and_horizon, share):
-        k, horizon = k_and_horizon
-        size = harness._block_size(share, horizon, k)
-        assert 1 <= size <= min(share, harness._BLOCK)
-        assert size * horizon * k <= _CAP
-        # A worker's whole share, up to the block cap, whenever a Beta
-        # payout table of that many trajectories fits under the array cap.
-        if min(share, harness._BLOCK) * horizon * k <= _CAP:
-            assert size == min(share, harness._BLOCK)
-
-    def test_block_size_at_the_cap(self):
-        assert harness._block_size(50, _CAP // 2, 2) == 1
-        assert harness._block_size(1000, 2000, 2) == harness._BLOCK
-        assert harness._block_size(50, 2000, 2) == 50
-        assert harness._block_size(3, 2000, 2) == 3
-        assert harness._block_size(1000, 10**5, 8) == _CAP // (8 * 10**5) < harness._BLOCK
-
     @pytest.mark.parametrize(
         "trajectories, workers, starts",
         [
@@ -250,6 +229,28 @@ class TestLockstepBlocks:
             payouts = np.concatenate([twin.random(n) for n in sizes])
             assert np.array_equal(actions, up_front[:horizon]), i
             assert np.array_equal(payouts, up_front[horizon:]), i
+
+    def test_beta_payouts_read_one_up_front_draw(self):
+        # A Beta trajectory draws its variates a window at a time from a copy
+        # of its stream advanced by T, and its rounding uniforms from a copy
+        # advanced by 2^64.  Each window must read the positions one up-front
+        # draw of each kind would: numpy does not promise it for Beta draws.
+        env = Environment(means=np.array([0.7, 0.4, 0.2, 0.0]), reward_kind="beta")
+        horizon = 300
+        sizes = [7] * (horizon // 7) + [horizon % 7]
+
+        def streams(i):
+            bits = trajectory_stream(5, i).bit_generator
+            return [[np.random.Generator(copy.copy(bits).advance(d))] for d in (horizon, 2**64)]
+
+        for i in range(100):
+            up_front = bandit._payouts(env, horizon, *streams(i))[0]
+            twin, rounder = streams(i)
+            windows = np.concatenate([bandit._payouts(env, n, twin, rounder)[0] for n in sizes])
+            assert np.array_equal(windows, up_front), i
+            with mock.patch.object(bandit, "_WINDOW", 7):
+                trace = run_game(env, horizon, trajectory_stream(5, i))
+            assert np.array_equal(trace.rewards, up_front[np.arange(horizon), trace.actions]), i
 
 
 class TestWindows:
@@ -339,7 +340,7 @@ class TestWindows:
             harness._simulate_block((cfg, range(cfg.trajectories)))
         assert writes == {f"trace_{i:04d}.csv": 7 for i in range(cfg.trajectories)}  # 45 rounds, 7 windows
 
-    @pytest.mark.parametrize("kind", ["bernoulli", "point"])
+    @pytest.mark.parametrize("kind", ["bernoulli", "point", "beta"])
     def test_chunk_memory_does_not_hold_the_horizon(self, kind):
         # From T = 1 000 to T = 8 000 the per-round outputs (counts, the
         # schedule and trajectory 0's drivers) may grow the peak; a (B, T)
