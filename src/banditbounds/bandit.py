@@ -114,7 +114,7 @@ def _smooth_weights(rho_w: np.ndarray, epsilon, out: np.ndarray | None = None) -
     return np.add((1.0 - rho_w.shape[-1] * epsilon) * rho_w, epsilon, out=out)
 
 
-def _payouts(env: Environment, rounds: int, rngs, rounders) -> np.ndarray:
+def _payouts(env: Environment, rounds: int, rngs, rounders=None) -> np.ndarray:
     """(B, R, K) table whose entry [j, r, a] is what arm a pays in round r+1
     of the R rounds ``rngs[j]`` draws.
 
@@ -123,6 +123,7 @@ def _payouts(env: Environment, rounds: int, rngs, rounders) -> np.ndarray:
     one Beta draw per arm per round, and one uniform per arm per round from
     ``rounders[j]`` rounds it stochastically onto the BETA_LEVELS-point grid
     of [0, 1], which keeps the mean exact; a mean of 0 or 1 is paid as is.
+    Only Beta rewards read ``rounders``.
     """
     means = env.means
     shape = (len(rngs), rounds, means.size)
@@ -187,9 +188,10 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
     """Play one trajectory per seed, all in lockstep, and yield ``Window``s.
 
     Each window, seed j's stream draws the R action uniforms, a copy of it
-    advanced by T the Bernoulli uniforms or Beta variates, and a copy
-    advanced by 2^64 the Beta rounding uniforms.  Each copy draws one kind
-    of variate, so every window reads the positions one up-front draw would.
+    advanced by T the Bernoulli uniforms or Beta variates, and, in a Beta
+    game only, a copy advanced by 2^64 the Beta rounding uniforms.  Each
+    copy draws one kind of variate, so every window reads the positions one
+    up-front draw would.
     Between windows only (B, K) state is kept.  Each round is played with
     (B, K) operations that act on each row alone, so row j is bit for bit
     what seed j played alone gives, whatever the block and the window.
@@ -198,10 +200,12 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
     warmup = warmup_length if warmup_length is not None else k**3
     size = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    twins, rounders = (
-        [np.random.Generator(copy.copy(rng.bit_generator).advance(delta)) for rng in rngs]
-        for delta in (horizon, 2**64)
-    )
+
+    def copies(delta: int) -> list[np.random.Generator]:
+        return [np.random.Generator(copy.copy(rng.bit_generator).advance(delta)) for rng in rngs]
+
+    twins = copies(horizon)
+    rounders = copies(2**64) if env.reward_kind == "beta" else None
 
     # Each window forms its first policy from the last rho of the window
     # before; before any estimate the Gibbs distribution is uniform.

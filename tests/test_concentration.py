@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditbounds import (
@@ -43,6 +43,7 @@ from banditbounds.concentration import (
     _PROFILE_STREAM,
     _WALK_BLOCK,
     _conditional_segment,
+    _seed_words,
     _stream,
     _walk_signs,
 )
@@ -651,33 +652,61 @@ class TestSimulators:
 
     def test_raw_bit_signs_are_the_integers_draw(self):
         # Bit 31, then bit 63, of each raw word is what integers(0, 2) reads
-        # from the same bit generator, at odd and even lengths.
+        # from the same stream, at odd and even lengths.
         for seed in range(50):
-            children = np.random.SeedSequence(seed, spawn_key=(_PROFILE_STREAM,)).spawn(2)
+            words = _seed_words(seed, (_PROFILE_STREAM,), np.arange(2))
             for n in (1, 2, 3, 25, 1599, 1600):
-                signs = _walk_signs(children, n)
+                signs = _walk_signs(words, n)
                 assert signs.shape == (2, n + n % 2)
-                for child, row in zip(children, signs):
-                    bits = np.random.Generator(np.random.PCG64(child)).integers(0, 2, size=n)
+                for i, row in enumerate(signs):
+                    bits = _stream(seed, _PROFILE_STREAM, i).integers(0, 2, size=n)
                     assert np.array_equal(row[:n], 2.0 * bits - 1.0), (seed, n)
 
-    @pytest.mark.parametrize("trials", [15, 16, 17, 33])
+    @pytest.mark.parametrize("trials", [15, 16, 17, 33, 1023, 1024, 1025, 2049])
     def test_blocks_spawn_the_documented_streams(self, trials):
-        # Each block spawns its children from one parent: trial i's bit
-        # generator starts where _stream(seed, _PROFILE_STREAM, i)'s does.
+        # Each block's rows come from one hashed chunk: trial i's bit
+        # generator starts where _stream(seed, _PROFILE_STREAM, i)'s does,
+        # across the chunk boundaries too.
         blocks = []
 
-        def recording(children, length):
-            blocks.append(children)
-            return _walk_signs(children, length)
+        def recording(words, length):
+            blocks.append(words)
+            return _walk_signs(words, length)
 
         with mock.patch.object(concentration, "_walk_signs", recording):
             simulate_profile_walks([np.ones(3)], trials, seed=4)
         assert [len(b) for b in blocks] == [min(_WALK_BLOCK, trials - s) for s in range(0, trials, _WALK_BLOCK)]
-        children = [child for block in blocks for child in block]
-        for i, child in enumerate(children):
+        rows = [row for block in blocks for row in block]
+        for i, row in enumerate(rows):
             expected = _stream(4, _PROFILE_STREAM, i).bit_generator.state
-            assert np.random.PCG64(child).state == expected, i
+            assert np.random.PCG64(concentration._HashedSeed(row)).state == expected, i
+
+    @given(seed=st.integers(0, 2**160), extra=st.lists(st.integers(0, 2**32 - 1), max_size=6))
+    @example(seed=0, extra=[])
+    @example(seed=2**32 - 1, extra=[])
+    @example(seed=2**32, extra=[])
+    @example(seed=2**64 + 1, extra=[])
+    @example(seed=2**130 + 7, extra=[])
+    @settings(max_examples=60)
+    def test_seed_words_are_numpys_hash(self, seed, extra):
+        # Seeds of 1 to 5 uint32 words, indices on both sides of a hash
+        # chunk's edge and the largest one-word index.
+        indices = [0, 1, 1023, 1024, 1025, 2**32 - 1] + extra
+        words = _seed_words(seed, (_PROFILE_STREAM,), np.array(indices))
+        assert words.shape == (len(indices), 4) and words.dtype == np.uint64
+        for i, row in zip(indices, words):
+            expected = np.random.SeedSequence(seed, spawn_key=(_PROFILE_STREAM, i)).generate_state(4, np.uint64)
+            assert row.tobytes() == expected.tobytes(), (seed, i)
+
+    def test_two_word_trial_index_is_rejected(self):
+        # An index of 2**32 or more is two entropy words, which the hash does
+        # not take: it raises before drawing anything, never hashing it wrongly.
+        for indices in ([2**32], [0, 2**32 + 5], [2**64 - 1]):
+            with pytest.raises(ValueError, match="below 2\\*\\*32"):
+                _seed_words(0, (_PROFILE_STREAM,), np.array(indices, dtype=np.uint64))
+        with mock.patch.object(concentration, "_walk_signs", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+                simulate_profile_walks([np.ones(1)], 2**32 + 1, seed=0)
 
     def test_walk_memory_does_not_grow_with_trials(self):
         # Streams are spawned a block at a time: past the (P, trials) output,

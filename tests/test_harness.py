@@ -912,6 +912,15 @@ class TestRunVerifyBounds:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_numpy_random(self):
+        # numpy.random loads on the first draw, not at import: the walk
+        # simulator defines its seed adapter on first use.
+        code = "import sys, banditbounds.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        src = str(Path(banditbounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestRunOracles:
     def test_small_campaign_passes(self, tmp_path, capsys):
