@@ -14,11 +14,9 @@ Three layers, all backed by exact finite computations where possible:
   seeded walk simulator used to measure their empirical coverage.
 
 RNG discipline: every seeded stream in the package is ``_stream``'s
-``SeedSequence(seed, spawn_key=(STREAM_TAG, ...))``; the walk simulator
-takes one per trajectory, so results do not depend on execution order and
-can be reproduced trajectory by trajectory.  It hashes those seed sequences
-a chunk of trials at a time in numpy arithmetic (``_seed_words``), with
-every stream unchanged.
+``SeedSequence(seed, spawn_key=(STREAM_TAG, ...))``.  The walk simulator
+reads one such stream for all its trials, in trial order, a fixed number of
+raw words per trial, so a larger batch keeps every earlier trial.
 """
 
 from __future__ import annotations
@@ -57,9 +55,7 @@ _PROBE_SEED = 0                  # their generator seed,
 _PROBE_TOL = 1e-9                # and the slack allowed at a midpoint
 
 _PROFILE_STREAM = 103
-_SEED_CHUNK = 1024               # walk trials whose seed sequences are hashed at once
 _WALK_BLOCK = 16                 # walk trials drawn and summed at once: memory stays flat in trials
-_MASK32 = 0xFFFFFFFF
 
 
 class BudgetError(ValueError):
@@ -390,50 +386,9 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _hash32(x: np.ndarray, init: int, mult: int, step: int) -> np.ndarray:
-    """Step ``step`` of SeedSequence's uint32 hash on an array x (which wraps where a numpy
-    scalar would warn): xor with c = init*mult^step, multiply by c*mult, fold the high half."""
-    c = init * pow(mult, step, 1 << 32)
-    x = (x ^ (c & _MASK32)) * (c * mult & _MASK32)
-    return x ^ (x >> 16)
-
-
-def _seed_words(seed: int, key: tuple[int, ...], indices) -> np.ndarray:
-    """(len(indices), 4) uint64 rows, row r equal to ``SeedSequence(seed, spawn_key=(*key,
-    indices[r])).generate_state(4, np.uint64)`` for an int seed and a nonempty key.  An index
-    below 2**32 is the last of L+1 entropy words: each child mixes it into the pool of
-    ``SeedSequence(seed, spawn_key=key)`` from hash step 4L on, then hashes eight output
-    words.  A larger index, of two words, raises ValueError."""
-    indices = np.asarray(indices, dtype=np.uint64)
-    if np.any(indices > _MASK32):
-        raise ValueError("trial indices must be below 2**32")
-    n_words = [max(1, -(-int(n).bit_length() // 32)) for n in (seed, *key)]
-    shared = max(4, n_words[0]) + sum(n_words[1:])  # the seed's words are padded to the pool size
-    index = indices.astype(np.uint32)
-    hashed = np.array([_hash32(index, 0x43B0D7E5, 0x931E8875, 4 * shared + dst) for dst in range(4)])
-    pool = np.random.SeedSequence(seed, spawn_key=key).pool[:, None] * 0xCA01F9DD - hashed * 0x4973F715
-    pool ^= pool >> 16
-    words = np.stack([_hash32(pool[i % 4], 0x8B51F9DD, 0x58F38DED, i) for i in range(8)], axis=1)
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64)
-
-
-class _HashedSeed:
-    """A PCG64's seed sequence reduced to what it reads, one (4,) row of ``_seed_words``;
-    registered as numpy's ``ISeedSequence`` on use, so importing loads no ``numpy.random``."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        assert (n_words, dtype) == (4, np.uint64), "a hashed seed holds a PCG64's 4 uint64 words"
-        return self.words
-
-
-def _walk_signs(words: np.ndarray, length: int) -> np.ndarray:
-    """(B, 2*ceil(length/2)) +-1 signs, row b from one ``random_raw`` call on a bare PCG64 seeded
-    by words[b]: bit 31, then bit 63, of each word, as ``integers(0, 2)`` and a "<u4" view read them."""
-    np.random.bit_generator.ISeedSequence.register(_HashedSeed)
-    raw = np.array([np.random.PCG64(_HashedSeed(row)).random_raw((length + 1) // 2) for row in words])
+def _walk_signs(raw: np.ndarray) -> np.ndarray:
+    """(B, 2W) +-1 signs from (B, W) raw PCG64 words: bit 31, then bit 63, of each word, as
+    ``integers(0, 2)`` and a "<u4" view read them."""
     bits = raw.astype("<u8", copy=False).view("<u4") >> np.uint32(31)
     return np.subtract(bits + bits, 1.0, dtype=float)
 
@@ -441,15 +396,14 @@ def _walk_signs(words: np.ndarray, length: int) -> np.ndarray:
 def simulate_profile_walks(profiles, trials: int, seed: int) -> np.ndarray:
     """Final sums of symmetric walks, one row per step-magnitude profile c_j.
 
-    Entry [j, i] is sum_k c_jk s_ik, with the signs s_i of trajectory i drawn
-    once at the longest profile's length by ``_walk_signs`` from ``_stream(seed,
-    _PROFILE_STREAM, i)``'s bit generator.  A shorter draw is a prefix of
-    that one, so row j is what profile j drawn alone gives.  Trials' seed
-    sequences are hashed ``_SEED_CHUNK`` at a time by ``_seed_words``, and
-    their signs drawn ``_WALK_BLOCK`` at a time; a profile's sums for a block
-    are one stacked matmul of (1, n) by (n,) products, each numpy's dot loop,
-    so each equals ``np.dot`` on its row bit for bit.  Profile j's increment
-    ranges are [-c_jk, c_jk].
+    Entry [j, i] is sum_k c_jk s_ik.  With W = ceil(longest profile / 2), the
+    signs s_i of trial i are row i of ``2 * _stream(seed, _PROFILE_STREAM)
+    .integers(0, 2, size=(trials, 2W)) - 1``: ``_walk_signs`` of the stream's
+    raw words [iW, (i+1)W), drawn ``_WALK_BLOCK`` trials at a time.  Profile j
+    sums the first c_j.size signs of each row; its sums for a block are one
+    stacked matmul of (1, n) by (n,) products, each numpy's dot loop, so each
+    equals ``np.dot`` on its row bit for bit.  Profile j's increment ranges
+    are [-c_jk, c_jk].
     """
     steps = [np.asarray(p, dtype=float) for p in profiles]
     if not steps:
@@ -460,15 +414,11 @@ def simulate_profile_walks(profiles, trials: int, seed: int) -> np.ndarray:
         if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
             raise ValueError("step sizes must be positive and finite")
     trials = _check_count(trials, "trials", 1)
-    if trials > 1 << 32:
-        raise ValueError("trials must be at most 2**32: a trial's index is one seed word")
-    longest = max(c.size for c in steps)
+    words = -(-max(c.size for c in steps) // 2)
+    bit_generator = _stream(seed, _PROFILE_STREAM).bit_generator
     sums = np.empty((len(steps), trials))
-    for chunk in range(0, trials, _SEED_CHUNK):
-        words = _seed_words(seed, (_PROFILE_STREAM,), np.arange(chunk, min(chunk + _SEED_CHUNK, trials)))
-        for offset in range(0, len(words), _WALK_BLOCK):
-            signs = _walk_signs(words[offset : offset + _WALK_BLOCK], longest)
-            start = chunk + offset
-            for j, c in enumerate(steps):
-                sums[j, start : start + len(signs)] = np.matmul(signs[:, None, : c.size], c)[:, 0]
+    for start in range(0, trials, _WALK_BLOCK):
+        signs = _walk_signs(bit_generator.random_raw((min(_WALK_BLOCK, trials - start), words)))
+        for j, c in enumerate(steps):
+            sums[j, start : start + len(signs)] = np.matmul(signs[:, None, : c.size], c)[:, 0]
     return sums

@@ -30,15 +30,17 @@ import functools
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bandit import Environment, Window, _expected_reward, _play_windows
+from .bandit import _WINDOW, Environment, Window, _expected_reward, _play_windows
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
+    _WALK_BLOCK,
     BudgetError,
     _stream,
     azuma_alt_bound,
@@ -151,11 +153,15 @@ class ExperimentConfig:
         # the environment builds its K means.
         sizes = [self.n_arms]
         if self.mode in ("simulate", "verify-bounds"):
-            sizes += [self.horizon * self.n_arms, self.trajectories]  # per trajectory; indices
+            # the engine's (R+1, B, K) policy window; trajectory indices
+            window = (min(_WINDOW, self.horizon) + 1) * min(_BLOCK, self.trajectories) * self.n_arms
+            sizes += [window, self.trajectories]
+        if self.mode == "verify-bounds":
+            sizes.append(2 * self.horizon)  # drivers.csv's (2, T) columns
         if self.mode == "simulate":
             sizes.append(self.trajectories * self.horizon)
         if self.mode == "compare-concentration":
-            sizes += [16 * self.walk_steps, 8 * self.walk_trials]  # signs; (8, trials) sums
+            sizes += [_WALK_BLOCK * 16 * self.walk_steps, 8 * self.walk_trials]  # a sign block; (8, trials) sums
         if max(sizes) > _MAX_ARRAY_ENTRIES:
             raise ValueError(
                 f"the campaign would allocate an array of {max(sizes)} entries, "
@@ -303,14 +309,14 @@ def _block_windows(cfg: ExperimentConfig, env: Environment, block: range):
 
 def _map_blocks(cfg: ExperimentConfig, worker):
     """Run ``worker`` on each block, in process at one worker, else in a pool
-    of no more processes than blocks; yields the results in index order, each
-    as it is ready."""
+    of no more processes than blocks or CPUs; yields the results in index
+    order, each as it is ready."""
     tasks = [(cfg, block) for block in _blocks(cfg)]
     if cfg.workers == 1:
         yield from map(worker, tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks), os.cpu_count() or 1)) as pool:
             yield from pool.map(worker, tasks)
 
 

@@ -43,7 +43,6 @@ from banditbounds.concentration import (
     _PROFILE_STREAM,
     _WALK_BLOCK,
     _conditional_segment,
-    _seed_words,
     _stream,
     _walk_signs,
 )
@@ -594,14 +593,15 @@ class TestMartingaleBounds:
                 assert hoeffding_azuma_bound(2.0 * steps, delta) == range_form
 
 
-def _walks_one_profile_at_a_time(profiles, trials, seed):
-    """Reference: each profile draws its own signs, at its own length."""
+def _walks_from_one_draw(profiles, trials, seed):
+    """Reference: one integers(0, 2) draw of (trials, 2W) signs, W = ceil(longest / 2),
+    and np.dot of each profile with its prefix of each trial's row."""
+    words = -(-max(steps.size for steps in profiles) // 2)
+    signs = 2.0 * _stream(seed, _PROFILE_STREAM).integers(0, 2, size=(trials, 2 * words)) - 1.0
     sums = np.empty((len(profiles), trials))
     for j, steps in enumerate(profiles):
         for i in range(trials):
-            rng = _stream(seed, _PROFILE_STREAM, i)
-            signs = 2.0 * rng.integers(0, 2, size=steps.size) - 1.0
-            sums[j, i] = float(np.dot(steps, signs))
+            sums[j, i] = float(np.dot(steps, signs[i, : steps.size]))
     return sums
 
 
@@ -639,77 +639,31 @@ class TestSimulators:
         with pytest.raises(ValueError):
             simulate_profile_walks([np.array([1.0])], trials=0, seed=0)
 
-    def test_shorter_sign_draw_is_a_prefix(self):
-        # The walk simulator draws each trial once, at the longest profile,
-        # as raw words whose bits ``integers(0, 2)`` reads; that a shorter
-        # ``integers`` draw is their prefix is numpy behaviour its API does
-        # not promise.
-        for i in range(300):
-            longest = _stream(0, _PROFILE_STREAM, i).integers(0, 2, size=1600)
-            for n in (1, 25, 100, 400):
-                draw = _stream(0, _PROFILE_STREAM, i).integers(0, 2, size=n)
-                assert np.array_equal(draw, longest[:n]), (i, n)
-
     def test_raw_bit_signs_are_the_integers_draw(self):
         # Bit 31, then bit 63, of each raw word is what integers(0, 2) reads
-        # from the same stream, at odd and even lengths.
+        # from the same stream: two trials of W words each, at odd and even
+        # lengths, are the rows of a (2, 2W) draw.
         for seed in range(50):
-            words = _seed_words(seed, (_PROFILE_STREAM,), np.arange(2))
             for n in (1, 2, 3, 25, 1599, 1600):
-                signs = _walk_signs(words, n)
+                words = (n + 1) // 2
+                signs = _walk_signs(_stream(seed, _PROFILE_STREAM).bit_generator.random_raw((2, words)))
+                bits = _stream(seed, _PROFILE_STREAM).integers(0, 2, size=(2, 2 * words))
                 assert signs.shape == (2, n + n % 2)
-                for i, row in enumerate(signs):
-                    bits = _stream(seed, _PROFILE_STREAM, i).integers(0, 2, size=n)
-                    assert np.array_equal(row[:n], 2.0 * bits - 1.0), (seed, n)
+                assert np.array_equal(signs, 2.0 * bits - 1.0), (seed, n)
 
     @pytest.mark.parametrize("trials", [15, 16, 17, 33, 1023, 1024, 1025, 2049])
     def test_blocks_spawn_the_documented_streams(self, trials):
-        # Each block's rows come from one hashed chunk: trial i's bit
-        # generator starts where _stream(seed, _PROFILE_STREAM, i)'s does,
-        # across the chunk boundaries too.
-        blocks = []
-
-        def recording(words, length):
-            blocks.append(words)
-            return _walk_signs(words, length)
-
-        with mock.patch.object(concentration, "_walk_signs", recording):
-            simulate_profile_walks([np.ones(3)], trials, seed=4)
-        assert [len(b) for b in blocks] == [min(_WALK_BLOCK, trials - s) for s in range(0, trials, _WALK_BLOCK)]
-        rows = [row for block in blocks for row in block]
-        for i, row in enumerate(rows):
-            expected = _stream(4, _PROFILE_STREAM, i).bit_generator.state
-            assert np.random.PCG64(concentration._HashedSeed(row)).state == expected, i
-
-    @given(seed=st.integers(0, 2**160), extra=st.lists(st.integers(0, 2**32 - 1), max_size=6))
-    @example(seed=0, extra=[])
-    @example(seed=2**32 - 1, extra=[])
-    @example(seed=2**32, extra=[])
-    @example(seed=2**64 + 1, extra=[])
-    @example(seed=2**130 + 7, extra=[])
-    @settings(max_examples=60)
-    def test_seed_words_are_numpys_hash(self, seed, extra):
-        # Seeds of 1 to 5 uint32 words, indices on both sides of a hash
-        # chunk's edge and the largest one-word index.
-        indices = [0, 1, 1023, 1024, 1025, 2**32 - 1] + extra
-        words = _seed_words(seed, (_PROFILE_STREAM,), np.array(indices))
-        assert words.shape == (len(indices), 4) and words.dtype == np.uint64
-        for i, row in zip(indices, words):
-            expected = np.random.SeedSequence(seed, spawn_key=(_PROFILE_STREAM, i)).generate_state(4, np.uint64)
-            assert row.tobytes() == expected.tobytes(), (seed, i)
-
-    def test_two_word_trial_index_is_rejected(self):
-        # An index of 2**32 or more is two entropy words, which the hash does
-        # not take: it raises before drawing anything, never hashing it wrongly.
-        for indices in ([2**32], [0, 2**32 + 5], [2**64 - 1]):
-            with pytest.raises(ValueError, match="below 2\\*\\*32"):
-                _seed_words(0, (_PROFILE_STREAM,), np.array(indices, dtype=np.uint64))
-        with mock.patch.object(concentration, "_walk_signs", side_effect=AssertionError("drew")):
-            with pytest.raises(ValueError, match="at most 2\\*\\*32"):
-                simulate_profile_walks([np.ones(1)], 2**32 + 1, seed=0)
+        # The block size only splits the one stream's words: sums are the
+        # same bytes with a block of 1, 7, 16 or 1 024 trials.
+        steps = [np.ones(3), np.array([5.0, 1.0, 1.0, 1.0])]
+        sums = []
+        for block in (1, 7, 16, 1024):
+            with mock.patch.object(concentration, "_WALK_BLOCK", block):
+                sums.append(simulate_profile_walks(steps, trials, seed=4).tobytes())
+        assert sums == sums[:1] * 4
 
     def test_walk_memory_does_not_grow_with_trials(self):
-        # Streams are spawned a block at a time: past the (P, trials) output,
+        # Signs are drawn a block at a time: past the (P, trials) output,
         # the peak is the same at 2 000 and at 20 000 trials.
         steps = [np.ones(n) for n in (25, 100, 400, 1600)]
         steps += [np.concatenate(([5.0], np.ones(n - 1))) for n in (25, 100, 400, 1600)]
@@ -737,7 +691,9 @@ class TestSimulators:
     )
     @settings(max_examples=40)
     def test_profiles_match_drawing_alone(self, profiles, trials, seed):
+        # Each profile's sums are what np.dot gives on its prefix of one
+        # integers(0, 2) draw of every trial's signs.
         profiles = [np.array(p) for p in profiles]
         sums = simulate_profile_walks(profiles, trials, seed)
-        reference = _walks_one_profile_at_a_time(profiles, trials, seed)
+        reference = _walks_from_one_draw(profiles, trials, seed)
         assert sums.tobytes() == reference.tobytes()

@@ -898,11 +898,41 @@ class TestRunVerifyBounds:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         cfg = ExperimentConfig(
             mode="verify-bounds", horizon=10, trajectories=2, workers=3, outdir=str(tmp_path)
         )
         run_verify_bounds(cfg)
         assert sizes == [2]
+
+    @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
+    def test_pool_has_no_more_workers_than_cpus(self, tmp_path, monkeypatch, cpus, expected):
+        # --workers 10000 asks for 12 blocks of one trajectory; the pool gets
+        # one process per CPU (one when the count is unknown).  The executor
+        # is faked: it records its size and maps in process, starting none.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        base = dict(mode="verify-bounds", horizon=10, trajectories=12)
+        run_verify_bounds(ExperimentConfig(workers=10_000, outdir=str(tmp_path / "many"), **base))
+        assert sizes == [expected]
+        run_verify_bounds(ExperimentConfig(workers=1, outdir=str(tmp_path / "one"), **base))
+        for name in ("coverage.csv", "violation_profile.csv", "drivers.csv", "manifest.json"):
+            assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_cli_import_loads_no_process_pool(self):
         # The pool's modules load only when a campaign asks for workers.
@@ -913,8 +943,8 @@ class TestRunVerifyBounds:
         assert out.stdout.strip() == "[]"
 
     def test_cli_import_loads_no_numpy_random(self):
-        # numpy.random loads on the first draw, not at import: the walk
-        # simulator defines its seed adapter on first use.
+        # numpy.random loads on the first draw, not at import: no module
+        # reaches into it at import time.
         code = "import sys, banditbounds.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
         src = str(Path(banditbounds.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -1194,6 +1224,10 @@ class TestFootprintCap:
             ["compare-concentration", "--walk-steps", str(10**8)],
             ["simulate", "--n-arms", str(10**6)],
             ["verify-bounds", "--n-arms", str(10**6)],
+            # the engine's (65, 256, 10^5) policy window at the default T = 1000
+            ["verify-bounds", "--n-arms", str(10**5), "--trajectories", "256"],
+            # one block of 16 trials' signs at the longest profile, 16 * 6 * 10^6 steps
+            ["compare-concentration", "--walk-steps", str(6 * 10**6)],
         ],
     )
     def test_oversized_config_exits_two_before_allocating(self, tmp_path, capsys, monkeypatch, argv):
