@@ -184,6 +184,14 @@ class Window(NamedTuple):
     floor: np.ndarray    # (R+1,)
 
 
+def _check_arms(record: Window, env: Environment) -> int:
+    """The record's arm count, which must be the environment's."""
+    k = record.pi.shape[-1]
+    if env.n_arms != k:
+        raise ValueError("environment and record disagree on the number of arms")
+    return k
+
+
 def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | None = None):
     """Play one trajectory per seed, all in lockstep, and yield ``Window``s.
 
@@ -204,7 +212,7 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
     def copies(delta: int) -> list[np.random.Generator]:
         return [np.random.Generator(copy.copy(rng.bit_generator).advance(delta)) for rng in rngs]
 
-    twins = copies(horizon)
+    twins = rngs if env.reward_kind == "point" else copies(horizon)  # point payouts draw nothing
     rounders = copies(2**64) if env.reward_kind == "beta" else None
 
     # Each window forms its first policy from the last rho of the window

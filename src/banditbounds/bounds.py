@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import Environment, Window, _expected_reward, _gibbs_weights, _schedule_arrays
+from .bandit import Environment, Window, _check_arms, _expected_reward, _gibbs_weights, _schedule_arrays
 from .divergences import _check_count, _check_delta, _check_pi_lmin
 
 __all__ = [
@@ -226,9 +226,7 @@ class RegretDecomposition:
 def regret_decomposition(record: Window, env: Environment) -> RegretDecomposition:
     """The split of ``run_game``'s record, with rho and rho_tilde as the game
     formed them: ``regret`` is the record's prediction regret from round K^3."""
-    horizon, k = record.rhat.shape
-    if env.n_arms != k:
-        raise ValueError("environment and record disagree on the number of arms")
+    horizon, k = len(record.rhat), _check_arms(record, env)
     start = k**3
     if horizon < start:
         raise ValueError(f"record of length {horizon} never reaches round K^3 = {start}")

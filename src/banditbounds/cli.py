@@ -13,7 +13,9 @@ import argparse
 import json
 import sys
 
+from .bandit import REWARD_KINDS
 from .harness import (
+    MODE_FIELDS,
     ExperimentConfig,
     _ensure_outdir,
     run_compare_concentration,
@@ -41,16 +43,31 @@ def _parse_means(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config", help="JSON file of config fields; explicit flags override it"
-    )
-    parser.add_argument("--delta", type=float, help="confidence level in (0, 1)")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--outdir", help="output directory")
-    parser.add_argument(
-        "--workers", type=int, help="worker processes for trajectory sweeps"
-    )
+# The add_argument keywords of each config field's flag, --n-arms for n_arms.
+_FLAGS = {
+    "delta": dict(type=float, help="confidence level in (0, 1)"),
+    "seed": dict(type=int, help="master seed"),
+    "outdir": dict(help="output directory"),
+    "workers": dict(type=int, help="worker processes for trajectory sweeps"),
+    "n_arms": dict(type=int, help="number of arms K"),
+    "horizon": dict(type=int, help="rounds per trajectory"),
+    "trajectories": dict(type=int, help="number of trajectories M"),
+    "means": dict(type=_parse_means, help='comma-separated arm means, e.g. "0.9,0.1" (default: evenly spread)'),
+    "reward_kind": dict(choices=REWARD_KINDS),
+    "warmup_length": dict(type=int, help="uniform warmup rounds (default K^3); any value up to K^3 "
+                          "plays the default game, a longer one extends the warmup"),
+    "store_traces": dict(action="store_true", default=None, help="dump one CSV per trajectory"),
+    "chain_count": dict(type=int, help="random dependent chains to enumerate"),
+    "probe_count": dict(type=int, help="random probes for the ratio check"),
+    "walk_trials": dict(type=int, help="simulated walks per profile"),
+    "walk_steps": dict(type=int, help="base step count (the grid scales it 1/4x to 16x)"),
+}
+_HELP = {
+    "simulate": "play the smoothed Gibbs strategy; emit regret quantiles vs the envelope",
+    "verify-bounds": "check both bound routes at every round; report trajectory coverage",
+    "oracles": "exact enumeration and identity suites",
+    "compare-concentration": "tabulate the two martingale tail bounds across range profiles",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,57 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded experiment runner for the bandit bound toolkit.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    sim = sub.add_parser(
-        "simulate",
-        help="play the smoothed Gibbs strategy; emit regret quantiles vs the envelope",
-    )
-    ver = sub.add_parser(
-        "verify-bounds",
-        help="check both bound routes at every round; report trajectory coverage",
-    )
-    for p in (sim, ver):
-        _add_common(p)
-        p.add_argument("--n-arms", type=int, help="number of arms K")
-        p.add_argument("--horizon", type=int, help="rounds per trajectory")
-        p.add_argument("--trajectories", type=int, help="number of trajectories M")
-        p.add_argument(
-            "--means",
-            type=_parse_means,
-            help='comma-separated arm means, e.g. "0.9,0.1" (default: evenly spread)',
-        )
-        p.add_argument("--reward-kind", choices=("bernoulli", "point", "beta"))
-        p.add_argument(
-            "--warmup-length",
-            type=int,
-            help="uniform warmup rounds (default K^3); any value up to K^3 "
-            "plays the default game, a longer one extends the warmup",
-        )
-    sim.add_argument(
-        "--store-traces",
-        action="store_true",
-        default=None,
-        help="dump one CSV per trajectory",
-    )
-
-    orc = sub.add_parser("oracles", help="exact enumeration and identity suites")
-    _add_common(orc)
-    orc.add_argument(
-        "--chain-count", type=int, help="random dependent chains to enumerate"
-    )
-    orc.add_argument(
-        "--probe-count", type=int, help="random probes for the ratio check"
-    )
-
-    cmp_ = sub.add_parser(
-        "compare-concentration",
-        help="tabulate the two martingale tail bounds across range profiles",
-    )
-    _add_common(cmp_)
-    cmp_.add_argument("--walk-trials", type=int, help="simulated walks per profile")
-    cmp_.add_argument(
-        "--walk-steps", type=int, help="base step count (the grid scales it 1/4x to 16x)"
-    )
+    for mode, fields in MODE_FIELDS.items():
+        p = sub.add_parser(mode, help=_HELP[mode])
+        p.add_argument("--config", help="JSON file of config fields; explicit flags override it")
+        for name in ("delta", "seed", "outdir", "workers", *fields):
+            p.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
     return parser
 
 

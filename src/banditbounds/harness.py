@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandit import _WINDOW, Environment, Window, _expected_reward, _play_windows
+from .bandit import _WINDOW, Environment, Window, _check_arms, _expected_reward, _play_windows
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     _WALK_BLOCK,
@@ -52,7 +52,7 @@ from .concentration import (
     random_constant_mean_chain,
     simulate_profile_walks,
 )
-from .divergences import _check_count, bernoulli_kl_vec, pinsker_gap
+from .divergences import _check_count, _check_delta, bernoulli_kl_vec, pinsker_gap
 
 __all__ = [
     "BoundCoverage",
@@ -70,7 +70,15 @@ __all__ = [
     "write_trace_csv",
 ]
 
-MODES = ("simulate", "verify-bounds", "oracles", "compare-concentration")
+# The fields each mode reads besides seed, delta, outdir and workers, in CLI flag order.
+_BANDIT_FIELDS = ("n_arms", "horizon", "trajectories", "means", "reward_kind", "warmup_length")
+MODE_FIELDS = {
+    "simulate": (*_BANDIT_FIELDS, "store_traces"),
+    "verify-bounds": _BANDIT_FIELDS,
+    "oracles": ("chain_count", "probe_count"),
+    "compare-concentration": ("walk_trials", "walk_steps"),
+}
+MODES = tuple(MODE_FIELDS)
 
 _TRAJECTORY_STREAM = 0
 _CHAIN_STREAM = 3
@@ -139,8 +147,8 @@ class ExperimentConfig:
             or not all(_is_real(m) for m in self.means)
         ):
             raise ValueError(f"means must be a sequence of numbers, got {self.means!r}")
-        if not isinstance(self.store_traces, bool):
-            raise ValueError(f"store_traces must be true or false, got {self.store_traces!r}")
+        if not isinstance(self.store_traces, bool) or (self.store_traces and self.mode != "simulate"):
+            raise ValueError(f"store_traces must be false, or true for simulate, got {self.store_traces!r}")
         if not isinstance(self.outdir, str):
             raise ValueError(f"outdir must be a path string, got {self.outdir!r}")
         if not 0.0 < self.delta < 1.0:
@@ -161,7 +169,8 @@ class ExperimentConfig:
         if self.mode == "simulate":
             sizes.append(self.trajectories * self.horizon)
         if self.mode == "compare-concentration":
-            sizes += [_WALK_BLOCK * 16 * self.walk_steps, 8 * self.walk_trials]  # a sign block; (8, trials) sums
+            cells = _walk_cells(self.walk_steps)  # a sign block of the longest walk; the sums
+            sizes += [_WALK_BLOCK * max(n for _, n in cells), len(cells) * self.walk_trials]
         if max(sizes) > _MAX_ARRAY_ENTRIES:
             raise ValueError(
                 f"the campaign would allocate an array of {max(sizes)} entries, "
@@ -180,22 +189,10 @@ class ExperimentConfig:
         )
 
     def semantic_fields(self) -> dict:
-        base = {"mode": self.mode, "seed": self.seed, "delta": self.delta}
-        if self.mode in ("simulate", "verify-bounds"):
-            base.update(
-                n_arms=self.n_arms,
-                horizon=self.horizon,
-                trajectories=self.trajectories,
-                means=list(self.resolved_means()),
-                reward_kind=self.reward_kind,
-                warmup_length=self.warmup_length,
-                store_traces=self.store_traces,
-            )
-        elif self.mode == "oracles":
-            base.update(chain_count=self.chain_count, probe_count=self.probe_count)
-        else:
-            base.update(walk_trials=self.walk_trials, walk_steps=self.walk_steps)
-        return base
+        names = ("mode", "seed", "delta", *MODE_FIELDS[self.mode])
+        if self.mode == "verify-bounds":
+            names += ("store_traces",)  # always false; recorded as simulate records it
+        return {name: list(self.resolved_means()) if name == "means" else getattr(self, name) for name in names}
 
 
 def _cell(x) -> str:
@@ -328,6 +325,7 @@ def _map_blocks(cfg: ExperimentConfig, worker):
 def prediction_regret(record: Window, env: Environment) -> np.ndarray:
     """Per-round regret of the policy formed after round t (played at t+1),
     for ``run_game``'s record or each row of a block's window."""
+    _check_arms(record, env)
     return env.best_mean - _expected_reward(record.pi[..., 1:, :], env.means)
 
 
@@ -526,8 +524,9 @@ def certificate_sweep(record: Window, env: Environment, delta: float) -> dict:
     the one-window call of the sweep.  Returns a one-trajectory record: per
     route, whether any comparator broke its bound at each round, and the
     smallest slack."""
+    _check_arms(record, env)
     window = record._replace(rhat=record.rhat[None], rho=record.rho[None], pi_lmin=record.pi_lmin[None])
-    return _coverage([window], env, delta, len(record.actions))
+    return _coverage([window], env, _check_delta(delta), len(record.actions))
 
 
 def _first_row_columns(windows, pi_min: np.ndarray, pi_lmin: np.ndarray):
@@ -745,19 +744,23 @@ def run_oracles(cfg: ExperimentConfig) -> OracleReport:
 # ---------------------------------------------------------------------------
 
 
+def _walk_cells(walk_steps: int) -> list[tuple[str, int]]:
+    """The (profile, n_steps) pairs the campaign walks: both profiles at
+    n = base/4, base, 4 base and 16 base, with base = max(2, walk_steps)."""
+    base = max(2, walk_steps)
+    return [(p, n) for p in ("equal", "one_spike") for n in (max(2, base // 4), base, 4 * base, 16 * base)]
+
+
 def run_compare_concentration(cfg: ExperimentConfig) -> list[dict]:
     cfg.validate()
     outdir = _ensure_outdir(cfg)
-    base = max(2, cfg.walk_steps)
-    n_grid = [max(2, base // 4), base, 4 * base, 16 * base]
     deltas = sorted({0.1, 0.05, 0.01} | {cfg.delta}, reverse=True)
     cells = []
-    for profile in ("equal", "one_spike"):
-        for n in n_grid:
-            steps = np.ones(n)
-            if profile == "one_spike":
-                steps[0] = 5.0
-            cells.append((profile, n, steps))
+    for profile, n in _walk_cells(cfg.walk_steps):
+        steps = np.ones(n)
+        if profile == "one_spike":
+            steps[0] = 5.0
+        cells.append((profile, n, steps))
     all_sums = simulate_profile_walks([steps for _, _, steps in cells], cfg.walk_trials, cfg.seed)
     rows: list[dict] = []
     for (profile, n, steps), sums in zip(cells, all_sums):

@@ -408,6 +408,22 @@ class TestRunGame:
             # Importance weights never exceed the inverse running floor.
             assert w <= 1.0 / trace.pi_lmin[t] + 1e-9
 
+    @pytest.mark.parametrize("kind, copies", [("point", 0), ("bernoulli", 3), ("beta", 6)])
+    def test_only_drawn_payouts_copy_the_stream(self, kind, copies):
+        # Point payouts are the means and read no payout stream, so a point
+        # game copies no bit generator; the others copy one or two per seed.
+        calls = []
+        real_copy = bandit.copy.copy
+
+        def counting_copy(x):
+            calls.append(x)
+            return real_copy(x)
+
+        env = Environment(means=np.array([0.65, 0.35]), reward_kind=kind)
+        with mock.patch.object(bandit.copy, "copy", counting_copy):
+            list(_play_windows(env, 10, [0, 1, 2]))
+        assert len(calls) == copies
+
     def test_reward_kinds(self):
         means = np.array([0.65, 0.35])
         point = run_game(Environment(means=means, reward_kind="point"), 20, seed=2)

@@ -5,6 +5,7 @@ using the scalar bound functions round by round, so the harness cannot
 drift away from the library's own definitions.
 """
 
+import argparse
 import concurrent.futures
 import copy
 import csv
@@ -49,7 +50,7 @@ from banditbounds import (
 import banditbounds
 import reference
 from banditbounds import bandit, harness, write_trace_csv
-from banditbounds.cli import main
+from banditbounds.cli import build_parser, main
 from reference import gibbs_posterior, kl_certificate, schedule_pi_min
 
 
@@ -100,6 +101,8 @@ class TestExperimentConfig:
             {"mode": "simulate", "store_traces": "yes"},
             {"mode": "simulate", "outdir": 5},
             {"mode": "oracles", "seed": -1},
+            {"mode": "verify-bounds", "store_traces": True},  # only simulate writes traces
+            {"mode": "oracles", "store_traces": True},
         ],
     )
     def test_rejections(self, kwargs):
@@ -541,6 +544,26 @@ class TestCertificateSweep:
             assert entry.violated == 0
             assert not entry.per_round_violations.any()
             assert entry.worst_slack > 0.0
+
+    @pytest.mark.parametrize("delta", [math.nan, 1.5, 0.0, -0.5])
+    def test_rejects_delta_outside_the_unit_interval(self, delta):
+        # nan once read as 0 violations and an infinite slack; 0 and -0.5
+        # failed in math.log, 1.5 ran to the end.
+        env = Environment(means=np.array([0.7, 0.2]))
+        with pytest.raises(ValueError, match="delta must lie in"):
+            certificate_sweep(run_game(env, horizon=20, seed=0), env, delta)
+
+    @pytest.mark.parametrize("means", [[0.5], [0.5, 0.4, 0.3]])
+    @pytest.mark.parametrize(
+        "check",
+        [prediction_regret, lambda record, env: certificate_sweep(record, env, 0.05)],
+        ids=["prediction_regret", "certificate_sweep"],
+    )
+    def test_rejects_an_environment_of_other_arms(self, check, means):
+        # A one-arm environment once broadcast against a two-arm record.
+        record = run_game(Environment(means=np.array([0.7, 0.2])), horizon=20, seed=0)
+        with pytest.raises(ValueError, match="number of arms"):
+            check(record, Environment(means=np.array(means)))
 
 
 class TestMerge:
@@ -1274,6 +1297,18 @@ class TestFootprintCap:
     def test_named_sizes_stay_valid(self, kwargs):
         ExperimentConfig(**kwargs).validate()
 
+    def test_sign_block_cap_counts_the_longest_walk(self, tmp_path, monkeypatch):
+        # At --walk-steps 1 the grid's base is 2, so the campaign walks up to
+        # 32 steps; the cap must count that sign block, not 16 * walk_steps.
+        cfg = ExperimentConfig(mode="compare-concentration", walk_steps=1, walk_trials=4, outdir=str(tmp_path))
+        longest = max(row["n_steps"] for row in run_compare_concentration(cfg))
+        assert longest == 32
+        monkeypatch.setattr(harness, "_MAX_ARRAY_ENTRIES", harness._WALK_BLOCK * longest)
+        cfg.validate()
+        monkeypatch.setattr(harness, "_MAX_ARRAY_ENTRIES", harness._WALK_BLOCK * longest - 1)
+        with pytest.raises(ValueError, match="over the cap"):
+            cfg.validate()
+
     def test_walk_trials_boundary(self, tmp_path, capsys, monkeypatch):
         # The largest compare-concentration array is the (8, walk_trials)
         # table of sums.  Only validate these sizes: a campaign at either
@@ -1345,6 +1380,17 @@ def _config_objects(draw, mode: str):
 
 
 class TestCliFuzz:
+    def test_mode_table_drives_the_flags(self):
+        # The literal above pins the harness's table independently; each
+        # subcommand takes the common flags, then one flag per field.
+        assert _MODE_FIELDS == harness.MODE_FIELDS
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(_MODE_FIELDS)
+        for mode, fields in _MODE_FIELDS.items():
+            flags = [o for a in sub.choices[mode]._actions for o in a.option_strings if o.startswith("--")]
+            common = ["--help", "--config", "--delta", "--seed", "--outdir", "--workers"]
+            assert flags == common + ["--" + name.replace("_", "-") for name in fields], mode
+
     @pytest.mark.parametrize("mode", harness.MODES)
     @settings(max_examples=10)
     @given(data=st.data())
