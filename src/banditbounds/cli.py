@@ -48,7 +48,7 @@ _FLAGS = {
     "delta": dict(type=float, help="confidence level in (0, 1)"),
     "seed": dict(type=int, help="master seed"),
     "outdir": dict(help="output directory"),
-    "workers": dict(type=int, help="worker processes for trajectory sweeps"),
+    "workers": dict(type=int, help="worker processes for verify-bounds; other modes run in one process"),
     "n_arms": dict(type=int, help="number of arms K"),
     "horizon": dict(type=int, help="rounds per trajectory"),
     "trajectories": dict(type=int, help="number of trajectories M"),

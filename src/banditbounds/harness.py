@@ -12,8 +12,9 @@
   classical Hoeffding-Azuma bound across range profiles, with empirical
   coverage.
 
-Both bandit modes split the trajectories once into lockstep blocks, in
-index order, and play them in process or in a pool of worker processes.
+``simulate`` plays all its trajectories as one lockstep block in process.
+``verify-bounds`` splits them once into lockstep blocks, in index order, and
+plays the blocks in process or in a pool of worker processes.
 
 Reproducibility contract: trajectory ``i`` of a campaign with master seed
 ``s`` always uses the generator seeded by ``SeedSequence(s,
@@ -85,12 +86,14 @@ _CHAIN_STREAM = 3
 _PROBE_STREAM = 4
 
 # Cap on the entries of the largest array a campaign allocates (800 MB of
-# float64): simulate's (M, T) regret matrix at M = 1000, T = 10^5 just fits.
+# float64): simulate's (R+1, M, K) policy window at M = 10^6, K = 2 does not fit.
 _MAX_ARRAY_ENTRIES = 10**8
-# Most trajectories the engine plays in lockstep, one block per task.  A
+# Most trajectories verify-bounds plays in lockstep, one block per task.  A
 # round of a block costs little more than a round of one trajectory, and the
 # engine holds (B, R, K) windows.
 _BLOCK = 256
+# Open files a --store-traces run leaves for the standard streams, regret_curve.csv and the interpreter.
+_FILE_HEADROOM = 32
 # Table rows held as text at once: a chunk of a table, or of a window's traces.
 _CSV_ROWS = 1024
 # Exp-sum probes evaluated per kernel call.
@@ -149,6 +152,12 @@ class ExperimentConfig:
             raise ValueError(f"means must be a sequence of numbers, got {self.means!r}")
         if not isinstance(self.store_traces, bool) or (self.store_traces and self.mode != "simulate"):
             raise ValueError(f"store_traces must be false, or true for simulate, got {self.store_traces!r}")
+        if self.store_traces:  # all M trace files are open at once
+            import resource  # POSIX only
+            soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+            need = self.trajectories + _FILE_HEADROOM
+            if soft != resource.RLIM_INFINITY and need > soft:
+                raise ValueError(f"store_traces would hold {need} files open, over the limit of {soft}")
         if not isinstance(self.outdir, str):
             raise ValueError(f"outdir must be a path string, got {self.outdir!r}")
         if not 0.0 < self.delta < 1.0:
@@ -161,13 +170,13 @@ class ExperimentConfig:
         # the environment builds its K means.
         sizes = [self.n_arms]
         if self.mode in ("simulate", "verify-bounds"):
-            # the engine's (R+1, B, K) policy window; trajectory indices
-            window = (min(_WINDOW, self.horizon) + 1) * min(_BLOCK, self.trajectories) * self.n_arms
-            sizes += [window, self.trajectories]
+            # the engine's (R+1, B, K) policy window (simulate's one block is M); trajectory indices
+            block = self.trajectories if self.mode == "simulate" else min(_BLOCK, self.trajectories)
+            sizes += [(min(_WINDOW, self.horizon) + 1) * block * self.n_arms, self.trajectories]
         if self.mode == "verify-bounds":
             sizes.append(2 * self.horizon)  # drivers.csv's (2, T) columns
         if self.mode == "simulate":
-            sizes.append(self.trajectories * self.horizon)
+            sizes.append(self.horizon)  # the envelope and median (T,) columns
         if self.mode == "compare-concentration":
             cells = _walk_cells(self.walk_steps)  # a sign block of the longest walk; the sums
             sizes += [_WALK_BLOCK * max(n for _, n in cells), len(cells) * self.walk_trials]
@@ -227,17 +236,19 @@ def _lines(columns: list[list[str]]) -> str:
     return "\r\n".join([",".join(row) or '""' for row in zip(*columns)]) + "\r\n"
 
 
-def _write_csv(out, columns: dict) -> None:
+def _write_csv(out, columns: dict, header: bool = True) -> None:
     """Write the table whose header is the keys of ``columns`` to ``out``, a
-    path or an open text file.  A column is a numpy array or a list of
-    Python scalars; each ``_CSV_ROWS`` rows are formatted and written at once."""
+    path or an open text file; without ``header``, add its rows to a table
+    begun in ``out``.  A column is a numpy array or a list of Python
+    scalars; each ``_CSV_ROWS`` rows are formatted and written at once."""
     lengths = {len(c) for c in columns.values()}
     if len(lengths) != 1:  # before a path is opened, and so truncated
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     if isinstance(out, (str, Path)):
         with open(out, "w", newline="") as fh:
             return _write_csv(fh, columns)
-    out.write(_lines([_texts([name]) for name in columns]))
+    if header:
+        out.write(_lines([_texts([name]) for name in columns]))
     for start in range(0, lengths.pop(), _CSV_ROWS):
         out.write(_lines([_texts(c[start : start + _CSV_ROWS]) for c in columns.values()]))
 
@@ -336,25 +347,6 @@ def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
     return env
 
 
-def _simulate_block(args) -> np.ndarray:
-    """Regret rows of the trajectories in ``block``, filled a window at a
-    time; with ``store_traces``, each window is added to its trajectories'
-    files, which stay open while the block plays."""
-    cfg, block = args
-    env = cfg.environment()
-    rows = np.empty((len(block), cfg.horizon))
-    with contextlib.ExitStack() as stack:
-        files = [
-            stack.enter_context(open(Path(cfg.outdir) / f"trace_{i:04d}.csv", "w", newline=""))
-            for i in block
-        ] if cfg.store_traces else []
-        for w in _block_windows(cfg, env, block):
-            regret = prediction_regret(w, env)
-            rows[:, w.start : w.start + regret.shape[1]] = regret
-            _write_traces(files, w.start, w.actions, w.rewards, w.pi[:, :-1], w.rhat)
-    return rows
-
-
 def _loglog_slope(ts: np.ndarray, ys: np.ndarray) -> float:
     mask = np.isfinite(ys) & (ys > 0.0)
     if mask.sum() < 2:
@@ -371,36 +363,44 @@ class SimulateResult:
 
 
 def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
+    """Play the M trajectories as one lockstep block and fold each (M, R)
+    window as it arrives: only (T,) columns and (M,) coverage flags outlive it."""
     cfg.validate()
     outdir = _ensure_outdir(cfg)
     k = cfg.n_arms
-
-    # One block's rows are the (M, T) matrix itself; several fill it as they
-    # arrive, bound to no name that would hold them while the next block plays.
-    blocks = _blocks(cfg)
-    with contextlib.closing(_map_blocks(cfg, _simulate_block)) as results:
-        if len(blocks) == 1:
-            regret = next(results)
-        else:
-            regret = np.empty((cfg.trajectories, cfg.horizon))
-            for block in blocks:
-                regret[block.start : block.stop] = next(results)
-
-    # Rounds t >= K^3, from column K^3 - 1 on, are the envelope's scope.
+    env = cfg.environment()
     envelope = _envelope_curve(k, cfg.horizon, cfg.delta)
-    scoped = slice(k**3 - 1, None)
-    inside = regret[:, scoped] <= envelope[scoped]
-    covered = inside.all(axis=1)
-    within = np.full(cfg.horizon, np.nan)
-    within[scoped] = inside.mean(axis=0)
-
-    # The quantiles partition the matrix in place: it is not read again.
-    q10, q50, q90 = np.quantile(regret, [0.1, 0.5, 0.9], axis=0, overwrite_input=True)
+    scope = k**3 - 1  # rounds t >= K^3, from column K^3 - 1 on, are the envelope's scope
+    q50 = np.empty(cfg.horizon)
+    covered = np.ones(cfg.trajectories, dtype=bool)
+    with contextlib.ExitStack() as stack:
+        curve = stack.enter_context(open(outdir / "regret_curve.csv", "w", newline=""))
+        files = [
+            stack.enter_context(open(outdir / f"trace_{i:04d}.csv", "w", newline=""))
+            for i in range(cfg.trajectories)
+        ] if cfg.store_traces else []
+        for w in _block_windows(cfg, env, range(cfg.trajectories)):
+            regret = prediction_regret(w, env)
+            rounds = slice(w.start, w.start + regret.shape[1])
+            inside = regret <= envelope[rounds]
+            unscoped = max(0, scope - w.start)
+            covered &= inside[:, unscoped:].all(axis=1)
+            within = inside.mean(axis=0)
+            within[:unscoped] = np.nan
+            # The quantiles partition the window in place: it is not read again.
+            lo, mid, hi = np.quantile(regret, [0.1, 0.5, 0.9], axis=0, overwrite_input=True)
+            q50[rounds] = mid
+            _write_csv(curve, {
+                "t": np.arange(rounds.start + 1, rounds.stop + 1), "regret_q10": lo, "regret_q50": mid,
+                "regret_q90": hi, "envelope": envelope[rounds], "slack_q50": envelope[rounds] - mid,
+                "within_fraction": within,
+            }, header=w.start == 0)
+            _write_traces(files, w.start, w.actions, w.rewards, w.pi[:, :-1], w.rhat)
 
     ts = np.arange(1, cfg.horizon + 1)
     fit_lo = max(k**3, cfg.horizon // 10)
     fit_mask = ts >= fit_lo
-    scoped_rounds = inside.shape[1]
+    scoped_rounds = max(0, cfg.horizon - scope)
     summary = {
         "median_regret_final": float(q50[-1]),
         "regret_loglog_slope": _loglog_slope(ts[fit_mask], q50[fit_mask]),
@@ -409,11 +409,6 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
         "scoped_rounds": scoped_rounds,
         "fit_window_start": int(fit_lo),
     }
-
-    _write_csv(outdir / "regret_curve.csv", {
-        "t": ts, "regret_q10": q10, "regret_q50": q50, "regret_q90": q90,
-        "envelope": envelope, "slack_q50": envelope - q50, "within_fraction": within,
-    })
     _write_manifest(outdir, cfg, summary)
     return SimulateResult(envelope=envelope, trajectory_covered=covered, summary=summary, outdir=outdir)
 

@@ -306,16 +306,18 @@ class TestWindows:
             assert np.array_equal(got.per_round_violations, entry.per_round_violations)
 
     def test_simulate_rows_are_prediction_regret(self, tmp_path):
-        # The block worker's rows, filled 7 rounds at a time, against each
-        # trajectory's record played alone.
+        # The quantiles the campaign folds 7 rounds at a time, against the
+        # quantiles of each trajectory's record played alone.
         cfg = ExperimentConfig(outdir=str(tmp_path), **self._SIMULATE)
         with mock.patch.object(bandit, "_WINDOW", 7):
-            rows = harness._simulate_block((cfg, range(1, cfg.trajectories)))
+            run_simulate(cfg)
         env = cfg.environment()
-        assert rows.shape == (cfg.trajectories - 1, cfg.horizon)
-        for i, row in enumerate(rows, start=1):
-            trace = run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i))
-            assert np.array_equal(row, prediction_regret(trace, env)), i
+        regret = [prediction_regret(run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i)), env)
+                  for i in range(cfg.trajectories)]
+        rows = read_csv(tmp_path / "regret_curve.csv")
+        assert rows[0][1:4] == ["regret_q10", "regret_q50", "regret_q90"]
+        got = np.array([[float(x) for x in row[1:4]] for row in rows[1:]]).T
+        assert np.array_equal(got, np.quantile(regret, [0.1, 0.5, 0.9], axis=0))
 
     @pytest.mark.parametrize("rows", [10, harness._CSV_ROWS])
     def test_store_traces_writes_once_per_trajectory_per_window(self, tmp_path, rows):
@@ -340,8 +342,9 @@ class TestWindows:
         cfg = ExperimentConfig(outdir=str(tmp_path), **self._SIMULATE)
         with mock.patch.object(bandit, "_WINDOW", 7), mock.patch.object(harness, "_CSV_ROWS", rows), \
                 mock.patch.object(harness, "open", CountingFile, create=True):
-            harness._simulate_block((cfg, range(cfg.trajectories)))
-        assert writes == {f"trace_{i:04d}.csv": 7 for i in range(cfg.trajectories)}  # 45 rounds, 7 windows
+            run_simulate(cfg)
+        traces = {name: n for name, n in writes.items() if name.startswith("trace_")}
+        assert traces == {f"trace_{i:04d}.csv": 7 for i in range(cfg.trajectories)}  # 45 rounds, 7 windows
 
     @pytest.mark.parametrize("kind", ["bernoulli", "point", "beta"])
     def test_chunk_memory_does_not_hold_the_horizon(self, kind):
@@ -717,36 +720,35 @@ class TestReferenceWriter:
         trajectories=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
         window=st.sampled_from([1, 7, bandit._WINDOW]),
-        block=st.sampled_from([1, 7, harness._BLOCK]),
         rows=st.sampled_from([1, 7, harness._CSV_ROWS]),
     )
-    def test_outputs_are_the_reference_writers_bytes(
-        self, k, kind, horizon, trajectories, seed, window, block, rows
-    ):
+    def test_outputs_are_the_reference_writers_bytes(self, k, kind, horizon, trajectories, seed, window, rows):
         # regret_curve.csv, every trace file and write_trace_csv against
         # csv.writer rows written one call per trajectory per window, with
         # text formatted a few rows or a trajectory at a time, or all at once.
+        # regret_curve.csv's columns are computed here from each trajectory's
+        # record played alone, so the campaign's window fold is checked too.
         cfg = ExperimentConfig(
             mode="simulate", n_arms=k, horizon=horizon, trajectories=trajectories, seed=seed,
             means=tuple(np.random.default_rng(seed).uniform(0.0, 1.0, k)), reward_kind=kind,
             store_traces=True,
         )
         env = cfg.environment()
-        tables = {}
-        write_csv = harness._write_csv
-
-        def keep_columns(out, columns):
-            if isinstance(out, Path):
-                tables[out.name] = columns
-            write_csv(out, columns)
+        regret = np.array([prediction_regret(run_game(env, horizon, trajectory_stream(seed, i)), env)
+                           for i in range(trajectories)])
+        envelope = harness._envelope_curve(k, horizon, cfg.delta)
+        q10, q50, q90 = np.quantile(regret, [0.1, 0.5, 0.9], axis=0)
+        scoped = np.arange(1, horizon + 1) >= k**3
+        within = np.where(scoped, (regret <= envelope).mean(axis=0), np.nan)
+        curve = {"t": np.arange(1, horizon + 1), "regret_q10": q10, "regret_q50": q50, "regret_q90": q90,
+                 "envelope": envelope, "slack_q50": envelope - q50, "within_fraction": within}
 
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(bandit, "_WINDOW", window), \
-                mock.patch.object(harness, "_BLOCK", block), mock.patch.object(harness, "_CSV_ROWS", rows), \
-                mock.patch.object(harness, "_write_csv", keep_columns):
+                mock.patch.object(harness, "_CSV_ROWS", rows):
             out = Path(tmp)
             run_simulate(dataclasses.replace(cfg, outdir=tmp))
             expected = io.StringIO()
-            reference.write_csv(expected, tables["regret_curve.csv"])
+            reference.write_csv(expected, curve)
             assert (out / "regret_curve.csv").read_bytes() == expected.getvalue().encode()
             for i in range(trajectories):
                 expected = io.StringIO()
@@ -810,22 +812,21 @@ class TestRunSimulate:
         assert manifest["summary"]["scoped_rounds"] == 40 - 8 + 1  # t = K^3..T
 
     @pytest.mark.parametrize("kind, trajectories, horizon", [("point", 600, 3000), ("bernoulli", 1000, 2000)])
-    def test_regret_matrix_is_held_once(self, tmp_path, kind, trajectories, horizon):
-        # Several blocks fill one (M, T) matrix as their rows arrive; joining
-        # them once all have arrived holds the matrix twice, a peak of 2.00x.
-        cfg = ExperimentConfig(
-            mode="simulate", horizon=horizon, trajectories=trajectories, reward_kind=kind, outdir=str(tmp_path)
-        )
-        assert len(harness._blocks(cfg)) > 1
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path, kind, trajectories, horizon):
+        # The fold keeps (T,) columns and (M,) flags past a window.  From T to
+        # 4T the peak may grow by those columns; an (M, T) matrix would grow
+        # it by 3 M T float64 entries, 43 MB at 600 x 3000.
+        cfg = ExperimentConfig(mode="simulate", trajectories=trajectories, reward_kind=kind, outdir=str(tmp_path))
         run_simulate(dataclasses.replace(cfg, horizon=10, trajectories=3))  # allocates what later calls reuse
-        tracemalloc.start()
-        try:
-            run_simulate(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        matrix = trajectories * horizon * 8
-        assert peak < 1.7 * matrix, peak / matrix
+        peaks = []
+        for t in (horizon, 4 * horizon):
+            tracemalloc.start()
+            try:
+                run_simulate(dataclasses.replace(cfg, horizon=t))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
     def test_byte_determinism_across_outdirs(self, tmp_path):
         base = dict(mode="simulate", horizon=30, trajectories=4, seed=7)
@@ -837,6 +838,20 @@ class TestRunSimulate:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
+
+    def test_workers_start_no_pool(self, tmp_path, monkeypatch):
+        # simulate plays its trajectories in one process whatever --workers
+        # asks for, and writes the same bytes.
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                pytest.fail("simulate started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        argv = ["simulate", "--horizon", "30", "--trajectories", "300", "--seed", "6"]
+        for workers in (1, 3):
+            assert main([*argv, "--workers", str(workers), "--outdir", str(tmp_path / f"w{workers}")]) == 0
+        for name in ("regret_curve.csv", "manifest.json"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes(), name
 
     def test_stored_traces_do_not_depend_on_workers(self, tmp_path):
         for workers in (1, 3):
@@ -1292,10 +1307,31 @@ class TestFootprintCap:
              "horizon": 10**4, "store_traces": True},
             {"mode": "oracles"},
             {"mode": "compare-concentration"},
+            # M T = 2 10^8: simulate holds no (M, T) array
+            {"mode": "simulate", "trajectories": 2000, "horizon": 10**5},
         ],
     )
     def test_named_sizes_stay_valid(self, kwargs):
         ExperimentConfig(**kwargs).validate()
+
+    def test_simulate_window_counts_every_trajectory(self):
+        # simulate plays its M trajectories as one block: at M = 10^6 the
+        # engine's (65, 10^6, 2) policy window is over the cap.
+        with pytest.raises(ValueError, match="over the cap"):
+            ExperimentConfig(mode="simulate", trajectories=10**6, horizon=100).validate()
+
+    def test_store_traces_fits_the_open_file_limit(self, tmp_path, capsys, monkeypatch):
+        # The run holds every trace file open at once; at a soft limit of 64
+        # open files, 100 trajectories exit 2 before any file is made.
+        import resource
+
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (64, resource.RLIM_INFINITY))
+        argv = ["simulate", "--horizon", "10", "--store-traces"]
+        assert main([*argv, "--trajectories", "100", "--outdir", str(tmp_path / "many")]) == 2
+        assert "open" in capsys.readouterr().err
+        assert not (tmp_path / "many").exists()
+        assert main([*argv, "--trajectories", "20", "--outdir", str(tmp_path / "few")]) == 0
+        assert len(list((tmp_path / "few").glob("trace_*.csv"))) == 20
 
     def test_sign_block_cap_counts_the_longest_walk(self, tmp_path, monkeypatch):
         # At --walk-steps 1 the grid's base is 2, so the campaign walks up to
