@@ -6,7 +6,7 @@ enumeration oracles plus a seeded Monte Carlo harness used to check every
 bound empirically.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from . import bandit, bounds, concentration, divergences, harness
 from .bandit import *  # noqa: F403

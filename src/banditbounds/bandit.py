@@ -11,13 +11,13 @@ does for every K <= 48), and min(epsilon_t, 1/K) is already 1/K before round
 K^3, so any warmup up to K^3 plays the default game bit for bit; a longer
 one extends the uniform phase.
 
-Engine: ``_play_windows`` plays a block of B trajectories in lockstep, with
-the trajectory index as a numpy axis, and hands them out ``_WINDOW`` = R
+Engine: ``_play_windows`` plays a block of B trajectories in lockstep in
+arms-first buffers, trajectory index last, and hands them out ``_WINDOW`` = R
 rounds at a time, drawing each window's action uniforms and payouts as it
-goes.  A trajectory's rounds do not depend on the block it is played in or
-on where the windows break, and a game of any reward kind holds O(B R K)
-memory whatever the horizon.  ``run_game`` is the block of one, its windows
-joined into one ``Window`` with no block axis: the record of play.
+goes.  Every sum over arms is one left fold, so a trajectory's rounds do not
+depend on the block or on where the windows break, and a game of any reward
+kind holds O(B R K) memory whatever the horizon.  ``run_game`` is the block
+of one, its windows joined into one ``Window`` with no block axis.
 """
 
 from __future__ import annotations
@@ -95,23 +95,24 @@ class Environment:
         return float(self.means[self.best_arm])
 
 
-# The two policy kernels take one row with a float parameter, or a (T, K)
-# matrix with a (T, 1) parameter column; every row of a matrix call equals
-# the 1-d call on that row bit for bit, and the same bytes written into ``out``.
+# The policy kernels and the folds take the arm axis first: a (K,) row with a
+# float parameter, or a (K, B) block with a (B,) one, each column the 1-d
+# call's bits in any layout, and the same bytes written into ``out``.
+def _arm_sum(x: np.ndarray) -> np.ndarray:
+    """x[0] + x[1] + ... over the first axis, the arms, added left to right.
+    numpy's sum is pairwise over a contiguous axis of 8 or more terms and
+    drops a unit axis, so its bits would depend on the layout and the block."""
+    return sum(x[1:], x[0])
 
 
 def _gibbs_weights(r_hat: np.ndarray, gamma, out: np.ndarray | None = None) -> np.ndarray:
-    # Working on the transpose lets the per-row max and sum broadcast back
-    # without keepdims, which would add about 1 us to every game round; on
-    # a single row .T is a no-op.
-    z = (gamma * r_hat).T
-    z = z - z.max(axis=0)
-    w = np.exp(z)
-    return np.divide(w, w.sum(axis=0), out=None if out is None else out.T).T
+    w = np.multiply(gamma, r_hat, out=out)
+    np.exp(np.subtract(w, np.maximum.reduce(w, axis=0), out=w), out=w)
+    return np.divide(w, _arm_sum(w), out=w)
 
 
 def _smooth_weights(rho_w: np.ndarray, epsilon, out: np.ndarray | None = None) -> np.ndarray:
-    return np.add((1.0 - rho_w.shape[-1] * epsilon) * rho_w, epsilon, out=out)
+    return np.add(np.multiply(1.0 - len(rho_w) * epsilon, rho_w, out=out), epsilon, out=out)
 
 
 def _payouts(env: Environment, rounds: int, rngs, rounders=None) -> np.ndarray:
@@ -147,32 +148,37 @@ def _payouts(env: Environment, rounds: int, rngs, rounders=None) -> np.ndarray:
 
 
 def _choose_arms(pi: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Arm of each (K,) row of ``pi`` for its uniform in ``u``: the first j
-    with u < pi_0 + ... + pi_j, or the last arm when u passes every partial
-    sum.  The partial sums grow along the row, so that arm is the number of
+    """Arm of each (K,) column of ``pi`` for its uniform in ``u``: the first
+    j with u < pi_0 + ... + pi_j, or the last arm when u passes every partial
+    sum.  The partial sums grow along the arms, so that arm is the number of
     them at or below u."""
-    return (u[:, None] >= np.add.accumulate(pi[:, :-1], axis=1)).sum(axis=1, out=out)
+    edge = pi[0]
+    arm = np.greater_equal(u, edge, out=np.empty(u.shape, np.int64) if out is None else out)
+    for p in pi[1:-1]:
+        edge = edge + p
+        arm += u >= edge
+    return arm
 
 
 def _expected_reward(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """sum_a w(a) mu_a per row: unlike a BLAS product, an elementwise product
-    summed along the last axis rounds a row the same in any array shape."""
-    return (weights * means).sum(axis=-1)
+    """sum_a w(a) mu_a over the arm axis, axis 0, by ``_arm_sum``; ``means``
+    is a (K,) vector or an array shaped like ``weights``."""
+    return _arm_sum((weights.T * means.T).T)
 
 
-# Rounds per window: the engine's arrays are (B, R, K) whatever the horizon,
-# and the sweep's (3, B, R) temporaries stay small at the largest block.
+# Rounds per window: the engine's arrays are (R, K, B) whatever the horizon,
+# and the sweep's (3, R, B) temporaries stay small at the largest block.
 _WINDOW = 64
 
 
 class Window(NamedTuple):
-    """Rounds start+1..start+R of a block of B trajectories, row j for seed j.
-    ``pi`` also holds the policy formed for round start+R+1; ``rho`` is each
-    round's Gibbs distribution on its estimates, before smoothing; ``floor``
-    is the floor each policy in ``pi`` was smoothed by: 1/K in the warmup,
-    min(epsilon_t, 1/K) after it.  ``run_game``'s record is one trajectory's
-    windows joined, with no block axis: start 0, ``pi`` (T+1, K), ``rhat``
-    and ``rho`` (T, K), ``floor`` (T+1,), the rest (T,)."""
+    """Rounds start+1..start+R of a block of B trajectories, row j for seed j,
+    in (B, R, ...) views.  ``pi`` also holds the policy formed for round
+    start+R+1; ``rho`` is each round's Gibbs distribution on its estimates,
+    before smoothing; ``floor`` the floor each policy in ``pi`` was smoothed
+    by: 1/K in the warmup, min(epsilon_t, 1/K) after it.  ``run_game``'s
+    record is one trajectory's windows joined, with no block axis: start 0,
+    ``pi`` (T+1, K), ``rhat`` and ``rho`` (T, K), ``floor`` (T+1,), the rest (T,)."""
 
     start: int
     pi: np.ndarray       # (B, R+1, K)
@@ -200,9 +206,9 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
     game only, a copy advanced by 2^64 the Beta rounding uniforms.  Each
     copy draws one kind of variate, so every window reads the positions one
     up-front draw would.
-    Between windows only (B, K) state is kept.  Each round is played with
-    (B, K) operations that act on each row alone, so row j is bit for bit
-    what seed j played alone gives, whatever the block and the window.
+    Between windows only (K, B) state is kept.  Each round is played with
+    (K, B) operations that act on each column alone, so trajectory j is bit
+    for bit what seed j played alone gives, whatever the block and the window.
     """
     k = env.n_arms
     warmup = warmup_length if warmup_length is not None else k**3
@@ -217,10 +223,11 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
 
     # Each window forms its first policy from the last rho of the window
     # before; before any estimate the Gibbs distribution is uniform.
-    rho_w = np.full((size, k), 1.0 / k)
-    sums = np.zeros((size, k))
+    rho_w = np.full((k, size), 1.0 / k)
+    sums = np.zeros((k, size))
     lmin_carry = np.full(size, 1.0 / k)
-    arm_ids = np.arange(k)
+    arm_ids = np.arange(k)[:, None]
+    gain, played = np.empty((k, size)), np.empty((k, size), dtype=bool)
     for start in range(0, horizon, _WINDOW):
         n = min(_WINDOW, horizon - start)
         uniforms = np.empty((size, n))
@@ -232,27 +239,30 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
         ts = range(start + 1, start + n + 2)
         gamma, epsilon = _schedule_arrays(k, ts)
         floor = np.where(np.array(ts) < warmup, 1.0 / k, _pi_floor(k, epsilon))
-        gammas, floors = gamma[:-1].tolist(), floor[1:].tolist()
-        # Round-major buffers that each round writes in place; views go out.
-        pi = np.empty((n + 1, size, k))
+        # Arms-first (R[+1], K, B) buffers that each round writes in place; views go out.
+        pi = np.empty((n + 1, k, size))
         actions = np.empty((n, size), dtype=np.int64)
-        rhat = np.empty((n, size, k))
-        rho = np.empty((n, size, k))
+        rhat = np.empty((n, k, size))
+        rho = np.empty((n, k, size))
         _smooth_weights(rho_w, floor[0], out=pi[0])
-        for r in range(n):
-            arm = _choose_arms(pi[r], uniforms[:, r], out=actions[r])
+        for t, gamma_t, floor_t, u, pay, pi_t, pi_next, arm, rhat_t, rho_t in zip(
+            ts, gamma[:-1].tolist(), floor[1:].tolist(), uniforms.T,
+            payouts.transpose(1, 2, 0), pi, pi[1:], actions, rhat, rho,
+        ):
+            _choose_arms(pi_t, u, out=arm)
             # Adding 0.0 to the arms not played leaves their sums exact.
-            sums += (payouts[:, r] / pi[r]) * (arm[:, None] == arm_ids)
-            np.divide(sums, start + r + 1, out=rhat[r])
-            _gibbs_weights(rhat[r], gammas[r], out=rho[r])
-            _smooth_weights(rho[r], floors[r], out=pi[r + 1])
+            np.multiply(np.divide(pay, pi_t, out=gain), np.equal(arm, arm_ids, out=played), out=gain)
+            np.add(sums, gain, out=sums)
+            np.divide(sums, t, out=rhat_t)
+            _gibbs_weights(rhat_t, gamma_t, out=rho_t)
+            _smooth_weights(rho_t, floor_t, out=pi_next)
         rho_w = rho[-1].copy()
         rewards = payouts[np.arange(size)[:, None], np.arange(n), actions.T]
-        lmin = np.minimum(pi[:-1].min(axis=2), 1.0 / k)
+        lmin = np.minimum(np.minimum.reduce(pi[:-1], axis=1), 1.0 / k)
         np.minimum(lmin[0], lmin_carry, out=lmin[0])
         np.minimum.accumulate(lmin, axis=0, out=lmin)
         lmin_carry = lmin[-1].copy()
-        pi, rhat, rho = (a.transpose(1, 0, 2) for a in (pi, rhat, rho))
+        pi, rhat, rho = (a.transpose(2, 0, 1) for a in (pi, rhat, rho))
         yield Window(start, pi, actions.T, rewards, rhat, rho, lmin.T, floor)
 
 

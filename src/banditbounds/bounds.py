@@ -239,9 +239,9 @@ def regret_decomposition(record: Window, env: Environment) -> RegretDecompositio
     a_star = env.best_arm
     r_star = env.best_mean
     rhat_star = rhat[:, a_star]
-    rhat_rho = _expected_reward(rho, rhat)
-    r_rho = _expected_reward(rho, means)
-    r_rho_tilde = _expected_reward(rho_tilde, means)
+    rhat_rho = _expected_reward(rho.T, rhat.T)
+    r_rho = _expected_reward(rho.T, means)
+    r_rho_tilde = _expected_reward(rho_tilde.T, means)
 
     return RegretDecomposition(
         rounds=np.arange(start, horizon + 1),
@@ -274,5 +274,5 @@ def expsum_ratio(x, alpha: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("the first entry of x must be exactly 0")
     if not np.all(alpha > 0.0):
         raise ValueError("alpha must be positive")
-    ratios = np.sum(x * _gibbs_weights(x, -alpha[..., None]), axis=-1)
+    ratios = _expected_reward(_gibbs_weights(x.T, -alpha), x.T)
     return float(ratios) if x.ndim == 1 else ratios

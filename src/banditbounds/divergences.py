@@ -102,13 +102,13 @@ def bernoulli_kl_vec(p, q) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     for name, arr in (("p", p), ("q", q)):
-        if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+        # One pass each way, no temporaries: min and max carry a nan through.
+        if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=1.0) <= 1.0):
             raise ValueError(f"{name} entries must lie in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         left = np.where(p > 0.0, p * _log_ratio_vec(p, q), 0.0)
         right = np.where(p < 1.0, (1.0 - p) * _log_ratio_vec(1.0 - p, 1.0 - q), 0.0)
-    out = left + right
-    return np.where(p == q, 0.0, out)
+    return np.where(p == q, 0.0, left + right)
 
 
 def pinsker_gap(c: float) -> float:

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandit import _WINDOW, Environment, Window, _check_arms, _expected_reward, _play_windows
+from .bandit import _WINDOW, Environment, Window, _arm_sum, _check_arms, _expected_reward, _play_windows
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     _WALK_BLOCK,
@@ -337,7 +337,7 @@ def prediction_regret(record: Window, env: Environment) -> np.ndarray:
     """Per-round regret of the policy formed after round t (played at t+1),
     for ``run_game``'s record or each row of a block's window."""
     _check_arms(record, env)
-    return env.best_mean - _expected_reward(record.pi[..., 1:, :], env.means)
+    return env.best_mean - _expected_reward(record.pi[..., 1:, :].T, env.means).T
 
 
 def _envelope_curve(n_arms: int, horizon: int, delta: float) -> np.ndarray:
@@ -455,7 +455,7 @@ def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
 
     ``windows`` is the block's stream of ``Window``s; the sweep reads each
     window's rho, rhat and pi_lmin.  Comparison distributions, one row each
-    of the stacked (3, B, R) arrays of estimate, truth and prior KL: the
+    of the stacked (3, R, B) arrays of estimate, truth and prior KL: the
     Gibbs posterior rho on current estimates, the point mass on the best
     arm, and uniform — all against the uniform prior.  The kl route uses
     the realized running-minimum probability (the tightest legal pi_lmin);
@@ -467,15 +467,17 @@ def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
     """
     log_k = math.log(env.n_arms)
     means = env.means
+    uniform = _arm_sum(means) / len(means)
     hits = {}
     worst = dict.fromkeys(_ROUTES, math.inf)
     counts = {name: np.zeros(horizon, dtype=np.int64) for name in _ROUTES}
     carry = 0.0
     for w in windows:
-        rho, rhat, lmin = w.rho, w.rhat, w.pi_lmin
+        # Arms-first (K, R, B) views of the window and an (R, B) running minimum.
+        rho, rhat, lmin = w.rho.T, w.rhat.T, w.pi_lmin.T
         shape = lmin.shape
-        rounds = slice(w.start, w.start + shape[1])
-        ts = np.arange(rounds.start + 1, rounds.stop + 1, dtype=float)
+        rounds = slice(w.start, w.start + shape[0])
+        ts = np.arange(rounds.start + 1, rounds.stop + 1, dtype=float)[:, None]
         # The running sum of the floors' pi_min^-2, continued from
         # the last window: adding the carry to the first entry before the
         # cumsum keeps the float order sequential.
@@ -485,12 +487,10 @@ def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
         carry = cum_a[-1]
         # Arms the softmax underflowed to 0 contribute 0 to sum rho ln rho.
         safe_rho = np.where(rho > 0.0, rho, 1.0)
-        r_hat_rho = np.stack((_expected_reward(rho, rhat), rhat[..., env.best_arm], rhat.mean(axis=-1)))
-        r_rho = np.stack(
-            (_expected_reward(rho, means), np.full(shape, env.best_mean), np.full(shape, means.mean()))
-        )
+        r_hat_rho = np.stack((_expected_reward(rho, rhat), rhat[env.best_arm], _arm_sum(rhat) / len(rhat)))
+        r_rho = np.stack((_expected_reward(rho, means), np.full(shape, env.best_mean), np.full(shape, uniform)))
         prior_kl = np.stack(
-            (log_k + np.sum(rho * np.log(safe_rho), axis=-1), np.full(shape, log_k), np.zeros(shape))
+            (log_k + _expected_reward(rho, np.log(safe_rho)), np.full(shape, log_k), np.zeros(shape))
         )
 
         scaled_hat = lmin * r_hat_rho
@@ -501,13 +501,13 @@ def _coverage(windows, env: Environment, delta: float, horizon: int) -> dict:
 
         for name, value, bound in (
             ("kl_route", bernoulli_kl_vec(scaled_hat, scaled_true), _kl_budget(prior_kl, ts, delta)),
-            ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a)),
+            ("weighted_route", np.abs(r_hat_rho - r_rho), _weighted_opt(prior_kl, ts, delta, cum_a[:, None])),
         ):
             flags = (value > bound).any(axis=0)
-            hits[name] = flags.any(axis=1) | hits.get(name, False)
-            counts[name][rounds] += flags.sum(axis=0)
+            hits[name] = flags.any(axis=0) | hits.get(name, False)
+            counts[name][rounds] += flags.sum(axis=1)
             worst[name] = min(worst[name], float(np.min(bound - value)))
-    trials = shape[0]  # the block's trajectories
+    trials = shape[1]  # the block's trajectories
     return {
         name: BoundCoverage(name, trials, int(hits[name].sum()), worst[name], counts[name])
         for name in _ROUTES

@@ -1,19 +1,23 @@
 """Tests for the smoothed Gibbs bandit strategy and its trace machinery."""
 
 import csv
+import functools
 import math
+import operator
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditbounds import Environment, run_game, write_trace_csv
 from banditbounds import bandit
 from banditbounds.bandit import (
     BETA_LEVELS,
+    _arm_sum,
     _choose_arms,
+    _expected_reward,
     _gibbs_weights,
     _join,
     _payouts,
@@ -104,7 +108,7 @@ class TestSmoothing:
 
 
 class TestKernels:
-    """A matrix call with a parameter column equals the per-row 1-d calls bit for bit."""
+    """An arms-first (K, T) call with a (T,) parameter equals the per-column 1-d calls bit for bit."""
 
     @given(
         k=st.integers(2, 8),
@@ -120,8 +124,8 @@ class TestKernels:
         gamma = rng.uniform(0.0, 60.0, (horizon, 1))
         epsilon = rng.uniform(0.0, 1.0 / k, (horizon, 1))
 
-        rho = _gibbs_weights(rhat, gamma)
-        pi = _smooth_weights(rho, epsilon)
+        rho = _gibbs_weights(rhat.T, gamma[:, 0]).T
+        pi = _smooth_weights(rho.T, epsilon[:, 0]).T
         for t in range(horizon):
             row_rho = _gibbs_weights(rhat[t], float(gamma[t, 0]))
             assert np.array_equal(rho[t], row_rho), t
@@ -129,11 +133,11 @@ class TestKernels:
 
     @given(k=st.integers(2, 8), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_out_gives_the_same_bytes(self, k, size, seed):
-        # A 1-d row, a (B, K) block, and a transposed view of a (K, B) buffer.
+        # A 1-d row, a (K, B) block, and a transposed view of a (B, K) buffer.
         rng = np.random.default_rng(seed)
-        rhat = rng.uniform(0.0, 2.0 * k, (size, k))
+        rhat = rng.uniform(0.0, 2.0 * k, (k, size))
         gamma, epsilon = rng.uniform(0.0, 60.0), rng.uniform(0.0, 1.0 / k)
-        for r_hat, out in ((rhat[0], np.empty(k)), (rhat, np.empty((size, k))), (rhat, np.empty((k, size)).T)):
+        for r_hat, out in ((rhat[:, 0], np.empty(k)), (rhat, np.empty((k, size))), (rhat, np.empty((size, k)).T)):
             rho = _gibbs_weights(r_hat, gamma)
             assert _gibbs_weights(r_hat, gamma, out=out).tobytes() == out.tobytes() == rho.tobytes()
             pi = _smooth_weights(rho, epsilon)
@@ -179,20 +183,20 @@ class TestChooseArms:
                 partial, np.nextafter(partial, 0.0), np.nextafter(partial, 1.0),
                 [0.0, 1.0 - 2.0**-53, rng.random()],
             ))
-            arms = _choose_arms(np.tile(row, (us.size, 1)), us)
+            arms = _choose_arms(np.tile(row, (us.size, 1)).T, us)
             assert arms.tolist() == [_scan_arm(row.tolist(), u) for u in us.tolist()]
 
     @given(k=st.integers(2, 8), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_out_gives_the_same_bytes(self, k, size, seed):
-        # One row, a (B, K) block, and a policy and arm buffer that are
-        # strided views, as the engine's round-major buffers hand them out.
+        # One column, a (K, B) block, and a policy and arm buffer that are
+        # strided views.
         rng = np.random.default_rng(seed)
-        pi = rng.dirichlet(np.ones(k), size)
+        pi = rng.dirichlet(np.ones(k), size).T
         u = rng.random(size)
-        buffer = np.empty((k, size)).T
+        buffer = np.empty((size, k)).T
         buffer[...] = pi
         for rows, us, out in (
-            (pi[:1], u[:1], np.empty(1, dtype=np.int64)),
+            (pi[:, :1], u[:1], np.empty(1, dtype=np.int64)),
             (pi, u, np.empty(size, dtype=np.int64)),
             (buffer, u, np.empty((size, 2), dtype=np.int64)[:, 1]),
         ):
@@ -201,15 +205,70 @@ class TestChooseArms:
 
     def test_boundary_and_last_partial_sum(self):
         # u on a partial sum is past it: 0.25 picks arm 1, not arm 0.
-        pi = np.array([[0.25, 0.25, 0.5]])
+        pi = np.array([[0.25, 0.25, 0.5]]).T
         assert _choose_arms(pi, np.array([0.25])).tolist() == [1]
         # Ten weights of 0.1 add up to 1 - 2^-53 in order, which the largest
         # uniform reaches: it passes every partial sum and must pick the
         # last arm, not an eleventh.
-        pi = np.full((1, 10), 0.1)
+        pi = np.full((10, 1), 0.1)
         u = 1.0 - 2.0**-53
         assert sum([0.1] * 10) == u
         assert _choose_arms(pi, np.array([u])).tolist() == [9] == [_scan_arm([0.1] * 10, u)]
+
+
+def _left_fold(x):
+    """Each column of an arms-first array summed left to right in Python floats."""
+    columns = x.reshape(len(x), -1).T.tolist()
+    return np.array([functools.reduce(operator.add, c) for c in columns]).reshape(x.shape[1:])
+
+
+def _layouts(x):
+    """An arms-first array as C-ordered, F-ordered, and an arms-last buffer's transposed view."""
+    return np.ascontiguousarray(x), np.asfortranarray(x), x.T.copy().T
+
+
+class TestLayouts:
+    """The folds over arms are left folds: a column's bits do not depend on
+    the memory layout or on the block it sits in."""
+
+    # A column, where numpy's sum would drop the unit axis, a block, and a
+    # block with two trajectory axes, as the sweep's (K, R, B) windows have.
+    _SHAPES = ((1,), (6,), (37, 29))
+
+    @given(k=st.sampled_from([2, 3, 7, 8, 9, 16, 33]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_same_bytes_in_every_layout_and_block(self, k, seed):
+        rng = np.random.default_rng(seed)
+        means = rng.uniform(0.0, 1.0, k)
+        for shape in self._SHAPES:
+            rhat = rng.uniform(0.0, 2.0 * k, (k, *shape))
+            gamma = rng.uniform(0.0, 60.0, shape)
+            rho = _gibbs_weights(rhat, gamma)
+            column = means.reshape(-1, *[1] * len(shape))
+            reward = _left_fold(rho * column)
+            for x, w in zip(_layouts(rhat), _layouts(rho)):
+                assert _arm_sum(x).tobytes() == _left_fold(rhat).tobytes()
+                assert _gibbs_weights(x, gamma).tobytes() == rho.tobytes()
+                assert _expected_reward(w, means).tobytes() == reward.tobytes()
+                assert _expected_reward(w, np.broadcast_to(column, w.shape)).tobytes() == reward.tobytes()
+            columns, gammas = rhat.reshape(k, -1).T, gamma.reshape(-1)
+            for j in rng.integers(0, len(gammas), 5):
+                alone = _gibbs_weights(columns[j], gammas[j])
+                assert alone.tobytes() == rho.reshape(k, -1)[:, j].tobytes()
+                assert _expected_reward(alone, means) == reward.reshape(-1)[j]
+
+    @given(k=st.sampled_from([2, 3, 7, 8, 9, 16, 33]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_choose_arms_in_every_layout_and_block(self, k, seed):
+        rng = np.random.default_rng(seed)
+        pi = rng.dirichlet(np.ones(k), 37 * 29).T
+        u = rng.random(pi.shape[1])
+        arms = _choose_arms(pi, u)
+        for x in _layouts(pi):
+            assert np.array_equal(_choose_arms(x, u), arms)
+        assert arms.tolist() == [_scan_arm(c, v) for c, v in zip(pi.T.tolist(), u.tolist())]
+        for j in rng.integers(0, len(u), 20):
+            assert _choose_arms(pi[:, j : j + 1], u[j : j + 1]).tolist() == [arms[j]]
 
 
 class TestEstimates:

@@ -213,7 +213,7 @@ class TestLockstepBlocks:
         with mock.patch.object(bandit, "_WINDOW", 7):
             trace = run_game(env, horizon, trajectory_stream(2, 5))
         u = trajectory_stream(2, 5).random(2 * horizon)
-        assert np.array_equal(trace.actions, bandit._choose_arms(trace.pi[:-1], u[:horizon]))
+        assert np.array_equal(trace.actions, bandit._choose_arms(trace.pi[:-1].T, u[:horizon]))
         assert np.array_equal(trace.rewards, (u[horizon:] < env.means[trace.actions]).astype(float))
 
     def test_advanced_twin_draws_the_payout_uniforms(self):
@@ -368,6 +368,42 @@ class TestWindows:
         assert peaks[1] - peaks[0] < 32 * 7000 * 8, peaks
 
 
+class TestWideGames:
+    """At K >= 8, where numpy's sum over arms would be pairwise, outputs do
+    not depend on the block size or the worker count."""
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_verify_bounds_ignores_blocks_and_workers(self, tmp_path, k):
+        files = ("coverage.csv", "violation_profile.csv", "drivers.csv", "manifest.json")
+        outputs = {}
+        for block, workers in ((harness._BLOCK, 1), (harness._BLOCK, 2), (1, 1), (1, 2), (5, 1), (5, 2)):
+            out = tmp_path / f"b{block}w{workers}"
+            cfg = ExperimentConfig(mode="verify-bounds", n_arms=k, horizon=150, trajectories=40, seed=4,
+                                   workers=workers, outdir=str(out))
+            with mock.patch.object(harness, "_BLOCK", block):
+                run_verify_bounds(cfg)
+            outputs[block, workers] = [(out / f).read_bytes() for f in files]
+        for key, data in outputs.items():
+            assert data == outputs[harness._BLOCK, 1], key
+
+    @pytest.mark.parametrize("k, horizon", [(8, 600), (16, 150)])
+    def test_simulate_traces_match_each_game_alone(self, tmp_path, k, horizon):
+        # simulate plays one block of every trajectory, run_game a block of
+        # one.  K = 8 leaves the uniform policy after round 8^3 = 512.
+        files = ["regret_curve.csv", "manifest.json"] + [f"trace_{i:04d}.csv" for i in range(20)]
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            cfg = ExperimentConfig(mode="simulate", n_arms=k, horizon=horizon, trajectories=20, seed=4,
+                                   store_traces=True, workers=workers, outdir=str(out))
+            run_simulate(cfg)
+            outputs[workers] = [(out / f).read_bytes() for f in files]
+        assert outputs[1] == outputs[2]
+        for i in (0, 7, 19):
+            write_trace_csv(run_game(cfg.environment(), horizon, trajectory_stream(4, i)), tmp_path / "alone.csv")
+            assert (tmp_path / "alone.csv").read_bytes() == outputs[1][2 + i], i
+
+
 class TestPredictionRegret:
     def test_matches_next_round_policy(self):
         env = Environment(means=np.array([0.8, 0.3]))
@@ -510,7 +546,7 @@ class TestCertificateSweep:
             env = Environment(means=rng.uniform(0.0, 1.0, k))
             traces = [run_game(game, horizon, seed=100 * case + j) for j in range(3)]
             gamma, _ = bandit._schedule_arrays(k, range(1, horizon + 1))
-            rho = np.stack([bandit._gibbs_weights(t.rhat, gamma[:, None]) for t in traces])
+            rho = np.stack([bandit._gibbs_weights(t.rhat.T, gamma).T for t in traces])
             rhat = np.stack([t.rhat for t in traces])
             lmin = np.stack([t.pi_lmin for t in traces])
             windows = []
@@ -535,8 +571,17 @@ class TestCertificateSweep:
         env = Environment(means=np.linspace(0.9, 0.1, k), reward_kind="point")
         trace = run_game(env, horizon, seed=seed, warmup_length=1)
         gamma, _ = bandit._schedule_arrays(k, range(1, horizon + 1))
-        assert np.array_equal(trace.rho, bandit._gibbs_weights(trace.rhat, gamma[:, None]))
+        assert np.array_equal(trace.rho, bandit._gibbs_weights(trace.rhat.T, gamma).T)
         assert np.array_equal(trace.floor, schedule_pi_min(k, horizon + 1))
+
+    def test_nan_estimate_raises(self):
+        # clip passes a nan through, so the sweep must reject it before the kl route.
+        env = Environment(means=np.array([0.7, 0.2]))
+        trace = run_game(env, horizon=30, seed=0)
+        rhat = trace.rhat.copy()
+        rhat[17, 1] = math.nan
+        with pytest.raises(ValueError):
+            certificate_sweep(trace._replace(rhat=rhat), env, 0.05)
 
     def test_degenerate_environment_holds_everywhere(self):
         env = Environment(means=np.array([0.5, 0.5]))
@@ -811,11 +856,11 @@ class TestRunSimulate:
         )
         assert manifest["summary"]["scoped_rounds"] == 40 - 8 + 1  # t = K^3..T
 
-    @pytest.mark.parametrize("kind, trajectories, horizon", [("point", 600, 3000), ("bernoulli", 1000, 2000)])
+    @pytest.mark.parametrize("kind, trajectories, horizon", [("point", 600, 300), ("bernoulli", 1000, 256)])
     def test_memory_does_not_grow_with_the_horizon(self, tmp_path, kind, trajectories, horizon):
         # The fold keeps (T,) columns and (M,) flags past a window.  From T to
         # 4T the peak may grow by those columns; an (M, T) matrix would grow
-        # it by 3 M T float64 entries, 43 MB at 600 x 3000.
+        # it by 3 M T float64 entries, 4.3 MB at 600 x 300 on a peak of about 7 MB.
         cfg = ExperimentConfig(mode="simulate", trajectories=trajectories, reward_kind=kind, outdir=str(tmp_path))
         run_simulate(dataclasses.replace(cfg, horizon=10, trajectories=3))  # allocates what later calls reuse
         peaks = []
