@@ -21,13 +21,14 @@ raw words per trial, so a larger batch keeps every earlier trial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .divergences import bernoulli_kl, _check_count, _check_delta, _check_unit
+from .divergences import _check_count, _check_delta, _check_unit, bernoulli_kl_vec
 
 __all__ = [
     "BudgetError",
@@ -62,30 +63,35 @@ class BudgetError(ValueError):
     """Raised when an exact enumeration would exceed the path budget."""
 
 
-def bernoulli_kl_moment(length: int, p: float) -> float:
+def bernoulli_kl_moment(length: int, p):
     """E[exp(N * kl(S_hat || p))] for S_hat the mean of N i.i.d. Bernoulli(p).
 
     Computed exactly by summing over the N+1 outcomes of the sample mean
-    with binomial weights (each term assembled in log space).  The value is
-    bounded by N+1.
+    with binomial weights, each term assembled in log space by one kl call
+    for every outcome and p.  Bounded by N+1; one value per entry of ``p``.
     """
     length = _check_count(length, "length", 1)
     if length > MOMENT_MAX_LENGTH:
-        raise BudgetError(
-            f"exact moment enumeration capped at length {MOMENT_MAX_LENGTH}"
-        )
-    p = _check_unit(p, "p")
-    if p == 0.0 or p == 1.0:
-        # The sample mean equals p almost surely and the exponent vanishes.
-        return 1.0
-    log_p = math.log(p)
-    log_1p = math.log1p(-p)
-    total = 0.0
-    for k in range(length + 1):
-        log_w = math.log(math.comb(length, k)) + k * log_p + (length - k) * log_1p
-        exponent = log_w + length * bernoulli_kl(k / length, p)
-        total += math.exp(exponent) if exponent < _EXP_CAP else math.inf
-    return total
+        raise BudgetError(f"exact moment enumeration capped at length {MOMENT_MAX_LENGTH}")
+    p = np.asarray(p, dtype=float)
+    k = np.arange(length + 1).reshape((-1,) + (1,) * p.ndim)
+    kl = bernoulli_kl_vec(k / length, p)
+    factorials = np.cumprod(np.arange(length + 1, dtype=object).clip(1))  # 0!, ..., N! as exact ints
+    log_comb = np.log((factorials[-1] // (factorials * factorials[::-1])).astype(float)).reshape(k.shape)
+    # ln p = -kl(1||p) and ln(1-p) = -kl(0||p), the kernel's own end rows, so
+    # the exponent at outcomes 0 and N cancels to 0 exactly (N = 1 gives 2).
+    with np.errstate(invalid="ignore"):
+        exponent = log_comb - k * kl[-1] - (length - k) * kl[0] + length * kl
+    # A left fold in outcome order; at p = 0 or 1 the sample mean equals p
+    # almost surely and the exponent vanishes.
+    total = np.where((p == 0.0) | (p == 1.0), 1.0, functools.reduce(np.add, _capped_exp(exponent)))
+    return float(total) if total.ndim == 0 else total
+
+
+def _capped_exp(exponent: np.ndarray) -> np.ndarray:
+    """exp, infinite where the exponent reaches ``_EXP_CAP``."""
+    with np.errstate(over="ignore"):
+        return np.where(exponent < _EXP_CAP, np.exp(exponent), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +327,9 @@ def convex_test_functions(length: int, mean: float) -> tuple[tuple[str, Callable
         return xs.sum(axis=1) ** 2
 
     def f_kl_moment(xs: np.ndarray) -> np.ndarray:
-        # One scalar kl per distinct sample mean: rows share few of them.
+        # One kl per distinct sample mean: rows share few of them.
         x_bar, row_of = np.unique(np.clip(xs.sum(axis=1) / length, 0.0, 1.0), return_inverse=True)
-        exponents = [length * bernoulli_kl(x, mean) for x in x_bar.tolist()]
-        return np.array([math.exp(e) if e < _EXP_CAP else math.inf for e in exponents])[row_of]
+        return _capped_exp(length * bernoulli_kl_vec(x_bar, mean))[row_of]
 
     return (("max", f_max), ("square_sum", f_square_sum), ("kl_moment", f_kl_moment))
 

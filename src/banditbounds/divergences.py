@@ -1,5 +1,8 @@
 """Binary KL divergence and KL inversion.
 
+One formula: :func:`bernoulli_kl_vec`.  The scalar :func:`bernoulli_kl`, both
+inverses and the moment oracle in ``concentration`` evaluate it.
+
 Conventions used throughout: ``0 * ln 0 = 0``, and the divergence is an
 explicit ``math.inf`` whenever the second argument sits on the boundary
 while the first does not.  Infinities are never replaced by large floats;
@@ -22,9 +25,12 @@ __all__ = [
     "pinsker_gap",
 ]
 
-_BISECT_TOL = 1e-12
-_BISECT_LOG_TOL = 1e-14
-_BISECT_MAX_ITER = 200
+# Infeasible bracket ends: below them q rounds onto the simplex boundary
+# (exp underflows to 0; 1 - exp rounds to 1) and kl is inf.  Brackets are then
+# under 746 wide, so 57 halvings reach 1e-14 in v, and kl (slope <= 1) too.
+_LOG_Q_FLOOR = math.log(5e-324) - 1.0
+_LOG_1MQ_FLOOR = math.log(2.0**-54) - 1.0
+_BISECT_STEPS = 57
 
 
 def _check_count(x, name: str, minimum: int) -> int:
@@ -63,42 +69,19 @@ def _check_pi_lmin(pi_lmin: float) -> float:
     return pi_lmin
 
 
-def _log_ratio(num: float, den: float) -> float:
-    # log(num / den) without the intermediate overflow that a direct
-    # division hits when num / den exceeds the float range (subnormal den).
-    ratio = num / den
-    if math.isinf(ratio):
-        return math.log(num) - math.log(den)
-    return math.log(ratio)
-
-
 def _log_ratio_vec(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise ``_log_ratio``; the split form is taken only where it is needed."""
+    """log(num / den), split into two logs only where the ratio overflows (subnormal den)."""
     ratio = num / den
     big = np.isinf(ratio)
     return np.where(big, np.log(num) - np.log(den), np.log(ratio)) if big.any() else np.log(ratio)
 
 
-def bernoulli_kl(p: float, q: float) -> float:
-    """KL divergence between Bernoulli(p) and Bernoulli(q).
-
-    Returns ``math.inf`` when ``q`` is 0 or 1 and ``p != q``.
-    """
-    p = _check_unit(p, "p")
-    q = _check_unit(q, "q")
-    if p == q:
-        return 0.0
-    if q <= 0.0 or q >= 1.0:
-        return math.inf
-    if p == 0.0:
-        return -math.log1p(-q)
-    if p == 1.0:
-        return -math.log(q)
-    return p * _log_ratio(p, q) + (1.0 - p) * _log_ratio(1.0 - p, 1.0 - q)
-
-
 def bernoulli_kl_vec(p, q) -> np.ndarray:
-    """Elementwise :func:`bernoulli_kl` on arrays (broadcasting allowed)."""
+    """The binary kl divergence kl(p||q) of Bernoulli(p) from Bernoulli(q),
+    entrywise on arrays (broadcasting allowed): the one kl formula.
+
+    Entries are ``inf`` where ``q`` is 0 or 1 and ``p != q``.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     for name, arr in (("p", p), ("q", q)):
@@ -111,36 +94,54 @@ def bernoulli_kl_vec(p, q) -> np.ndarray:
     return np.where(p == q, 0.0, left + right)
 
 
+def bernoulli_kl(p: float, q: float) -> float:
+    """kl(p||q) for one pair: an entry of :func:`bernoulli_kl_vec`, inf when q is 0 or 1 and p != q."""
+    return float(bernoulli_kl_vec(_check_unit(p, "p"), _check_unit(q, "q")))
+
+
 def pinsker_gap(c: float) -> float:
     """Largest |p - q| compatible with kl(p||q) <= c, via Pinsker."""
     return math.sqrt(_check_budget(c) / 2.0)
 
 
-def _bisect_log(p_hat: float, c: float, lo: float, hi: float, q_of) -> float:
-    """Bisect a log coordinate v in [lo, hi] for kl(p_hat||q_of(v)) <= c.
+def _bisect_log(p_hat: np.ndarray, c, lo: np.ndarray, hi: np.ndarray, q_of) -> np.ndarray:
+    """Bisect log coordinates v in [lo, hi], entrywise, for kl(p_hat||q_of(v)) <= c.
 
-    kl falls as v rises to ``hi``, the feasible end; ``lo`` must be
-    infeasible.  Stops at both the argument tolerance (1e-14 in v) and the
-    same tolerance on the kl value (1e-12), and returns q at the feasible end.
+    kl falls as v rises to ``hi``, the feasible end; ``lo`` must be infeasible
+    and at most 746 below ``hi``.  Returns q at the feasible end.
     """
-    for _ in range(_BISECT_MAX_ITER):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if bernoulli_kl(p_hat, q_of(mid)) <= c:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _BISECT_LOG_TOL and c - bernoulli_kl(p_hat, q_of(hi)) <= _BISECT_TOL:
-            break
+        feasible = bernoulli_kl_vec(p_hat, q_of(mid)) <= c
+        lo = np.where(feasible, lo, mid)
+        hi = np.where(feasible, mid, hi)
     return q_of(hi)
+
+
+def _upper_inverse(p_hat: np.ndarray, c) -> np.ndarray:
+    """:func:`kl_upper_inverse` entrywise, for p_hat in (0, 1) and finite c > 0."""
+    hi = np.log1p(-p_hat)
+    # kl >= p ln p + (1-p) ln((1-p)/(1-q)) gives the infeasible bracket end.
+    with np.errstate(over="ignore"):
+        lo = np.maximum(_LOG_1MQ_FLOOR, hi - (c - p_hat * np.log(p_hat)) / (1.0 - p_hat))
+    return np.clip(_bisect_log(p_hat, c, lo, hi, lambda v: 1.0 - np.exp(v)), p_hat, 1.0)
+
+
+def _lower_inverse(p_hat: np.ndarray, c) -> np.ndarray:
+    """:func:`kl_lower_inverse` entrywise, for p_hat in (0, 1) and finite c > 0."""
+    hi = np.log(p_hat)
+    with np.errstate(over="ignore"):
+        lo = np.maximum(_LOG_Q_FLOOR, hi - (c - (1.0 - p_hat) * np.log1p(-p_hat)) / p_hat)
+    return np.clip(_bisect_log(p_hat, c, lo, hi, np.exp), 0.0, p_hat)
 
 
 def kl_upper_inverse(p_hat: float, c: float) -> float:
     """Largest q in [p_hat, 1] with kl(p_hat||q) <= c.
 
     Bisection on the increasing branch in the coordinate ln(1-q), where the
-    kl curve has bounded slope all the way to the simplex boundary; this
-    reaches both tolerances of ``_bisect_log`` within the iteration cap even
-    when the inverse sits extremely close to 1.  ``c = inf`` returns 1.0.
+    kl curve has slope at most 1 all the way to the simplex boundary; this
+    resolves the inverse to 1e-14 in ln(1-q) however close to 1 it sits.
+    ``c = inf`` returns 1.0.
     """
     p_hat = _check_unit(p_hat, "p_hat")
     c = _check_budget(c)
@@ -151,10 +152,7 @@ def kl_upper_inverse(p_hat: float, c: float) -> float:
     if p_hat == 0.0:
         # kl(0||q) = -ln(1-q) inverts in closed form.
         return -math.expm1(-c)
-    # kl >= p ln p + (1-p) ln((1-p)/(1-q)) gives the infeasible bracket end.
-    hi = math.log1p(-p_hat)
-    lo = hi - (c - p_hat * math.log(p_hat)) / (1.0 - p_hat)
-    return min(1.0, max(p_hat, _bisect_log(p_hat, c, lo, hi, lambda v: 1.0 - math.exp(v))))
+    return float(_upper_inverse(np.array([p_hat]), c)[0])
 
 
 def kl_lower_inverse(p_hat: float, c: float) -> float:
@@ -171,6 +169,4 @@ def kl_lower_inverse(p_hat: float, c: float) -> float:
     if p_hat == 1.0:
         # kl(1||q) = -ln q inverts in closed form.
         return math.exp(-c)
-    hi = math.log(p_hat)
-    lo = hi - (c - (1.0 - p_hat) * math.log1p(-p_hat)) / p_hat
-    return max(0.0, min(p_hat, _bisect_log(p_hat, c, lo, hi, math.exp)))
+    return float(_lower_inverse(np.array([p_hat]), c)[0])

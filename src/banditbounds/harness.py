@@ -603,13 +603,11 @@ def _moment_checks() -> list[OracleCheck]:
     window_total = 0
     p_grid = np.arange(0.01, 1.0, 0.01)
     for n in range(1, 21):
-        for p in p_grid:
-            moment = bernoulli_kl_moment(n, float(p))
-            max_ratio = max(max_ratio, moment / (n + 1))
-            if n >= 8:
-                window_total += 1
-                if math.sqrt(n) <= moment <= 2.0 * math.sqrt(n):
-                    window_hits += 1
+        moments = bernoulli_kl_moment(n, p_grid)
+        max_ratio = max(max_ratio, float((moments / (n + 1)).max()))
+        if n >= 8:
+            window_total += p_grid.size
+            window_hits += int(np.count_nonzero((math.sqrt(n) <= moments) & (moments <= 2.0 * math.sqrt(n))))
     ok = max_ratio <= 1.0 + 1e-12
     checks.append(
         OracleCheck(

@@ -7,6 +7,9 @@
   ``test_step_api_replays_the_game`` checks the lockstep engine against
   them round by round, and the tests of each piece pin the rules they
   encode.
+* The scalar binary kl ``scalar_bernoulli_kl``, in ``math.log`` with its own
+  p = 0 and p = 1 branches, an independent formula that the kernel
+  ``bernoulli_kl_vec`` is checked against.
 * Both sides of the domination lemma, one scalar ``f`` call per path: the
   depth-first walk of a chain's prefix tree, which asks the chain's own
   conditional for each prefix, the loop over the 2^N bit paths, and the
@@ -37,7 +40,7 @@ import numpy as np
 from banditbounds.bandit import _gibbs_weights, _pi_floor, _schedule_arrays, _smooth_weights
 from banditbounds.bounds import _SCALE_TOL, _at, _big_l, _check_pi_min_seq, _check_prior_kl, kl_budget
 from banditbounds.concentration import _EXP_CAP
-from banditbounds.divergences import _check_count, _check_delta, _check_pi_lmin, bernoulli_kl
+from banditbounds.divergences import _check_count, _check_delta, _check_pi_lmin, _check_unit, bernoulli_kl
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +124,33 @@ def smooth_policy(rho: SimplexVector, epsilon_next: float) -> SimplexVector:
     return SimplexVector(_smooth_weights(rho.weights, float(epsilon_next)))
 
 
+def _log_ratio(num: float, den: float) -> float:
+    # log(num / den) without the intermediate overflow that a direct
+    # division hits when num / den exceeds the float range (subnormal den).
+    ratio = num / den
+    if math.isinf(ratio):
+        return math.log(num) - math.log(den)
+    return math.log(ratio)
+
+
+def scalar_bernoulli_kl(p: float, q: float) -> float:
+    """KL divergence between Bernoulli(p) and Bernoulli(q), one ``math.log`` at a time.
+
+    Returns ``math.inf`` when ``q`` is 0 or 1 and ``p != q``.
+    """
+    p = _check_unit(p, "p")
+    q = _check_unit(q, "q")
+    if p == q:
+        return 0.0
+    if q <= 0.0 or q >= 1.0:
+        return math.inf
+    if p == 0.0:
+        return -math.log1p(-q)
+    if p == 1.0:
+        return -math.log(q)
+    return p * _log_ratio(p, q) + (1.0 - p) * _log_ratio(1.0 - p, 1.0 - q)
+
+
 def tree_walk_expectation(chain, f) -> float:
     """E[f(X_1..X_N)] under the chain, by a depth-first walk of its prefix
     tree that asks the chain's conditional for each prefix it reaches; a path
@@ -189,7 +219,7 @@ def scalar_convex_test_functions(length: int, mean: float):
 
     def f_kl_moment(xs):
         x_bar = min(max(sum(xs) / length, 0.0), 1.0)
-        exponent = length * bernoulli_kl(x_bar, mean)
+        exponent = length * scalar_bernoulli_kl(x_bar, mean)
         return math.exp(exponent) if exponent < _EXP_CAP else math.inf
 
     return (("max", f_max), ("square_sum", f_square_sum), ("kl_moment", f_kl_moment))

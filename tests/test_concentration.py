@@ -69,6 +69,12 @@ class TestKlMoment:
         assert bernoulli_kl_moment(7, 0.0) == 1.0
         assert bernoulli_kl_moment(7, 1.0) == 1.0
 
+    def test_array_of_p_is_the_scalar_calls(self):
+        p_grid = np.concatenate([[0.0, 1e-160, 1.0 - 2.0**-52, 1.0], np.arange(0.01, 1.0, 0.01)])
+        for length in range(1, 26):
+            got = bernoulli_kl_moment(length, p_grid)
+            assert got.tobytes() == np.array([bernoulli_kl_moment(length, float(p)) for p in p_grid]).tobytes()
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             bernoulli_kl_moment(26, 0.5)

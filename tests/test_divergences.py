@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditbounds.divergences import (
+    _lower_inverse,
+    _upper_inverse,
     bernoulli_kl,
     bernoulli_kl_vec,
     kl_lower_inverse,
     kl_upper_inverse,
     pinsker_gap,
 )
-from reference import SimplexVector
+from reference import SimplexVector, scalar_bernoulli_kl
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 interior = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
@@ -74,8 +76,9 @@ class TestBernoulliKl:
         vec = bernoulli_kl_vec(p, q)
         for i in range(p.size):
             assert vec[i] == pytest.approx(
-                bernoulli_kl(float(p[i]), float(q[i])), abs=1e-14
+                scalar_bernoulli_kl(float(p[i]), float(q[i])), abs=1e-14
             )
+            assert bernoulli_kl(float(p[i]), float(q[i])) == vec[i]
 
     def test_vectorized_infinities(self):
         vec = bernoulli_kl_vec(np.array([0.5, 0.0]), np.array([0.0, 0.0]))
@@ -104,6 +107,9 @@ class TestKlInverses:
         assert abs(bernoulli_kl(0.7, q_lo) - 0.1) <= 1e-10
 
     @given(interior, st.floats(min_value=1e-6, max_value=5.0))
+    # Brackets far wider than 2^200 * 1e-14: the answer sits on the boundary.
+    @example(0.5, 1e300)
+    @example(1e-200, 1e3)
     def test_round_trip_property(self, p_hat, c):
         # The returned point always respects the budget, and it is tight to
         # one float step: nudging q one ulp further toward the boundary
@@ -119,6 +125,24 @@ class TestKlInverses:
         assert 0.0 <= q <= p_hat
         assert bernoulli_kl(p_hat, q) <= c + 1e-12
         assert bernoulli_kl(p_hat, math.nextafter(q, 0.0)) >= c - 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=5e-324, max_value=1.0 - 2.0**-53),
+                st.floats(min_value=1e-300, max_value=1e300),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_array_inverse_is_the_one_entry_calls(self, pairs):
+        # An interval's bits must not depend on which entries share a call.
+        p_hat, c = (np.array(column) for column in zip(*pairs))
+        for batch, single in ((_upper_inverse, kl_upper_inverse), (_lower_inverse, kl_lower_inverse)):
+            got = batch(p_hat, c)
+            assert got.tobytes() == np.array([single(p, b) for p, b in pairs]).tobytes()
 
     def test_monotone_in_budget_and_capped(self):
         budgets = [0.0, 0.05, 0.2, 1.0, 5.0, 50.0]

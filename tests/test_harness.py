@@ -484,8 +484,7 @@ class TestCertificateSweep:
     def test_matches_scalar_bounds_round_by_round(
         self, means, horizon, reward_kind, warmup_length, seed
     ):
-        # Flags must match exactly; slacks within 1e-10, since the scalar
-        # bernoulli_kl and bernoulli_kl_vec may differ in the last ulps.
+        # Flags must match exactly; slacks within 1e-10.
         played, checked = means
         game = Environment(means=np.array(played), reward_kind=reward_kind)
         trace = run_game(game, horizon, seed=seed, warmup_length=warmup_length)
