@@ -274,5 +274,6 @@ def expsum_ratio(x, alpha: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("the first entry of x must be exactly 0")
     if not np.all(alpha > 0.0):
         raise ValueError("alpha must be positive")
-    ratios = _expected_reward(_gibbs_weights(x.T, -alpha), x.T)
+    xt = np.ascontiguousarray(x.T)  # arms-first rows: the kernel's max reduces over an outer axis
+    ratios = _expected_reward(_gibbs_weights(xt, -alpha), xt)
     return float(ratios) if x.ndim == 1 else ratios

@@ -105,24 +105,24 @@ class DependentChainSpec:
 
     ``transitions`` gives, for each reachable history prefix — a tuple of
     support indices — the conditional distribution (over ``support``) of
-    the next value.  It is either a mapping from prefixes or a function of
-    the prefix, and is kept as given.  Construction checks the path budget,
-    then walks the reachable prefixes level by level (a function is called
-    once per prefix: a level's prefixes in path order, before any of the next
-    level) and rejects the spec unless each conditional is a probability
-    vector whose mean equals ``mean`` to within 1e-12: the
-    constant-conditional-mean hypothesis is validated up front, not trusted;
-    an error names a level's first prefix that fails.  The same walk records
-    every reachable path, in reverse lexicographic order: ``path_values``
-    holds one row of values per path and ``path_probs`` its probability.
+    the next value: a mapping from prefixes, a function of the prefix, or a
+    rank table, an (n, m) array, n = sum_{d<N} m^d, whose row r belongs to
+    the prefix of rank r in the full m-ary tree counted level by level
+    (child j of rank r has rank m*r + 1 + j).  It is kept as given; its
+    unreachable prefixes or rows are never read.  Construction checks the
+    path budget, then walks the reachable prefixes level by level (a
+    function is called once per prefix: a level's prefixes in path order,
+    before any of the next level) and rejects the spec unless each
+    conditional is a probability vector whose mean equals ``mean`` to within
+    1e-12: the constant-conditional-mean hypothesis is validated up front,
+    not trusted; an error names a level's first prefix that fails.  The
+    same walk records every reachable path, in reverse lexicographic order:
+    ``path_values`` holds one row per path, ``path_probs`` its probability.
     """
 
     length: int
     support: tuple[float, ...]
-    transitions: (
-        Mapping[tuple[int, ...], Sequence[float]]
-        | Callable[[tuple[int, ...]], Sequence[float]]
-    )
+    transitions: Mapping[tuple[int, ...], Sequence[float]] | Callable[[tuple[int, ...]], Sequence[float]] | np.ndarray
     mean: float
     path_values: np.ndarray = field(init=False, repr=False)
     path_probs: np.ndarray = field(init=False, repr=False)
@@ -137,34 +137,19 @@ class DependentChainSpec:
         object.__setattr__(self, "support", support)
         mean = _check_unit(self.mean, "mean")
         object.__setattr__(self, "mean", mean)
-        if len(support) ** self.length > PATH_BUDGET:
-            raise BudgetError(
-                f"{len(support)}**{self.length} paths exceed the "
-                f"enumeration budget of {PATH_BUDGET}"
-            )
-        source = self.transitions
-        conditional = source if callable(source) else source.__getitem__
-        m = len(support)
+        m, N = len(support), self.length
+        _check_budget(m, N)
+        table = self.transitions if isinstance(self.transitions, np.ndarray) else None
+        if table is not None and (table.dtype.kind not in "biuf" or table.shape != (sum(m**d for d in range(N)), m)):
+            raise ValueError(f"rank table is {table.dtype} {table.shape}, expected real (sum_(d<{N}) {m}**d, {m})")
         values = np.asarray(support)
-        prefixes: list[tuple[int, ...]] = [()]  # the live prefixes of one level, in path order
+        prefixes = np.zeros((1, 0), dtype=np.intp)  # the live prefixes of one level, in path order
+        ranks = np.zeros(1, dtype=np.intp)
         masses = np.ones(1)
-        for _ in range(self.length):
-            raw = []
-            try:
-                for prefix in prefixes:
-                    raw.append(conditional(prefix))
-            except KeyError:
-                raise ValueError(f"missing conditional distribution for reachable prefix {prefix}") from None
-            try:
-                probs = np.array(raw, dtype=float)
-            except ValueError:  # ragged rows
-                probs = np.empty(0)
-            if probs.shape != (len(raw), m):
-                arrays = [np.asarray(r, dtype=float) for r in raw]
-                i = next(i for i, a in enumerate(arrays) if a.shape != (m,))
-                raise ValueError(f"conditional at prefix {prefixes[i]} has wrong length {arrays[i].size}, expected {m}")
+        for _ in range(N):
+            probs = table[ranks] if table is not None else _called_level(self.transitions, prefixes, m)
             # Each check passes only in range, so a nan entry fails it.
-            _check_rows((probs >= 0.0).all(axis=1), prefixes, "negative or nan probability at prefix {}")
+            _check_rows(probs >= 0.0, prefixes, "negative or nan probability at prefix {}")
             sums = probs.sum(axis=1)
             _check_rows(abs(sums - 1.0) <= _SIMPLEX_TOL, prefixes, "conditional at prefix {} sums to {!r}", sums)
             cond_means = probs @ values
@@ -172,11 +157,12 @@ class DependentChainSpec:
                         f"deviates from {mean!r}: the constant-mean hypothesis fails", cond_means)
             # Children in descending support index: the leaves come out in the
             # order of a depth-first walk that pushes them in ascending order.
-            rows, cols = np.nonzero(probs[:, ::-1] > 0.0)
+            live, cols = np.nonzero(probs[:, ::-1] > 0.0)
             cols = m - 1 - cols
-            masses = masses[rows] * probs[rows, cols]
-            prefixes = [prefixes[r] + (j,) for r, j in zip(rows.tolist(), cols.tolist())]
-        for name, arr in (("path_values", values[np.array(prefixes)]), ("path_probs", masses)):
+            masses = masses[live] * probs[live, cols]
+            prefixes = np.column_stack((prefixes[live], cols))
+            ranks = m * ranks[live] + 1 + cols
+        for name, arr in (("path_values", values[prefixes]), ("path_probs", masses)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -188,16 +174,43 @@ class DependentChainSpec:
 
     @classmethod
     def constant(cls, length: int, value: float) -> "DependentChainSpec":
+        length = _check_count(length, "length", 1)  # before its table is built
         value = _check_unit(value, "value")
-        return cls(length=length, support=(value,), transitions=lambda _: (1.0,), mean=value)
+        return cls(length=length, support=(value,), transitions=np.broadcast_to(1.0, (length, 1)), mean=value)
 
 
-def _check_rows(ok: np.ndarray, prefixes, message: str, *columns: np.ndarray) -> None:
-    """Reject a level unless ``ok`` holds on every row: ``message`` is formatted
-    with the first failing row's prefix and its entry of each column."""
-    if not ok.all():
-        i = int(ok.argmin())
-        raise ValueError(message.format(prefixes[i], *(float(c[i]) for c in columns)))
+def _check_budget(m: int, length: int) -> None:
+    """Reject m**length paths over ``PATH_BUDGET`` (as m**64 is for m >= 2)."""
+    if m ** min(length, 64) > PATH_BUDGET:
+        raise BudgetError(f"{m}**{length} paths exceed the enumeration budget of {PATH_BUDGET}")
+
+
+def _called_level(source, prefixes: np.ndarray, m: int) -> np.ndarray:
+    """A level's (L, m) conditionals from a function or a mapping, one call per prefix in path order."""
+    conditional = source if callable(source) else source.__getitem__
+    keys = list(map(tuple, prefixes.tolist()))
+    raw = []
+    try:
+        for prefix in keys:
+            raw.append(conditional(prefix))
+    except KeyError:
+        raise ValueError(f"missing conditional distribution for reachable prefix {prefix}") from None
+    try:
+        probs = np.array(raw, dtype=float)
+    except ValueError:  # ragged rows
+        probs = np.empty(0)
+    if probs.shape != (len(raw), m):
+        arrays = [np.asarray(r, dtype=float) for r in raw]
+        i = next(i for i, a in enumerate(arrays) if a.shape != (m,))
+        raise ValueError(f"conditional at prefix {keys[i]} has wrong length {arrays[i].size}, expected {m}")
+    return probs
+
+
+def _check_rows(ok: np.ndarray, prefixes: np.ndarray, message: str, *columns: np.ndarray) -> None:
+    """Reject a level unless ``ok`` holds everywhere, formatting ``message`` at its first failing row."""
+    if np.count_nonzero(ok) < ok.size:
+        i = int(ok.reshape(len(prefixes), -1).all(axis=1).argmin())
+        raise ValueError(message.format(tuple(prefixes[i].tolist()), *(float(c[i]) for c in columns)))
 
 
 def _conditional_segment(support: Sequence[float], mean: float) -> tuple[np.ndarray, np.ndarray]:
@@ -237,28 +250,17 @@ def random_constant_mean_chain(length: int, rng: np.random.Generator) -> Depende
     if u < 0.1:
         return DependentChainSpec.constant(length, float(rng.random()))
     m = 2 if u < 0.3 else 3
+    _check_budget(m, length)
     while True:
         support = np.sort(rng.random(m))
-        if np.min(np.diff(support)) > 0.05:
+        if (support[1:] - support[:-1]).min() > 0.05:
             break
     spread = support[-1] - support[0]
     mean = float(rng.uniform(support[0] + 0.05 * spread, support[-1] - 0.05 * spread))
     v0, v1 = _conditional_segment(support, mean)
     t = rng.random(sum(m**d for d in range(length)))[:, None]
-    rows = np.where(v0 == v1, v0, t * v0 + (1.0 - t) * v1).tolist()  # a point segment stays exact
-
-    def conditional(prefix: tuple[int, ...]) -> list[float]:
-        rank = 0
-        for j in prefix:
-            rank = rank * m + 1 + j
-        return rows[rank]
-
-    return DependentChainSpec(
-        length=length,
-        support=tuple(float(v) for v in support),
-        transitions=conditional,
-        mean=mean,
-    )
+    table = np.where(v0 == v1, v0, t * v0 + (1.0 - t) * v1)  # a point segment stays exact
+    return DependentChainSpec(length=length, support=tuple(float(v) for v in support), transitions=table, mean=mean)
 
 
 def _fold_paths(count: int, rows_of, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -287,18 +289,28 @@ def bernoulli_convex_expectation(length: int, p: float, f: Callable[[np.ndarray]
     """E[f(Y_1..Y_N)] for Y_i i.i.d. Bernoulli(p), over the 2^N paths whose
     bits are (b >> i) & 1 (over the constant path when p is 0 or 1)."""
     length = _check_count(length, "length", 1)
-    if 2**length > PATH_BUDGET:
-        raise BudgetError("path count exceeds the enumeration budget")
+    _check_budget(2, length)
     p = _check_unit(p, "p")
     if p in (0.0, 1.0):  # the one path of positive probability
         return _fold_paths(1, lambda s, e: (np.full((1, length), p), np.ones(1)), f)
     weight_of = np.array([p**k * (1.0 - p) ** (length - k) for k in range(length + 1)])
 
     def rows_of(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        bits = (np.arange(start, stop)[:, None] >> np.arange(length)) & 1
-        return bits.astype(float), weight_of[bits.sum(axis=1)]
+        bits, ones = (_bit_rows if stop - start == 2**length else _bit_rows.__wrapped__)(length, start, stop)
+        return bits, weight_of[ones]
 
     return _fold_paths(2**length, rows_of, f)
+
+
+@functools.cache
+def _bit_rows(length: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bernoulli paths start..stop-1 as read-only (B, N) float bit rows and
+    their one-counts.  Cached only for all 2^N paths in one ``_PATH_BLOCK``
+    (N <= 14); ``__wrapped__`` builds a block of a longer length afresh."""
+    bits = (np.arange(start, stop)[:, None] >> np.arange(length)) & 1
+    rows, ones = bits.astype(float), bits.sum(axis=1)
+    rows.setflags(write=False), ones.setflags(write=False)
+    return rows, ones
 
 
 def convex_domination_gap(chain: DependentChainSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -318,24 +330,24 @@ def convex_test_functions(length: int, mean: float) -> tuple[tuple[str, Callable
     ``mean`` (infinite where the exponent reaches ``_EXP_CAP``, which the
     expectations reject); each is convex on [0,1]^N.
     """
+    length = _check_count(length, "length", 1)
     mean = _check_unit(mean, "mean")
 
     def f_max(xs: np.ndarray) -> np.ndarray:
-        return xs.max(axis=1)
+        return functools.reduce(np.maximum, xs.T)  # exact, so numpy's max(axis=1) bit for bit
 
     def f_square_sum(xs: np.ndarray) -> np.ndarray:
         return xs.sum(axis=1) ** 2
 
     def f_kl_moment(xs: np.ndarray) -> np.ndarray:
-        # One kl per distinct sample mean: rows share few of them.
-        x_bar, row_of = np.unique(np.clip(xs.sum(axis=1) / length, 0.0, 1.0), return_inverse=True)
-        return _capped_exp(length * bernoulli_kl_vec(x_bar, mean))[row_of]
+        return _capped_exp(length * bernoulli_kl_vec(np.clip(xs.sum(axis=1) / length, 0.0, 1.0), mean))
 
     return (("max", f_max), ("square_sum", f_square_sum), ("kl_moment", f_kl_moment))
 
 
 def midpoint_convexity_probe(f: Callable[[np.ndarray], np.ndarray], length: int) -> bool:
     """Stochastic midpoint test: f((x+y)/2) <= (f(x)+f(y))/2 on random pairs, one f call per side."""
+    length = _check_count(length, "length", 1)
     x, y = np.random.default_rng(_PROBE_SEED).random((_PROBE_TRIALS, 2, length)).transpose(1, 0, 2)
     return not np.any(f((x + y) / 2.0) > 0.5 * (f(x) + f(y)) + _PROBE_TOL)
 

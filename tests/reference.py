@@ -17,7 +17,8 @@
   kernel in ``concentration`` must match them.
 * The depth-first construction of a chain, one prefix checked at a time,
   whose path values and probabilities ``DependentChainSpec``'s
-  level-by-level walk must match bit for bit.
+  level-by-level walk must match bit for bit.  Both walks read a rank
+  table through one lookup at the prefix's rank, ``conditional_of``.
 * The scalar bound references no campaign calls: ``kl_certificate`` (with
   ``CertificateResult``), the per-round kl check that ``certificate_sweep``
   must match; ``lambda_opt`` and the general-weight ``weighted_gap_bound``,
@@ -32,6 +33,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,12 +153,20 @@ def scalar_bernoulli_kl(p: float, q: float) -> float:
     return p * _log_ratio(p, q) + (1.0 - p) * _log_ratio(1.0 - p, 1.0 - q)
 
 
+def conditional_of(transitions, m: int):
+    """A chain's conditional as a function of the prefix: a function as it
+    is, a mapping by key, and a rank table at the prefix's rank in the full
+    m-ary tree, where child j of rank r has rank m*r + 1 + j."""
+    if isinstance(transitions, np.ndarray):
+        return lambda prefix: transitions[functools.reduce(lambda rank, j: m * rank + 1 + j, prefix, 0)]
+    return transitions if callable(transitions) else transitions.__getitem__
+
+
 def tree_walk_expectation(chain, f) -> float:
     """E[f(X_1..X_N)] under the chain, by a depth-first walk of its prefix
     tree that asks the chain's conditional for each prefix it reaches; a path
     whose probability underflows to 0 is dropped, as in the bit loop."""
-    source = chain.transitions
-    conditional = source if callable(source) else source.__getitem__
+    conditional = conditional_of(chain.transitions, len(chain.support))
     values = chain.support
     total = 0.0
     stack = [((), 1.0)]
@@ -176,7 +186,7 @@ def depth_first_chain(length: int, support, transitions, mean: float):
     """The path values and path probabilities of a chain, by a depth-first
     walk that checks one conditional at a time and pushes a prefix's children
     in ascending support index."""
-    conditional = transitions if callable(transitions) else transitions.__getitem__
+    conditional = conditional_of(transitions, len(support))
     values = np.asarray(support, dtype=float)
     paths = []
     stack = [((), 1.0)]

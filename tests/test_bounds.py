@@ -20,7 +20,7 @@ from banditbounds import (
     run_game,
     weighted_gap_bound_opt,
 )
-from banditbounds.bandit import _schedule_arrays
+from banditbounds.bandit import _expected_reward, _gibbs_weights, _schedule_arrays
 from banditbounds.bounds import _gap_radius
 from reference import kl_certificate, lambda_opt, weighted_gap_bound
 
@@ -398,6 +398,19 @@ class TestExpsumRatio:
             assert ratios.shape == (500,)
             singles = np.array([expsum_ratio(row, a) for row, a in zip(x, alpha)])
             assert np.all(np.abs(ratios - singles) <= 4 * np.spacing(np.abs(singles)))
+
+    def test_blocks_are_the_kernel_on_the_transposed_block(self):
+        # The kernel reads an arms-first copy; the bytes are those of the
+        # kernel on the transposed (strided) view.
+        rng = np.random.default_rng(2)
+        for n in range(2, 14):
+            for rows in (1, 7, 1024):
+                x = rng.normal(0.0, 3.0, size=(rows, n))
+                x[rng.random(rows) < 0.1] *= 10.0
+                x[:, 0] = 0.0
+                alpha = 10.0 ** rng.uniform(-2.0, 2.0, size=rows)
+                expected = _expected_reward(_gibbs_weights(x.T, -alpha), x.T)
+                assert expsum_ratio(x, alpha).tobytes() == expected.tobytes(), (n, rows)
 
     def test_block_validation(self):
         x = np.array([[0.0, 1.0, 2.0], [0.0, -1.0, 3.0]])

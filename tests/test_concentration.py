@@ -28,6 +28,7 @@ from banditbounds import (
     azuma_alt_bound,
     bernoulli_convex_expectation,
     bernoulli_kl_moment,
+    bernoulli_kl_vec,
     convex_domination_gap,
     convex_test_functions,
     dependent_convex_expectation,
@@ -279,7 +280,8 @@ class TestDependentChains:
 
     def test_chain_stream_layout(self):
         # u, then the constant's value or the support, the mean and one
-        # random(n) for the n prefixes of the full m-ary tree.
+        # random(n) for the n prefixes of the full m-ary tree, whose rank
+        # table the chain keeps.
         length = 3
         kinds = set()
         for seed in range(30):
@@ -300,16 +302,46 @@ class TestDependentChains:
                 mean = replay.uniform(support[0] + 0.05 * spread, support[-1] - 0.05 * spread)
                 t = replay.random(sum(m**d for d in range(length)))
                 assert chain.support == tuple(support) and chain.mean == mean
+                assert chain.transitions.shape == (len(t), m)
                 v0, v1 = _conditional_segment(chain.support, mean)
                 prefixes = [p for d in range(length) for p in itertools.product(range(m), repeat=d)]
                 for prefix in prefixes:
                     rank = sum(m**d for d in range(len(prefix))) + sum(j * m ** (len(prefix) - 1 - i) for i, j in enumerate(prefix))
-                    q = tuple(chain.transitions(prefix))
+                    q = tuple(chain.transitions[rank])
                     assert q == tuple(np.where(v0 == v1, v0, t[rank] * v0 + (1.0 - t[rank]) * v1))
                 _, path_probs = depth_first_chain(length, chain.support, chain.transitions, mean)
                 assert chain.path_probs.tobytes() == path_probs.tobytes()
             assert rng.bit_generator.state == replay.bit_generator.state
         assert kinds == {1, 2, 3}
+
+    @pytest.mark.parametrize("seed, m", [(0, 3), (2, 2)])
+    def test_an_over_budget_chain_fails_before_its_draws(self, seed, m):
+        # u fixes m, and m**N is checked before the support or the tree is
+        # drawn: 3**13 > 10**6, 2**20 > 10**6; 2**13 paths fit the budget.
+        for length in (13, 20, 40) if m == 2 else (13, 40):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (replay.random() >= 0.3) == (m == 3)
+            if m ** length <= concentration.PATH_BUDGET:
+                assert len(random_constant_mean_chain(length, rng).support) == m
+                continue
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError, match=rf"{m}\*\*{length} paths"):
+                    random_constant_mean_chain(length, rng)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert rng.bit_generator.state == replay.bit_generator.state  # u alone was read
+
+    def test_count_rule_on_the_convex_family_and_the_probe(self):
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="length must be an integer"):
+                convex_test_functions(bad, 0.3)
+            with pytest.raises(ValueError, match="length must be an integer"):
+                midpoint_convexity_probe(lambda xs: xs.sum(axis=1) ** 2, bad)
+            with pytest.raises(ValueError, match="length must be an integer"):
+                DependentChainSpec.constant(bad, 0.3)
 
     def test_midpoint_probe(self):
         for name, f in convex_test_functions(3, 0.4):
@@ -391,6 +423,83 @@ class TestLevelWalk:
         assert chain.path_probs.tobytes() == path_probs.tobytes()
 
 
+def _rank_table(length, m, conditional):
+    """The rows of ``conditional`` at every prefix of the full m-ary tree, in
+    rank order (level by level, each level lexicographic), and the prefixes."""
+    prefixes = [p for d in range(length) for p in itertools.product(range(m), repeat=d)]
+    return np.array([conditional(p) for p in prefixes], dtype=float).reshape(len(prefixes), m), prefixes
+
+
+class TestRankTables:
+    @settings(max_examples=200, deadline=None)
+    @given(pure_conditionals())
+    def test_table_function_and_mapping_build_the_same_chain(self, args):
+        length, support, conditional, mean = args
+        table, prefixes = _rank_table(length, len(support), conditional)
+        forms = (table, conditional, dict(zip(prefixes, table.tolist())))
+        chains = [DependentChainSpec(length=length, support=support, transitions=t, mean=mean) for t in forms]
+        assert chains[0].transitions is table
+        path_values, path_probs = depth_first_chain(length, support, table, mean)
+        for chain in chains:
+            assert chain.path_values.tobytes() == path_values.tobytes()
+            assert chain.path_probs.tobytes() == path_probs.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({1: (0.2, 0.0, 0.8), 3: (0.2, 0.0, 0.8)}, r"mean 0\.8.* at prefix \(2,\)"),  # path order: (2,) first
+            ({1: (0.2, 0.0, 0.8), 10: (0.2, 0.0, 0.8)}, r"mean 0\.8.* at prefix \(0,\)"),  # the first bad level
+            ({12: (-0.5, 1.0, 0.5)}, r"negative or nan probability at prefix \(2, 2\)"),
+            ({10: (np.nan, 0.0, 1.0), 11: (np.nan,) * 3}, r"negative or nan probability at prefix \(2, 0\)"),
+            ({5: (0.5, 0.1, 0.5)}, r"prefix \(0, 1\) sums to 1\.1"),
+        ],
+    )
+    def test_a_bad_reachable_row_fails_alike_in_every_form(self, bad, message):
+        # Support (0, 1/2, 1), mean 1/2: the root and every prefix split
+        # evenly between 0 and 1, except that prefix (0,) surely moves to 1/2.
+        # Prefix (a, b) has rank 4 + 3a + b; (2, 1), rank 11, is unreachable.
+        rows = np.tile([0.5, 0.0, 0.5], (13, 1))
+        rows[1] = (0.0, 1.0, 0.0)
+        for rank, row in bad.items():
+            rows[rank] = row
+        _, prefixes = _rank_table(3, 3, lambda p: (0.0, 0.0, 0.0))
+        forms = (rows, lambda p: rows[prefixes.index(p)], dict(zip(prefixes, rows.tolist())))
+        errors = []
+        for transitions in forms:
+            with pytest.raises(ValueError, match=message) as info:
+                DependentChainSpec(length=3, support=(0.0, 0.5, 1.0), transitions=transitions, mean=0.5)
+            errors.append(str(info.value))
+        assert len(set(errors)) == 1
+
+    def test_unreachable_rows_are_never_read(self):
+        # The root never draws 1/2, so prefix (1,) (rank 2) and its children
+        # (ranks 7-9) are unreachable; nan there changes nothing.
+        rows = np.tile([0.5, 0.0, 0.5], (13, 1))
+        bad = rows.copy()
+        bad[[2, 7, 8, 9]] = np.nan
+        chains = [DependentChainSpec(length=3, support=(0.0, 0.5, 1.0), transitions=t, mean=0.5) for t in (rows, bad)]
+        assert chains[0].path_values.tobytes() == chains[1].path_values.tobytes()
+        assert chains[0].path_probs.tobytes() == chains[1].path_probs.tobytes()
+        assert len(chains[0].path_probs) == 8
+
+    @pytest.mark.parametrize("shape", [(13, 2), (12, 3), (14, 3), (39,), (13, 3, 1), (27, 3)])
+    def test_a_mis_shaped_table_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"rank table is float64 .*, expected real \(sum_\(d<3\) 3\*\*d, 3\)"):
+            DependentChainSpec(length=3, support=(0.0, 0.5, 1.0), transitions=np.full(shape, 1.0 / 3.0), mean=0.5)
+
+    @pytest.mark.parametrize("dtype", [complex, str, object])
+    def test_a_table_of_other_than_real_numbers_is_rejected(self, dtype):
+        # A mapping's rows are read as floats; a table is read as it is.
+        with pytest.raises(ValueError, match="rank table is"):
+            DependentChainSpec(length=1, support=(0.0, 1.0), transitions=np.full((1, 2), 0.5).astype(dtype), mean=0.5)
+        assert DependentChainSpec(length=1, support=(0.0, 1.0), transitions=np.eye(2, dtype=int)[:1], mean=0.0)
+
+    def test_constant_chain_is_a_table(self):
+        chain = DependentChainSpec.constant(4, 0.3)
+        assert chain.transitions.shape == (4, 1)
+        assert chain.path_values.tolist() == [[0.3] * 4] and chain.path_probs.tolist() == [1.0]
+
+
 @st.composite
 def small_chains(draw):
     """Constant-mean chains of length <= 5 on <= 3 support points; each
@@ -463,6 +572,38 @@ class TestPathKernel:
     def test_iid_and_constant_chains_match_the_references(self, length, p):
         self._check(DependentChainSpec.iid_bernoulli(length, p))
         self._check(DependentChainSpec.constant(length, p))
+
+    def test_cached_bit_rows_are_read_only_and_exact(self):
+        # All 2^N paths fold as one block up to N = 14, and only those are kept.
+        assert 2**14 <= _PATH_BLOCK < 2**15
+        for length in range(1, 15):
+            bits, ones = concentration._bit_rows(length, 0, 2**length)
+            assert concentration._bit_rows(length, 0, 2**length)[0] is bits
+            assert not bits.flags.writeable and not ones.flags.writeable
+            assert bits.tobytes() == _bit_rows(length).tobytes()
+            assert ones.tolist() == _bit_rows(length).sum(axis=1).astype(int).tolist()
+            fresh = concentration._bit_rows.__wrapped__(length, 0, 2**length)
+            assert bits.tobytes() == fresh[0].tobytes() and ones.tobytes() == fresh[1].tobytes()
+        kept = concentration._bit_rows.cache_info().currsize
+        bernoulli_convex_expectation(15, 0.3, lambda xs: xs.sum(axis=1))
+        assert concentration._bit_rows.cache_info().currsize == kept
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 800), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_max_and_kl_moment_keep_their_bits(self, length, rows, seed, mean):
+        # max folds np.maximum over the columns, and kl_moment runs the
+        # kernel on every row: numpy's max, and one kernel call per
+        # distinct sample mean, give the same bytes.
+        xs = np.random.default_rng(seed).random((rows, length))
+        xs[xs < 0.3] = 0.0
+        xs[xs > 0.7] = 1.0
+        family = dict(convex_test_functions(length, mean))
+        assert family["max"](xs).tobytes() == xs.max(axis=1).tobytes()
+        x_bar, row_of = np.unique(np.clip(xs.sum(axis=1) / length, 0.0, 1.0), return_inverse=True)
+        with np.errstate(over="ignore"):
+            exponent = length * bernoulli_kl_vec(x_bar, mean)
+            expected = np.where(exponent < concentration._EXP_CAP, np.exp(exponent), math.inf)[row_of]
+        assert family["kl_moment"](xs).tobytes() == expected.tobytes()
 
     def test_paths_follow_the_walk_and_are_read_only(self):
         chain = two_step_chain()

@@ -21,8 +21,10 @@ from banditbounds import (
     azuma_alt_bound,
     bernoulli_convex_expectation,
     bernoulli_kl_moment,
+    convex_test_functions,
     harness,
     kl_budget,
+    midpoint_convexity_probe,
     random_constant_mean_chain,
     regret_envelope,
     reward_gap_radius,
@@ -104,6 +106,11 @@ _COUNTS = {
         lambda n: bernoulli_convex_expectation(n, 0.3, lambda xs: xs.sum(axis=1) ** 2), 4
     ),
     "DependentChainSpec.length": (lambda n: DependentChainSpec.iid_bernoulli(n, 0.3).path_probs, 3),
+    "DependentChainSpec.constant.length": (lambda n: DependentChainSpec.constant(n, 0.3).path_values, 3),
+    "convex_test_functions.length": (
+        lambda n: [f(np.full((2, 3), 0.3)) for _, f in convex_test_functions(n, 0.4)], 3
+    ),
+    "midpoint_convexity_probe.length": (lambda n: midpoint_convexity_probe(lambda xs: xs.sum(axis=1) ** 2, n), 3),
     "random_constant_mean_chain.length": (
         lambda n: random_constant_mean_chain(n, np.random.default_rng(4)).path_probs, 3
     ),
