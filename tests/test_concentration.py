@@ -12,6 +12,7 @@ direct enumeration on paper:
   1/4 * 0 + 1/2 * 1 + 1/4 * 4 = 3/2, so the dominance gap is 1/8.
 """
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -38,7 +39,7 @@ from banditbounds import (
     random_constant_mean_chain,
     simulate_profile_walks,
 )
-from banditbounds import concentration
+from banditbounds import concentration, harness
 from banditbounds.concentration import (
     _PATH_BLOCK,
     _PROFILE_STREAM,
@@ -498,6 +499,33 @@ class TestRankTables:
         chain = DependentChainSpec.constant(4, 0.3)
         assert chain.transitions.shape == (4, 1)
         assert chain.path_values.tolist() == [[0.3] * 4] and chain.path_probs.tolist() == [1.0]
+
+
+class TestOracleChainBytes:
+    """The `oracles` campaign's chains and domination gaps, pinned by SHA-256:
+    a change to how a chain is built or walked may not move one byte."""
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "b00bea66167023a1f9c9d4a8284582073d8c4f27a071c7e254ef7d6fdb79080c"),
+            (1, "8a8e2d9acf6592ba1b7a9219fcf2b21b7133e6ab4855869dd374d5324345d49c"),
+            (5, "df838e81d7543437ab2a992b6a6d69a3785edbc5c62b3f70ca117b229eabbc29"),
+        ],
+    )
+    def test_oracle_chains_and_gaps_keep_their_bytes(self, seed, digest):
+        # The draws of harness._domination_checks at the default chain count.
+        rng = _stream(seed, harness._CHAIN_STREAM)
+        sha = hashlib.sha256()
+        gaps = []
+        for _ in range(harness.ExperimentConfig(mode="oracles").chain_count):
+            chain = random_constant_mean_chain(int(rng.integers(2, 7)), rng)
+            sha.update(chain.path_values.tobytes())
+            sha.update(chain.path_probs.tobytes())
+            gaps += [convex_domination_gap(chain, f) for _, f in convex_test_functions(chain.length, chain.mean)]
+        sha.update(np.array(gaps).tobytes())
+        assert len(gaps) == 600
+        assert sha.hexdigest() == digest
 
 
 @st.composite
