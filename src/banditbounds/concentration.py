@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,17 +103,15 @@ def _capped_exp(exponent: np.ndarray) -> np.ndarray:
 class DependentChainSpec:
     """Finite description of a dependent [0,1]-valued process.
 
-    ``transitions`` gives, for each reachable history prefix — a tuple of
-    support indices — the conditional distribution (over ``support``) of
-    the next value: a mapping from prefixes, a function of the prefix, or a
-    rank table, an (n, m) array, n = sum_{d<N} m^d, whose row r belongs to
-    the prefix of rank r in the full m-ary tree counted level by level
-    (child j of rank r has rank m*r + 1 + j).  It is kept as given; its
-    unreachable prefixes or rows are never read.  Construction checks the
-    path budget, then walks the reachable prefixes level by level (a
-    function is called once per prefix: a level's prefixes in path order,
-    before any of the next level) and rejects the spec unless each
-    conditional is a probability vector whose mean equals ``mean`` to within
+    ``transitions`` is a rank table: an (n, m) real array, n = sum_{d<N}
+    m^d, whose row r is the conditional distribution (over ``support``) of
+    the next value after the history prefix of rank r in the full m-ary
+    tree, counted level by level (child j of rank r has rank m*r + 1 + j).
+    The chain keeps a read-only float copy; rows of unreachable prefixes are
+    never read.  Construction checks the path budget and the table's dtype
+    and shape, then walks the reachable prefixes level by level, reading each
+    level's rows in one lookup at their ranks, and rejects the spec unless
+    each row is a probability vector whose mean equals ``mean`` to within
     1e-12: the constant-conditional-mean hypothesis is validated up front,
     not trusted; an error names a level's first prefix that fails.  The
     same walk records every reachable path, in reverse lexicographic order:
@@ -122,7 +120,7 @@ class DependentChainSpec:
 
     length: int
     support: tuple[float, ...]
-    transitions: Mapping[tuple[int, ...], Sequence[float]] | Callable[[tuple[int, ...]], Sequence[float]] | np.ndarray
+    transitions: np.ndarray
     mean: float
     path_values: np.ndarray = field(init=False, repr=False)
     path_probs: np.ndarray = field(init=False, repr=False)
@@ -139,15 +137,16 @@ class DependentChainSpec:
         object.__setattr__(self, "mean", mean)
         m, N = len(support), self.length
         _check_budget(m, N)
-        table = self.transitions if isinstance(self.transitions, np.ndarray) else None
-        if table is not None and (table.dtype.kind not in "biuf" or table.shape != (sum(m**d for d in range(N)), m)):
+        table = np.asarray(self.transitions)
+        if table.dtype.kind not in "biuf" or table.shape != (sum(m**d for d in range(N)), m):
             raise ValueError(f"rank table is {table.dtype} {table.shape}, expected real (sum_(d<{N}) {m}**d, {m})")
+        table = np.array(table, dtype=float)
         values = np.asarray(support)
         prefixes = np.zeros((1, 0), dtype=np.intp)  # the live prefixes of one level, in path order
         ranks = np.zeros(1, dtype=np.intp)
         masses = np.ones(1)
         for _ in range(N):
-            probs = table[ranks] if table is not None else _called_level(self.transitions, prefixes, m)
+            probs = table[ranks]
             # Each check passes only in range, so a nan entry fails it.
             _check_rows(probs >= 0.0, prefixes, "negative or nan probability at prefix {}")
             sums = probs.sum(axis=1)
@@ -162,15 +161,17 @@ class DependentChainSpec:
             masses = masses[live] * probs[live, cols]
             prefixes = np.column_stack((prefixes[live], cols))
             ranks = m * ranks[live] + 1 + cols
-        for name, arr in (("path_values", values[prefixes]), ("path_probs", masses)):
+        for name, arr in (("transitions", table), ("path_values", values[prefixes]), ("path_probs", masses)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
     def iid_bernoulli(cls, length: int, p: float) -> "DependentChainSpec":
+        length = _check_count(length, "length", 1)
+        _check_budget(2, length)  # before its table is built
         p = _check_unit(p, "p")
-        probs = (1.0 - p, p)
-        return cls(length=length, support=(0.0, 1.0), transitions=lambda _: probs, mean=p)
+        table = np.broadcast_to((1.0 - p, p), (2**length - 1, 2))
+        return cls(length=length, support=(0.0, 1.0), transitions=table, mean=p)
 
     @classmethod
     def constant(cls, length: int, value: float) -> "DependentChainSpec":
@@ -183,27 +184,6 @@ def _check_budget(m: int, length: int) -> None:
     """Reject m**length paths over ``PATH_BUDGET`` (as m**64 is for m >= 2)."""
     if m ** min(length, 64) > PATH_BUDGET:
         raise BudgetError(f"{m}**{length} paths exceed the enumeration budget of {PATH_BUDGET}")
-
-
-def _called_level(source, prefixes: np.ndarray, m: int) -> np.ndarray:
-    """A level's (L, m) conditionals from a function or a mapping, one call per prefix in path order."""
-    conditional = source if callable(source) else source.__getitem__
-    keys = list(map(tuple, prefixes.tolist()))
-    raw = []
-    try:
-        for prefix in keys:
-            raw.append(conditional(prefix))
-    except KeyError:
-        raise ValueError(f"missing conditional distribution for reachable prefix {prefix}") from None
-    try:
-        probs = np.array(raw, dtype=float)
-    except ValueError:  # ragged rows
-        probs = np.empty(0)
-    if probs.shape != (len(raw), m):
-        arrays = [np.asarray(r, dtype=float) for r in raw]
-        i = next(i for i, a in enumerate(arrays) if a.shape != (m,))
-        raise ValueError(f"conditional at prefix {keys[i]} has wrong length {arrays[i].size}, expected {m}")
-    return probs
 
 
 def _check_rows(ok: np.ndarray, prefixes: np.ndarray, message: str, *columns: np.ndarray) -> None:

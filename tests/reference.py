@@ -18,7 +18,9 @@
 * The depth-first construction of a chain, one prefix checked at a time,
   whose path values and probabilities ``DependentChainSpec``'s
   level-by-level walk must match bit for bit.  Both walks read a rank
-  table through one lookup at the prefix's rank, ``conditional_of``.
+  table through one lookup at the prefix's rank, ``conditional_of``;
+  ``table_of`` builds the rank table of a conditional given as a function
+  of the prefix or a mapping from prefixes.
 * The scalar bound references no campaign calls: ``kl_certificate`` (with
   ``CertificateResult``), the per-round kl check that ``certificate_sweep``
   must match; ``lambda_opt`` and the general-weight ``weighted_gap_bound``,
@@ -153,18 +155,34 @@ def scalar_bernoulli_kl(p: float, q: float) -> float:
     return p * _log_ratio(p, q) + (1.0 - p) * _log_ratio(1.0 - p, 1.0 - q)
 
 
-def conditional_of(transitions, m: int):
-    """A chain's conditional as a function of the prefix: a function as it
-    is, a mapping by key, and a rank table at the prefix's rank in the full
-    m-ary tree, where child j of rank r has rank m*r + 1 + j."""
-    if isinstance(transitions, np.ndarray):
-        return lambda prefix: transitions[functools.reduce(lambda rank, j: m * rank + 1 + j, prefix, 0)]
-    return transitions if callable(transitions) else transitions.__getitem__
+def conditional_of(table, m: int):
+    """A rank table's conditional as a function of the prefix: its row at the
+    prefix's rank in the full m-ary tree, where child j of rank r has rank
+    m*r + 1 + j."""
+    return lambda prefix: table[functools.reduce(lambda rank, j: m * rank + 1 + j, prefix, 0)]
+
+
+def table_of(conditional, m: int, length: int) -> np.ndarray:
+    """The rank table of a conditional given as a function of the prefix or a
+    mapping from prefixes: a level-by-level walk asks it only at reachable
+    prefixes, each once, and the rows of unreachable prefixes are nan."""
+    ask = conditional if callable(conditional) else conditional.__getitem__
+    table = np.full((sum(m**d for d in range(length)), m), np.nan)
+    level = [((), 0)]
+    for _ in range(length):
+        children = []
+        for prefix, rank in level:
+            row = np.asarray(ask(prefix), dtype=float)
+            assert row.shape == (m,), prefix
+            table[rank] = row
+            children += [(prefix + (j,), m * rank + 1 + j) for j in range(m) if table[rank, j] > 0.0]
+        level = children
+    return table
 
 
 def tree_walk_expectation(chain, f) -> float:
     """E[f(X_1..X_N)] under the chain, by a depth-first walk of its prefix
-    tree that asks the chain's conditional for each prefix it reaches; a path
+    tree that reads the chain's rank table at each prefix it reaches; a path
     whose probability underflows to 0 is dropped, as in the bit loop."""
     conditional = conditional_of(chain.transitions, len(chain.support))
     values = chain.support

@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -48,7 +49,14 @@ from banditbounds.concentration import (
     _stream,
     _walk_signs,
 )
-from reference import bit_loop_expectation, depth_first_chain, scalar_convex_test_functions, tree_walk_expectation
+from reference import (
+    bit_loop_expectation,
+    conditional_of,
+    depth_first_chain,
+    scalar_convex_test_functions,
+    table_of,
+    tree_walk_expectation,
+)
 
 
 class TestKlMoment:
@@ -77,6 +85,16 @@ class TestKlMoment:
             got = bernoulli_kl_moment(length, p_grid)
             assert got.tobytes() == np.array([bernoulli_kl_moment(length, float(p)) for p in p_grid]).tobytes()
 
+    def test_matches_the_exact_moment(self):
+        # For p in (0, 1) the binomial weight cancels against exp(N kl), so
+        # E_N = sum_k C(N,k) k^k (N-k)^(N-k) / N^N whatever p is (0^0 = 1).
+        # A kl kernel off by 1e-9 relative moves E_N by about 1e-8.
+        p_grid = np.arange(0.01, 1.0, 0.01)
+        for length in range(1, concentration.MOMENT_MAX_LENGTH + 1):
+            terms = (math.comb(length, k) * k**k * (length - k) ** (length - k) for k in range(length + 1))
+            exact = float(Fraction(sum(terms), length**length))
+            np.testing.assert_allclose(bernoulli_kl_moment(length, p_grid), exact, rtol=1e-13, atol=0.0)
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             bernoulli_kl_moment(26, 0.5)
@@ -88,11 +106,7 @@ def two_step_chain() -> DependentChainSpec:
     return DependentChainSpec(
         length=2,
         support=(0.0, 0.5, 1.0),
-        transitions={
-            (): (0.5, 0.0, 0.5),
-            (0,): (0.0, 1.0, 0.0),
-            (2,): (0.5, 0.0, 0.5),
-        },
+        transitions=table_of({(): (0.5, 0.0, 0.5), (0,): (0.0, 1.0, 0.0), (2,): (0.5, 0.0, 0.5)}, 3, 2),
         mean=0.5,
     )
 
@@ -137,7 +151,7 @@ class TestDependentChains:
             DependentChainSpec(
                 length=2,
                 support=(0.0, 1.0),
-                transitions={(): (0.5, 0.5), (0,): (0.2, 0.8), (1,): (0.5, 0.5)},
+                transitions=table_of({(): (0.5, 0.5), (0,): (0.2, 0.8), (1,): (0.5, 0.5)}, 2, 2),
                 mean=0.5,
             )
 
@@ -146,14 +160,14 @@ class TestDependentChains:
             DependentChainSpec(
                 length=1,
                 support=(0.0, 1.0),
-                transitions={(): (0.4, 0.5)},
+                transitions=table_of({(): (0.4, 0.5)}, 2, 1),
                 mean=0.5,
             )
         with pytest.raises(ValueError, match="negative"):
             DependentChainSpec(
                 length=1,
                 support=(0.0, 1.0),
-                transitions={(): (-0.1, 1.1)},
+                transitions=table_of({(): (-0.1, 1.1)}, 2, 1),
                 mean=0.5,
             )
 
@@ -169,23 +183,7 @@ class TestDependentChains:
     )
     def test_rejects_nan_conditional(self, support, transitions):
         with pytest.raises(ValueError, match=r"at prefix \(\)"):
-            DependentChainSpec(length=2, support=support, transitions=transitions, mean=0.5)
-
-    def test_rejects_missing_prefix_and_wrong_shape(self):
-        with pytest.raises(ValueError, match="missing conditional"):
-            DependentChainSpec(
-                length=2,
-                support=(0.0, 1.0),
-                transitions={(): (0.5, 0.5), (0,): (0.5, 0.5)},
-                mean=0.5,
-            )
-        with pytest.raises(ValueError, match="wrong length"):
-            DependentChainSpec(
-                length=1,
-                support=(0.0, 1.0),
-                transitions={(): (1.0,)},
-                mean=0.5,
-            )
+            DependentChainSpec(length=2, support=support, transitions=table_of(transitions, len(support), 2), mean=0.5)
 
     def test_unreachable_prefixes_are_not_required(self):
         # two_step_chain never reaches prefix (1,), so its conditional may be
@@ -194,45 +192,21 @@ class TestDependentChains:
         assert 0.5 not in chain.path_values[:, 0]
 
     def test_path_budget(self):
-        class CountingChain(DependentChainSpec):
-            # Counts the calls the construction walk makes to a function.
-            calls = 0
-
-            def __post_init__(self):
-                conditional = self.transitions
-
-                def counted(prefix):
-                    CountingChain.calls += 1
-                    return conditional(prefix)
-
-                object.__setattr__(self, "transitions", counted)
-                super().__post_init__()
-
-        CountingChain.iid_bernoulli(3, 0.5)
-        assert CountingChain.calls == 7  # the prefixes of length 0, 1 and 2
-        CountingChain.calls = 0
+        # The budget is checked before the table's shape, and before
+        # iid_bernoulli builds its table: 2**21 > 10**6.
         with pytest.raises(BudgetError):
-            CountingChain.iid_bernoulli(21, 0.5)  # 2^21 > 10^6
-        assert CountingChain.calls == 0  # the budget is checked before the walk
+            DependentChainSpec(length=21, support=(0.0, 1.0), transitions=np.empty((0, 2)), mean=0.5)
+        for length in (21, 10**8):  # 2**10**8 alone would take 12.5 MB
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError):
+                    DependentChainSpec.iid_bernoulli(length, 0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, length
         with pytest.raises(BudgetError):
             bernoulli_convex_expectation(21, 0.5, lambda xs: np.zeros(len(xs)))
-
-    def test_conditional_is_called_once_per_prefix_level_by_level(self):
-        calls = []
-
-        def conditional(prefix):
-            calls.append(prefix)
-            return (0.0, 1.0, 0.0) if prefix == (0,) else (0.5, 0.0, 0.5)
-
-        chain = DependentChainSpec(length=3, support=(0.0, 0.5, 1.0), transitions=conditional, mean=0.5)
-        # Each level in path order (descending support index), before the next.
-        assert calls == [(), (2,), (0,), (2, 2), (2, 0), (0, 1)]
-        assert chain.path_values.tolist() == [
-            [1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.5, 0.0],
-        ]
-        calls.clear()
-        DependentChainSpec(length=3, support=(0.0, 1.0), transitions=lambda p: calls.append(p) or (0.5, 0.5), mean=0.5)
-        assert calls == [(), (1,), (0,), (1, 1), (1, 0), (0, 1), (0, 0)]
 
     def test_errors_name_the_first_bad_prefix_of_the_first_bad_level(self):
         bad = (0.2, 0.8)  # mean 0.8, not 0.5
@@ -243,15 +217,11 @@ class TestDependentChains:
             ({(0,): bad, (1, 1): bad}, r"at prefix \(0,\)"),  # a depth-first walk names (1, 1)
             ({(0,): (-0.5, 1.5), (1,): (0.5, 0.6)}, r"negative or nan probability at prefix \(0,\)"),
             ({(1,): (0.5, 0.6)}, r"prefix \(1,\) sums to 1\.1"),
-            ({(0,): (0.5,), (1,): (0.5, 0.5, 0.0)}, r"prefix \(1,\) has wrong length 3, expected 2"),
-            ({(0,): (0.5,), (1,): (0.5, 0.5)}, r"prefix \(0,\) has wrong length 1, expected 2"),
         ]
         for changes, message in cases:
+            table = table_of({**base, **changes}, 2, 3)
             with pytest.raises(ValueError, match=message):
-                DependentChainSpec(length=3, support=(0.0, 1.0), transitions={**base, **changes}, mean=0.5)
-        del base[(1, 0)]
-        with pytest.raises(ValueError, match=r"missing conditional distribution for reachable prefix \(1, 0\)"):
-            DependentChainSpec(length=3, support=(0.0, 1.0), transitions=base, mean=0.5)
+                DependentChainSpec(length=3, support=(0.0, 1.0), transitions=table, mean=0.5)
 
     def test_function_and_mapping_build_the_same_chain(self):
         def conditional(prefix):
@@ -259,7 +229,7 @@ class TestDependentChains:
             return (0.0, 1.0, 0.0) if prefix == (0,) else (0.5, 0.0, 0.5)
 
         from_function = DependentChainSpec(
-            length=2, support=(0.0, 0.5, 1.0), transitions=conditional, mean=0.5
+            length=2, support=(0.0, 0.5, 1.0), transitions=table_of(conditional, 3, 2), mean=0.5
         )
         from_mapping = two_step_chain()
         assert from_function.path_values.tobytes() == from_mapping.path_values.tobytes()
@@ -409,42 +379,28 @@ def pure_conditionals(draw):
 
 class TestLevelWalk:
     @settings(max_examples=200, deadline=None)
-    @given(pure_conditionals(), st.booleans())
-    def test_matches_the_depth_first_reference(self, args, as_mapping):
-        length, support, conditional, mean = args
-        transitions = conditional
-        if as_mapping:
-            m = len(support)
-            transitions = {p: conditional(p) for d in range(length) for p in itertools.product(range(m), repeat=d)}
-        chain = DependentChainSpec(length=length, support=support, transitions=transitions, mean=mean)
-        path_values, path_probs = depth_first_chain(length, support, transitions, mean)
-        assert chain.transitions is transitions
-        assert chain.path_values.shape == path_values.shape
-        assert chain.path_values.tobytes() == path_values.tobytes()
-        assert chain.path_probs.tobytes() == path_probs.tobytes()
-
-
-def _rank_table(length, m, conditional):
-    """The rows of ``conditional`` at every prefix of the full m-ary tree, in
-    rank order (level by level, each level lexicographic), and the prefixes."""
-    prefixes = [p for d in range(length) for p in itertools.product(range(m), repeat=d)]
-    return np.array([conditional(p) for p in prefixes], dtype=float).reshape(len(prefixes), m), prefixes
-
-
-class TestRankTables:
-    @settings(max_examples=200, deadline=None)
     @given(pure_conditionals())
-    def test_table_function_and_mapping_build_the_same_chain(self, args):
+    def test_matches_the_depth_first_reference(self, args):
+        # The function and its mapping give one table, nan at unreachable
+        # prefixes; it builds the chain the full table builds, and the
+        # depth-first reference's.
         length, support, conditional, mean = args
-        table, prefixes = _rank_table(length, len(support), conditional)
-        forms = (table, conditional, dict(zip(prefixes, table.tolist())))
-        chains = [DependentChainSpec(length=length, support=support, transitions=t, mean=mean) for t in forms]
-        assert chains[0].transitions is table
+        m = len(support)
+        mapping = {p: conditional(p) for d in range(length) for p in itertools.product(range(m), repeat=d)}
+        table = table_of(conditional, m, length)
+        assert table.tobytes() == table_of(mapping, m, length).tobytes()
+        full = np.array(list(mapping.values()), dtype=float).reshape(-1, m)  # rank order
         path_values, path_probs = depth_first_chain(length, support, table, mean)
-        for chain in chains:
+        for transitions in (table, full):
+            chain = DependentChainSpec(length=length, support=support, transitions=transitions, mean=mean)
+            assert chain.transitions is not transitions
+            assert chain.transitions.tobytes() == transitions.tobytes()
+            assert chain.path_values.shape == path_values.shape
             assert chain.path_values.tobytes() == path_values.tobytes()
             assert chain.path_probs.tobytes() == path_probs.tobytes()
 
+
+class TestRankTables:
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -463,8 +419,8 @@ class TestRankTables:
         rows[1] = (0.0, 1.0, 0.0)
         for rank, row in bad.items():
             rows[rank] = row
-        _, prefixes = _rank_table(3, 3, lambda p: (0.0, 0.0, 0.0))
-        forms = (rows, lambda p: rows[prefixes.index(p)], dict(zip(prefixes, rows.tolist())))
+        prefixes = [p for d in range(3) for p in itertools.product(range(3), repeat=d)]  # rank order
+        forms = (rows, table_of(conditional_of(rows, 3), 3, 3), table_of(dict(zip(prefixes, rows.tolist())), 3, 3))
         errors = []
         for transitions in forms:
             with pytest.raises(ValueError, match=message) as info:
@@ -490,10 +446,28 @@ class TestRankTables:
 
     @pytest.mark.parametrize("dtype", [complex, str, object])
     def test_a_table_of_other_than_real_numbers_is_rejected(self, dtype):
-        # A mapping's rows are read as floats; a table is read as it is.
+        # The dtype is checked before the float copy is taken.
         with pytest.raises(ValueError, match="rank table is"):
             DependentChainSpec(length=1, support=(0.0, 1.0), transitions=np.full((1, 2), 0.5).astype(dtype), mean=0.5)
         assert DependentChainSpec(length=1, support=(0.0, 1.0), transitions=np.eye(2, dtype=int)[:1], mean=0.0)
+
+    @pytest.mark.parametrize("transitions", [{(): (0.5, 0.5)}, lambda prefix: (0.5, 0.5)])
+    def test_a_mapping_or_a_function_is_not_a_table(self, transitions):
+        with pytest.raises(ValueError, match=r"rank table is object \(\)"):
+            DependentChainSpec(length=1, support=(0.0, 1.0), transitions=transitions, mean=0.5)
+
+    def test_a_chain_keeps_a_read_only_copy_of_its_table(self):
+        # A write to the caller's table after construction leaves the chain
+        # as it was, and the chain's own table cannot be written.
+        rows = np.tile([0.5, 0.0, 0.5], (13, 1))
+        chain = DependentChainSpec(length=3, support=(0.0, 0.5, 1.0), transitions=rows, mean=0.5)
+        before = [a.tobytes() for a in (chain.transitions, chain.path_values, chain.path_probs)]
+        rows[0] = (0.2, 0.0, 0.8)
+        assert [a.tobytes() for a in (chain.transitions, chain.path_values, chain.path_probs)] == before
+        with pytest.raises(ValueError, match="read-only"):
+            chain.transitions[0] = (0.2, 0.0, 0.8)
+        rebuilt = DependentChainSpec(length=3, support=chain.support, transitions=chain.transitions, mean=0.5)
+        assert rebuilt.path_probs.tobytes() == chain.path_probs.tobytes()
 
     def test_constant_chain_is_a_table(self):
         chain = DependentChainSpec.constant(4, 0.3)
@@ -531,8 +505,8 @@ class TestOracleChainBytes:
 @st.composite
 def small_chains(draw):
     """Constant-mean chains of length <= 5 on <= 3 support points; each
-    reachable prefix mixes two ends of the feasible segment, drawn at its
-    first call and the same at every later one."""
+    reachable prefix mixes two ends of the feasible segment, drawn when
+    ``table_of`` asks for its row."""
     length = draw(st.integers(1, 5))
     support = draw(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True).map(sorted)
@@ -542,16 +516,14 @@ def small_chains(draw):
     if len(support) == 1:
         return DependentChainSpec.constant(length, mean)
     ends = _conditional_segment(tuple(support), mean)
-    drawn = {}
 
     def conditional(prefix):
-        if prefix not in drawn:
-            a, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-            t = draw(st.floats(0.0, 1.0))
-            drawn[prefix] = tuple(t * ends[a] + (1.0 - t) * ends[b])
-        return drawn[prefix]
+        a, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        t = draw(st.floats(0.0, 1.0))
+        return t * ends[a] + (1.0 - t) * ends[b]
 
-    return DependentChainSpec(length=length, support=tuple(support), transitions=conditional, mean=mean)
+    table = table_of(conditional, len(support), length)
+    return DependentChainSpec(length=length, support=tuple(support), transitions=table, mean=mean)
 
 
 def _bit_rows(length):
