@@ -381,26 +381,33 @@ class TestLevelWalk:
     @settings(max_examples=200, deadline=None)
     @given(pure_conditionals())
     def test_matches_the_depth_first_reference(self, args):
+        length, support, conditional, mean = args
+        table = table_of(conditional, len(support), length)
+        chain = DependentChainSpec(length=length, support=support, transitions=table, mean=mean)
+        path_values, path_probs = depth_first_chain(length, support, table, mean)
+        assert chain.transitions is not table
+        assert chain.transitions.tobytes() == table.tobytes()
+        assert chain.path_values.shape == path_values.shape
+        assert chain.path_values.tobytes() == path_values.tobytes()
+        assert chain.path_probs.tobytes() == path_probs.tobytes()
+
+
+class TestRankTables:
+    @settings(max_examples=200, deadline=None)
+    @given(pure_conditionals())
+    def test_table_function_and_mapping_build_the_same_chain(self, args):
         # The function and its mapping give one table, nan at unreachable
-        # prefixes; it builds the chain the full table builds, and the
-        # depth-first reference's.
+        # prefixes; it builds the chain the full table builds.
         length, support, conditional, mean = args
         m = len(support)
         mapping = {p: conditional(p) for d in range(length) for p in itertools.product(range(m), repeat=d)}
         table = table_of(conditional, m, length)
         assert table.tobytes() == table_of(mapping, m, length).tobytes()
         full = np.array(list(mapping.values()), dtype=float).reshape(-1, m)  # rank order
-        path_values, path_probs = depth_first_chain(length, support, table, mean)
-        for transitions in (table, full):
-            chain = DependentChainSpec(length=length, support=support, transitions=transitions, mean=mean)
-            assert chain.transitions is not transitions
-            assert chain.transitions.tobytes() == transitions.tobytes()
-            assert chain.path_values.shape == path_values.shape
-            assert chain.path_values.tobytes() == path_values.tobytes()
-            assert chain.path_probs.tobytes() == path_probs.tobytes()
+        chains = [DependentChainSpec(length=length, support=support, transitions=t, mean=mean) for t in (table, full)]
+        assert chains[0].path_values.tobytes() == chains[1].path_values.tobytes()
+        assert chains[0].path_probs.tobytes() == chains[1].path_probs.tobytes()
 
-
-class TestRankTables:
     @pytest.mark.parametrize(
         "bad, message",
         [
