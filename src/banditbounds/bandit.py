@@ -12,9 +12,12 @@ K^3, so any warmup up to K^3 plays the default game bit for bit; a longer
 one extends the uniform phase.
 
 Engine: ``_play_windows`` plays a block of B trajectories in lockstep in
-arms-first buffers, trajectory index last, and hands them out ``_WINDOW`` = R
-rounds at a time, drawing each window's action uniforms and payouts as it
-goes.  Every sum over arms is one left fold, so a trajectory's rounds do not
+arms-first buffers, trajectory index last, and hands them out R rounds at a
+time, drawing each window's action uniforms and payouts as it goes.  R is
+the budgeted window ``_window_rounds``: 64 rounds for a block of K B >= 100
+entries per round, longer for a narrower block, up to 1 024.  A round marks
+its arms in a bool mask and adds to the played arm's estimate sum only.
+Every sum over arms is one left fold, so a trajectory's rounds do not
 depend on the block or on where the windows break, and a game of any reward
 kind holds O(B R K) memory whatever the horizon.  ``run_game`` is the block
 of one, its windows joined into one ``Window`` with no block axis.
@@ -148,16 +151,13 @@ def _payouts(env: Environment, rounds: int, rngs, rounders=None) -> np.ndarray:
 
 
 def _choose_arms(pi: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Arm of each (K,) column of ``pi`` for its uniform in ``u``: the first
-    j with u < pi_0 + ... + pi_j, or the last arm when u passes every partial
-    sum.  The partial sums grow along the arms, so that arm is the number of
-    them at or below u."""
-    edge = pi[0]
-    arm = np.greater_equal(u, edge, out=np.empty(u.shape, np.int64) if out is None else out)
-    for p in pi[1:-1]:
-        edge = edge + p
-        arm += u >= edge
-    return arm
+    """The arm of each (K,) column of ``pi`` for its uniform in ``u`` as a
+    mask: the K-1 rows u >= pi_0 + ... + pi_j for j < K-1, the partial sums
+    taken by one left fold.  The arm is the first j with u < pi_0 + ... +
+    pi_j, or the last arm when u passes every partial sum.  The partial sums
+    of nonnegative entries never decrease, so each column is a run of trues
+    then falses, and the arm is the number of trues."""
+    return np.greater_equal(u, np.add.accumulate(pi[:-1], axis=0), out=out)
 
 
 def _expected_reward(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -166,14 +166,25 @@ def _expected_reward(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
     return _arm_sum((weights.T * means.T).T)
 
 
-# Rounds per window: the engine's arrays are (R, K, B) whatever the horizon,
-# and the sweep's (3, R, B) temporaries stay small at the largest block.
+# Rounds per window, R = min(_WINDOW_CAP, max(_WINDOW, _WINDOW_ENTRIES // (K B))).
+# Blocks with K B >= 100 play 64 rounds at a time, so the engine's (R, K, B)
+# arrays and the sweep's (3, R, B) temporaries stay small at the largest
+# block; narrower blocks pay each window's generator calls and schedule arrays
+# fewer times, and the cap keeps a window's trace text in one csv chunk.
 _WINDOW = 64
+_WINDOW_ENTRIES = 6400
+_WINDOW_CAP = 1024
+
+
+def _window_rounds(n_arms: int, block: int) -> int:
+    """R, the rounds per window of a block of ``block`` trajectories of ``n_arms`` arms."""
+    return min(_WINDOW_CAP, max(_WINDOW, _WINDOW_ENTRIES // (n_arms * block)))
 
 
 class Window(NamedTuple):
     """Rounds start+1..start+R of a block of B trajectories, row j for seed j,
-    in (B, R, ...) views.  ``pi`` also holds the policy formed for round
+    in (B, R, ...) views, R the block's budgeted window ``_window_rounds``
+    or the rounds left.  ``pi`` also holds the policy formed for round
     start+R+1; ``rho`` is each round's Gibbs distribution on its estimates,
     before smoothing; ``floor`` the floor each policy in ``pi`` was smoothed
     by: 1/K in the warmup, min(epsilon_t, 1/K) after it.  ``run_game``'s
@@ -226,10 +237,10 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
     rho_w = np.full((k, size), 1.0 / k)
     sums = np.zeros((k, size))
     lmin_carry = np.full(size, 1.0 / k)
-    arm_ids = np.arange(k)[:, None]
     gain, played = np.empty((k, size)), np.empty((k, size), dtype=bool)
-    for start in range(0, horizon, _WINDOW):
-        n = min(_WINDOW, horizon - start)
+    window = _window_rounds(k, size)
+    for start in range(0, horizon, window):
+        n = min(window, horizon - start)
         uniforms = np.empty((size, n))
         for rng, row in zip(rngs, uniforms):
             rng.random(out=row)
@@ -241,21 +252,25 @@ def _play_windows(env: Environment, horizon: int, seeds, warmup_length: int | No
         floor = np.where(np.array(ts) < warmup, 1.0 / k, _pi_floor(k, epsilon))
         # Arms-first (R[+1], K, B) buffers that each round writes in place; views go out.
         pi = np.empty((n + 1, k, size))
-        actions = np.empty((n, size), dtype=np.int64)
         rhat = np.empty((n, k, size))
         rho = np.empty((n, k, size))
+        # Each round's arm mask between a true row 0 and a false row K: arm a
+        # is played where row a is true and row a+1 false.
+        passed = np.empty((n, k + 1, size), dtype=bool)
+        passed[:, 0], passed[:, k] = True, False
         _smooth_weights(rho_w, floor[0], out=pi[0])
-        for t, gamma_t, floor_t, u, pay, pi_t, pi_next, arm, rhat_t, rho_t in zip(
-            ts, gamma[:-1].tolist(), floor[1:].tolist(), uniforms.T,
-            payouts.transpose(1, 2, 0), pi, pi[1:], actions, rhat, rho,
+        for t, gamma_t, floor_t, u, pay, pi_t, pi_next, arms_t, below, above, rhat_t, rho_t in zip(
+            ts, gamma[:-1].tolist(), floor[1:].tolist(), uniforms.T, payouts.transpose(1, 2, 0),
+            pi, pi[1:], passed[:, 1:k], passed[:, :k], passed[:, 1:], rhat, rho,
         ):
-            _choose_arms(pi_t, u, out=arm)
-            # Adding 0.0 to the arms not played leaves their sums exact.
-            np.multiply(np.divide(pay, pi_t, out=gain), np.equal(arm, arm_ids, out=played), out=gain)
-            np.add(sums, gain, out=sums)
+            _choose_arms(pi_t, u, out=arms_t)
+            # The arms not played keep their sums: no 0.0 is added to them.
+            np.greater(below, above, out=played)
+            np.add(sums, np.divide(pay, pi_t, out=gain), out=sums, where=played)
             np.divide(sums, t, out=rhat_t)
             _gibbs_weights(rhat_t, gamma_t, out=rho_t)
             _smooth_weights(rho_t, floor_t, out=pi_next)
+        actions = passed[:, 1:k].sum(axis=1)
         rho_w = rho[-1].copy()
         rewards = payouts[np.arange(size)[:, None], np.arange(n), actions.T]
         lmin = np.minimum(np.minimum.reduce(pi[:-1], axis=1), 1.0 / k)

@@ -181,9 +181,13 @@ class DependentChainSpec:
 
 
 def _check_budget(m: int, length: int) -> None:
-    """Reject m**length paths over ``PATH_BUDGET`` (as m**64 is for m >= 2)."""
+    """Reject m**length paths over ``PATH_BUDGET`` (as m**64 is for m >= 2),
+    and a rank table of more rows: one support point gives one path but
+    ``length`` rows, and m >= 2 points give fewer rows than paths."""
     if m ** min(length, 64) > PATH_BUDGET:
         raise BudgetError(f"{m}**{length} paths exceed the enumeration budget of {PATH_BUDGET}")
+    if length > PATH_BUDGET:
+        raise BudgetError(f"a rank table of {length} rows exceeds the enumeration budget of {PATH_BUDGET}")
 
 
 def _check_rows(ok: np.ndarray, prefixes: np.ndarray, message: str, *columns: np.ndarray) -> None:

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandit import _WINDOW, Environment, Window, _arm_sum, _check_arms, _expected_reward, _play_windows
+from .bandit import Environment, Window, _arm_sum, _check_arms, _expected_reward, _play_windows, _window_rounds
 from .bounds import _SCALE_TOL, _envelope, _kl_budget, _weighted_opt, expsum_ratio, gap_driver_report
 from .concentration import (
     _WALK_BLOCK,
@@ -172,7 +172,8 @@ class ExperimentConfig:
         if self.mode in ("simulate", "verify-bounds"):
             # the engine's (R+1, B, K) policy window (simulate's one block is M); trajectory indices
             block = self.trajectories if self.mode == "simulate" else min(_BLOCK, self.trajectories)
-            sizes += [(min(_WINDOW, self.horizon) + 1) * block * self.n_arms, self.trajectories]
+            sizes += [(min(_window_rounds(self.n_arms, block), self.horizon) + 1) * block * self.n_arms,
+                      self.trajectories]
         if self.mode == "verify-bounds":
             sizes.append(2 * self.horizon)  # drivers.csv's (2, T) columns
         if self.mode == "simulate":
@@ -256,16 +257,21 @@ def _write_csv(out, columns: dict, header: bool = True) -> None:
 def _write_traces(files, start: int, actions, rewards, pi, rhat) -> None:
     """Add rounds start+1.. of a block's (B, R, K) window to its trajectories'
     trace files, row j to ``files[j]`` in one ``write``, after the header at
-    round 1.  Columns are formatted ``_CSV_ROWS`` rows at a time."""
+    round 1.  Columns are formatted ``_CSV_ROWS`` rows at a time; a reward
+    column takes few distinct values, and each one's text is formatted once."""
     rounds, k = pi.shape[1:]
     names = ["t", "action", "reward"] + [f"{name}_{a}" for name in ("pi", "rhat") for a in range(k)]
     header = _lines([[name] for name in names]) if start == 0 else ""
     step = max(1, _CSV_ROWS // rounds)  # trajectories formatted at once
     for i in range(0, len(files), step):
         part = slice(i, i + step)
-        columns = (actions[part], rewards[part], *pi[part].transpose(2, 0, 1), *rhat[part].transpose(2, 0, 1))
+        # Rewards told apart by bit pattern, so -0.0 keeps its own text.
+        reward = rewards[part]
+        bits, index = np.unique(reward.view(f"u{reward.itemsize}"), return_inverse=True)
+        paid = np.array(_texts(bits.view(reward.dtype)), dtype=object)[index.ravel()].tolist()
+        columns = (*pi[part].transpose(2, 0, 1), *rhat[part].transpose(2, 0, 1))
         ts = _texts(np.arange(start + 1, start + rounds + 1))
-        cells = [_texts(c.ravel()) for c in columns]
+        cells = [_texts(actions[part].ravel()), paid] + [_texts(c.ravel()) for c in columns]
         for j, fh in enumerate(files[part]):
             fh.write(header + _lines([ts] + [c[j * rounds : (j + 1) * rounds] for c in cells]))
 

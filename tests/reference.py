@@ -7,6 +7,9 @@
   ``test_step_api_replays_the_game`` checks the lockstep engine against
   them round by round, and the tests of each piece pin the rules they
   encode.
+* ``choose_arms``, the per-arm scan the engine's arm masks replaced: the
+  arm of each policy column as the number of partial sums at or below its
+  uniform, one partial sum and one comparison per arm.
 * The scalar binary kl ``scalar_bernoulli_kl``, in ``math.log`` with its own
   p = 0 and p = 1 branches, an independent formula that the kernel
   ``bernoulli_kl_vec`` is checked against.
@@ -126,6 +129,19 @@ def gibbs_posterior(r_hat, gamma: float) -> SimplexVector:
 def smooth_policy(rho: SimplexVector, epsilon_next: float) -> SimplexVector:
     """Mix toward uniform so every arm keeps probability >= epsilon_next."""
     return SimplexVector(_smooth_weights(rho.weights, float(epsilon_next)))
+
+
+def choose_arms(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Arm of each (K,) column of ``pi`` for its uniform in ``u``: the first
+    j with u < pi_0 + ... + pi_j, or the last arm when u passes every partial
+    sum, counted as the number of partial sums at or below u, each one
+    ``edge + p`` of the one before."""
+    edge = pi[0]
+    arm = np.greater_equal(u, edge).astype(np.int64)
+    for p in pi[1:-1]:
+        edge = edge + p
+        arm += u >= edge
+    return arm
 
 
 def _log_ratio(num: float, den: float) -> float:

@@ -25,6 +25,7 @@ from banditbounds.bandit import (
     _schedule_arrays,
     _smooth_weights,
 )
+import reference
 from reference import (
     PolicyState,
     SimplexVector,
@@ -163,6 +164,17 @@ def _scan_arm(weights, u):
     return len(weights) - 1
 
 
+def _mask_arms(pi, u):
+    """The arms ``_choose_arms``'s mask of each (K, B) column block of ``pi``
+    gives, framed and read as the engine reads it: the played mask and the
+    count of true rows."""
+    k = len(pi)
+    frame = np.empty((k + 1, *u.shape), dtype=bool)
+    frame[0], frame[k] = True, False
+    _choose_arms(pi, u, out=frame[1:k])
+    return frame[1:k].sum(axis=0), frame[:-1] > frame[1:]
+
+
 class TestChooseArms:
     @given(
         k=st.integers(2, 8),
@@ -183,12 +195,53 @@ class TestChooseArms:
                 partial, np.nextafter(partial, 0.0), np.nextafter(partial, 1.0),
                 [0.0, 1.0 - 2.0**-53, rng.random()],
             ))
-            arms = _choose_arms(np.tile(row, (us.size, 1)).T, us)
-            assert arms.tolist() == [_scan_arm(row.tolist(), u) for u in us.tolist()]
+            arms, played = _mask_arms(np.tile(row, (us.size, 1)).T, us)
+            expected = [_scan_arm(row.tolist(), u) for u in us.tolist()]
+            assert arms.tolist() == expected
+            assert np.array_equal(played, np.arange(k)[:, None] == expected)
+
+    @given(
+        k=st.sampled_from([2, 3, 8]),
+        size=st.sampled_from([1, 6, 50]),
+        rounds=st.integers(1, 12),
+        zeros=st.integers(0, 3),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_window_masks_match_the_scan_reference(self, k, size, rounds, zeros, ties, seed):
+        # A window's (R, K+1, B) masks, written round by round as the engine
+        # writes them, against the per-arm scan: the count of true rows is
+        # the scan's arm and the played mask is its one-hot column, bit for
+        # bit.  Policies have zero entries and tied entries; a third of the
+        # uniforms lie exactly on a partial sum.
+        rng = np.random.default_rng(seed)
+        pi = rng.dirichlet(np.ones(k), (rounds, size)).transpose(0, 2, 1).copy()
+        for r, j in zip(rng.integers(0, rounds, zeros * size), rng.integers(0, size, zeros * size)):
+            pi[r, rng.integers(0, k), j] = 0.0
+        if ties:
+            pi[:, : k // 2 + 1] = pi[:, :1]
+        partial = np.add.accumulate(pi[:, :-1], axis=1)
+        u = rng.random((rounds, size))
+        on = rng.random((rounds, size)) < 1 / 3
+        edge = np.take_along_axis(partial, rng.integers(0, k - 1, (rounds, 1, size)), axis=1)[:, 0]
+        u[on] = np.minimum(edge[on], 1.0 - 2.0**-53)
+        passed = np.empty((rounds, k + 1, size), dtype=bool)
+        passed[:, 0], passed[:, k] = True, False
+        for pi_t, u_t, rows in zip(pi, u, passed[:, 1:k]):
+            _choose_arms(pi_t, u_t, out=rows)
+        actions = passed[:, 1:k].sum(axis=1)
+        played = passed[:, :-1] > passed[:, 1:]
+        expected = np.array([reference.choose_arms(pi_t, u_t) for pi_t, u_t in zip(pi, u)])
+        assert actions.dtype == np.int64 and actions.tobytes() == expected.tobytes()
+        assert np.array_equal(played, np.arange(k)[:, None] == expected[:, None, :])
+        for r in range(rounds):
+            for j in range(size):
+                assert expected[r, j] == _scan_arm(pi[r, :, j].tolist(), u[r, j])
 
     @given(k=st.integers(2, 8), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_out_gives_the_same_bytes(self, k, size, seed):
-        # One column, a (K, B) block, and a policy and arm buffer that are
+        # One column, a (K, B) block, and a policy and mask buffer that are
         # strided views.
         rng = np.random.default_rng(seed)
         pi = rng.dirichlet(np.ones(k), size).T
@@ -196,24 +249,48 @@ class TestChooseArms:
         buffer = np.empty((size, k)).T
         buffer[...] = pi
         for rows, us, out in (
-            (pi[:, :1], u[:1], np.empty(1, dtype=np.int64)),
-            (pi, u, np.empty(size, dtype=np.int64)),
-            (buffer, u, np.empty((size, 2), dtype=np.int64)[:, 1]),
+            (pi[:, :1], u[:1], np.empty((k - 1, 1), dtype=bool)),
+            (pi, u, np.empty((k - 1, size), dtype=bool)),
+            (buffer, u, np.empty((size, k + 1), dtype=bool).T[1:k]),
         ):
-            arms = _choose_arms(rows, us)
-            assert _choose_arms(rows, us, out=out).tobytes() == out.tobytes() == arms.tobytes()
+            mask = _choose_arms(rows, us)
+            assert _choose_arms(rows, us, out=out) is out
+            assert out.tobytes() == mask.tobytes()
 
     def test_boundary_and_last_partial_sum(self):
         # u on a partial sum is past it: 0.25 picks arm 1, not arm 0.
         pi = np.array([[0.25, 0.25, 0.5]]).T
-        assert _choose_arms(pi, np.array([0.25])).tolist() == [1]
+        assert _mask_arms(pi, np.array([0.25]))[0].tolist() == [1]
         # Ten weights of 0.1 add up to 1 - 2^-53 in order, which the largest
         # uniform reaches: it passes every partial sum and must pick the
         # last arm, not an eleventh.
         pi = np.full((10, 1), 0.1)
         u = 1.0 - 2.0**-53
         assert sum([0.1] * 10) == u
-        assert _choose_arms(pi, np.array([u])).tolist() == [9] == [_scan_arm([0.1] * 10, u)]
+        arms, played = _mask_arms(pi, np.array([u]))
+        assert arms.tolist() == [9] == [_scan_arm([0.1] * 10, u)]
+        assert played[:, 0].tolist() == [False] * 9 + [True]
+
+
+class TestWindowBudget:
+    @pytest.mark.parametrize(
+        "k, size, rounds",
+        [
+            (2, 1, 1024),  # K B = 2: 3 200 rounds, capped
+            (3, 6, 355),   # K B = 18, the simulate-k3 workload
+            (2, 50, 64),   # K B = 100, the verify-k2 workload
+            (2, 256, 64),  # K B = 512, a verify-bounds block
+        ],
+    )
+    def test_window_follows_the_entry_budget(self, k, size, rounds):
+        # R = min(1 024, max(64, floor(6 400 / (K B)))), and the engine's
+        # windows start every R rounds.
+        assert bandit._window_rounds(k, size) == rounds == min(1024, max(64, 6400 // (k * size)))
+        horizon = 2 * rounds + 5
+        env = Environment(means=np.linspace(0.9, 0.1, k))
+        windows = list(_play_windows(env, horizon, list(range(size))))
+        assert [w.start for w in windows] == list(range(0, horizon, rounds))
+        assert [w.actions.shape for w in windows] == [(size, rounds)] * 2 + [(size, 5)]
 
 
 def _left_fold(x):
@@ -263,12 +340,13 @@ class TestLayouts:
         rng = np.random.default_rng(seed)
         pi = rng.dirichlet(np.ones(k), 37 * 29).T
         u = rng.random(pi.shape[1])
-        arms = _choose_arms(pi, u)
+        mask = _choose_arms(pi, u)
         for x in _layouts(pi):
-            assert np.array_equal(_choose_arms(x, u), arms)
+            assert np.array_equal(_choose_arms(x, u), mask)
+        arms = mask.sum(axis=0)
         assert arms.tolist() == [_scan_arm(c, v) for c, v in zip(pi.T.tolist(), u.tolist())]
         for j in rng.integers(0, len(u), 20):
-            assert _choose_arms(pi[:, j : j + 1], u[j : j + 1]).tolist() == [arms[j]]
+            assert np.array_equal(_choose_arms(pi[:, j : j + 1], u[j : j + 1]), mask[:, j : j + 1])
 
 
 class TestEstimates:
@@ -515,7 +593,7 @@ class TestRunGame:
         seeds = [seed + 1 + j for j in range(8)]
         seeds[position] = seed
         warmup = k**3 if warmup_length is None else warmup_length
-        with mock.patch.object(bandit, "_WINDOW", window):
+        with mock.patch.multiple(bandit, _WINDOW=window, _WINDOW_ENTRIES=0):
             windows = list(_play_windows(env, horizon, seeds, warmup))
         trace = _join(windows, position)
 
@@ -578,3 +656,14 @@ class TestTraceCsv:
             assert float(rec[2]) == trace.rewards[t]  # repr round-trips exactly
             assert float(rec[3]) == trace.pi[t, 0]
             assert float(rec[6]) == trace.rhat[t, 1]
+
+    def test_each_reward_keeps_its_own_text(self, tmp_path):
+        # The writer formats each distinct reward once; -0.0 and 0.0 compare
+        # equal but are distinct payouts with distinct texts.
+        env = Environment(means=np.array([0.5, -0.0, 0.0]), reward_kind="point")
+        trace = run_game(env, horizon=200, seed=1)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rewards = [row[2] for row in list(csv.reader(fh))[1:]]
+        assert rewards == [repr(float(env.means[a])) for a in trace.actions]
+        assert {"-0.0", "0.0", "0.5"} == set(rewards)

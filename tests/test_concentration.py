@@ -208,6 +208,18 @@ class TestDependentChains:
         with pytest.raises(BudgetError):
             bernoulli_convex_expectation(21, 0.5, lambda xs: np.zeros(len(xs)))
 
+    def test_a_one_point_table_is_bounded_by_the_budget(self):
+        # One support point gives one path at any length, but a table of
+        # ``length`` rows: a table of more rows than the budget is rejected
+        # before it is copied or walked.
+        with mock.patch.object(concentration, "PATH_BUDGET", 1000):
+            chain = DependentChainSpec.constant(1000, 0.5)
+            assert chain.transitions.shape == (1000, 1) and chain.path_values.shape == (1, 1000)
+            with pytest.raises(BudgetError, match="table of 1001 rows"):
+                DependentChainSpec.constant(1001, 0.5)
+            with pytest.raises(BudgetError, match="table of 1001 rows"):
+                random_constant_mean_chain(1001, np.random.default_rng(3))  # u < 0.1: a constant chain
+
     def test_errors_name_the_first_bad_prefix_of_the_first_bad_level(self):
         bad = (0.2, 0.8)  # mean 0.8, not 0.5
         base = {(): (0.5, 0.5), (0,): (0.5, 0.5), (1,): (0.5, 0.5)}

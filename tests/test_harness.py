@@ -172,8 +172,8 @@ class TestLockstepBlocks:
         )
         env = cfg.environment()
         played, offsets = [], []
-        with mock.patch.object(harness, "_BLOCK", block), mock.patch.object(
-            bandit, "_WINDOW", window
+        with mock.patch.object(harness, "_BLOCK", block), mock.patch.multiple(
+            bandit, _WINDOW=window, _WINDOW_ENTRIES=0
         ):
             for rows in harness._blocks(cfg):
                 windows = list(harness._block_windows(cfg, env, rows))
@@ -210,10 +210,10 @@ class TestLockstepBlocks:
         # positions 0..T-1 and its Bernoulli payouts positions T..2T-1.
         env = Environment(means=np.array([0.7, 0.4, 0.2]))
         horizon = 100
-        with mock.patch.object(bandit, "_WINDOW", 7):
+        with mock.patch.multiple(bandit, _WINDOW=7, _WINDOW_ENTRIES=0):
             trace = run_game(env, horizon, trajectory_stream(2, 5))
         u = trajectory_stream(2, 5).random(2 * horizon)
-        assert np.array_equal(trace.actions, bandit._choose_arms(trace.pi[:-1].T, u[:horizon]))
+        assert np.array_equal(trace.actions, reference.choose_arms(trace.pi[:-1].T, u[:horizon]))
         assert np.array_equal(trace.rewards, (u[horizon:] < env.means[trace.actions]).astype(float))
 
     def test_advanced_twin_draws_the_payout_uniforms(self):
@@ -251,7 +251,7 @@ class TestLockstepBlocks:
             twin, rounder = streams(i)
             windows = np.concatenate([bandit._payouts(env, n, twin, rounder)[0] for n in sizes])
             assert np.array_equal(windows, up_front), i
-            with mock.patch.object(bandit, "_WINDOW", 7):
+            with mock.patch.multiple(bandit, _WINDOW=7, _WINDOW_ENTRIES=0):
                 trace = run_game(env, horizon, trajectory_stream(5, i))
             assert np.array_equal(trace.rewards, up_front[np.arange(horizon), trace.actions]), i
 
@@ -264,9 +264,11 @@ class TestWindows:
     )
 
     def _outputs(self, tmp_path, name, window, block):
-        with mock.patch.object(bandit, "_WINDOW", window), mock.patch.object(
-            harness, "_BLOCK", block
-        ):
+        # Windows of ``window`` rounds, or the budgeted default windows at None.
+        budget = bandit._WINDOW_ENTRIES if window is None else 0
+        with mock.patch.multiple(
+            bandit, _WINDOW=window or bandit._WINDOW, _WINDOW_ENTRIES=budget
+        ), mock.patch.object(harness, "_BLOCK", block):
             run_verify_bounds(ExperimentConfig(outdir=str(tmp_path / name / "v"), **self._VERIFY))
             run_simulate(ExperimentConfig(outdir=str(tmp_path / name / "s"), **self._SIMULATE))
         root = tmp_path / name
@@ -277,7 +279,7 @@ class TestWindows:
     def test_outputs_do_not_depend_on_the_window(self, tmp_path):
         # Windows of 1, 7, T and T + 5 rounds, in blocks of several sizes,
         # against the default window and block.
-        reference = self._outputs(tmp_path, "default", bandit._WINDOW, harness._BLOCK)
+        reference = self._outputs(tmp_path, "default", None, harness._BLOCK)
         for window, block in ((1, harness._BLOCK), (7, 2), (45, 3), (50, 1)):
             outputs = self._outputs(tmp_path, f"w{window}", window, block)
             for name, data in reference.items():
@@ -293,7 +295,7 @@ class TestWindows:
         # The campaign sweeps a block's windows, 7 rounds at a time; here
         # each trajectory's record is played and swept alone.
         cfg = ExperimentConfig(outdir=str(tmp_path), **self._VERIFY)
-        with mock.patch.object(bandit, "_WINDOW", 7):
+        with mock.patch.multiple(bandit, _WINDOW=7, _WINDOW_ENTRIES=0):
             report = run_verify_bounds(cfg)
         env = cfg.environment()
         sweeps = [
@@ -309,7 +311,7 @@ class TestWindows:
         # The quantiles the campaign folds 7 rounds at a time, against the
         # quantiles of each trajectory's record played alone.
         cfg = ExperimentConfig(outdir=str(tmp_path), **self._SIMULATE)
-        with mock.patch.object(bandit, "_WINDOW", 7):
+        with mock.patch.multiple(bandit, _WINDOW=7, _WINDOW_ENTRIES=0):
             run_simulate(cfg)
         env = cfg.environment()
         regret = [prediction_regret(run_game(env, cfg.horizon, trajectory_stream(cfg.seed, i)), env)
@@ -340,7 +342,8 @@ class TestWindows:
                 self.fh.close()
 
         cfg = ExperimentConfig(outdir=str(tmp_path), **self._SIMULATE)
-        with mock.patch.object(bandit, "_WINDOW", 7), mock.patch.object(harness, "_CSV_ROWS", rows), \
+        with mock.patch.multiple(bandit, _WINDOW=7, _WINDOW_ENTRIES=0), \
+                mock.patch.object(harness, "_CSV_ROWS", rows), \
                 mock.patch.object(harness, "open", CountingFile, create=True):
             run_simulate(cfg)
         traces = {name: n for name, n in writes.items() if name.startswith("trace_")}
@@ -787,7 +790,8 @@ class TestReferenceWriter:
         curve = {"t": np.arange(1, horizon + 1), "regret_q10": q10, "regret_q50": q50, "regret_q90": q90,
                  "envelope": envelope, "slack_q50": envelope - q50, "within_fraction": within}
 
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(bandit, "_WINDOW", window), \
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.multiple(bandit, _WINDOW=window, _WINDOW_ENTRIES=0), \
                 mock.patch.object(harness, "_CSV_ROWS", rows):
             out = Path(tmp)
             run_simulate(dataclasses.replace(cfg, outdir=tmp))
@@ -1363,6 +1367,17 @@ class TestFootprintCap:
         # engine's (65, 10^6, 2) policy window is over the cap.
         with pytest.raises(ValueError, match="over the cap"):
             ExperimentConfig(mode="simulate", trajectories=10**6, horizon=100).validate()
+
+    def test_window_line_counts_the_budgeted_window(self, monkeypatch):
+        # At K = 2 and M = 1 a window is 1 024 rounds, so at T = 1 024 the
+        # engine's (1 025, 2, 1) policy window, 2 050 entries, is the largest
+        # array the campaign allocates.
+        cfg = ExperimentConfig(mode="simulate", trajectories=1, horizon=1024)
+        monkeypatch.setattr(harness, "_MAX_ARRAY_ENTRIES", 2050)
+        cfg.validate()
+        monkeypatch.setattr(harness, "_MAX_ARRAY_ENTRIES", 2049)
+        with pytest.raises(ValueError, match="over the cap"):
+            cfg.validate()
 
     def test_store_traces_fits_the_open_file_limit(self, tmp_path, capsys, monkeypatch):
         # The run holds every trace file open at once; at a soft limit of 64
